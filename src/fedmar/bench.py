@@ -92,6 +92,9 @@ class ExperimentSpec:
             raise ConfigError("need at least one seed")
         if not self.weights:
             raise ConfigError("need at least one weight triple")
+        if any(alpha <= 0.0 for alpha, _, _ in self.weights):
+            # the power and frequency solves price energy by alpha
+            raise ConfigError("key 'weights': the energy weight alpha must be positive")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r}")
@@ -318,11 +321,9 @@ def _failure_row(
     )
 
 
-_SCHEME_BY_NAME = {
-    "random": PairingScheme.RANDOM,
-    "nearest": PairingScheme.NEAREST_USER,
-    "nearest-farthest": PairingScheme.NEAREST_FARTHEST,
-}
+def baseline_scheme(pairing: str) -> PairingScheme:
+    """The scheme of a run on one fixed topology: ``best`` falls back to nearest."""
+    return PairingScheme.NEAREST_USER if pairing == "best" else PairingScheme(pairing)
 
 
 def run_cell(
@@ -346,7 +347,7 @@ def run_cell(
                 report = allocator.allocate_best_pairing(params, devices, gains, solve_config)
                 label = report.scheme.value if report.scheme else "best"
             else:
-                scheme = _SCHEME_BY_NAME[spec.pairing]
+                scheme = PairingScheme(spec.pairing)
                 topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
                 report = allocator.allocate(params, topology, solve_config)
                 report.scheme = scheme
@@ -358,7 +359,7 @@ def run_cell(
             reports["proposed"] = (None, spec.pairing, _flag_of(exc))
 
     if baseline_topology is None:
-        scheme = _SCHEME_BY_NAME.get(spec.pairing, PairingScheme.NEAREST_USER)
+        scheme = baseline_scheme(spec.pairing)
         baseline_topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
         baseline_label = scheme.value
 

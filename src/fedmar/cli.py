@@ -15,13 +15,6 @@ from .bench import ConfigError, ExperimentSpec
 from .model import UnreachableDeviceError
 from .sp2 import DeadlineInfeasibleError
 
-_CONCRETE_SCHEMES = {
-    "random": pairing.PairingScheme.RANDOM,
-    "nearest": pairing.PairingScheme.NEAREST_USER,
-    "nearest-farthest": pairing.PairingScheme.NEAREST_FARTHEST,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -39,18 +32,17 @@ def _load_spec(args) -> ExperimentSpec:
     return spec
 
 
-def _single_topology(spec: ExperimentSpec, seed: int, scheme_name: str):
+def _single_topology(spec: ExperimentSpec, seed: int):
     config = replace(spec.topology, rng_seed=seed)
     devices, gains = pairing.sample_topology(config, spec.ranges)
-    scheme = _CONCRETE_SCHEMES[scheme_name]
+    scheme = bench.baseline_scheme(spec.pairing)
     return pairing.pair_users(spec.params, devices, gains, scheme, rng_seed=seed)
 
 
 def _cmd_topology(args) -> int:
     spec = _load_spec(args)
     seed = spec.seeds[0]
-    scheme_name = spec.pairing if spec.pairing != "best" else "nearest"
-    topology = _single_topology(spec, seed, scheme_name)
+    topology = _single_topology(spec, seed)
     pairing.save_topology(args.out, topology)
     print(f"wrote {topology.n_devices} devices on {len(topology.channels)} channels to {args.out}")
     return 0
@@ -85,11 +77,10 @@ def _cmd_solve(args) -> int:
     if spec.pairing == "best":
         report = allocator.allocate_best_pairing(params, devices, gains, config)
     else:
-        topology = pairing.pair_users(
-            params, devices, gains, _CONCRETE_SCHEMES[spec.pairing], rng_seed=seed
-        )
+        scheme = pairing.PairingScheme(spec.pairing)
+        topology = pairing.pair_users(params, devices, gains, scheme, rng_seed=seed)
         report = allocator.allocate(params, topology, config)
-        report.scheme = _CONCRETE_SCHEMES[spec.pairing]
+        report.scheme = scheme
 
     c = report.costs
     scheme = report.scheme.value if report.scheme else spec.pairing
@@ -113,8 +104,7 @@ def _cmd_baselines(args) -> int:
     spec = _load_spec(args)
     seed = spec.seeds[0]
     params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
-    scheme_name = spec.pairing if spec.pairing != "best" else "nearest"
-    topology = _single_topology(spec, seed, scheme_name)
+    topology = _single_topology(spec, seed)
     reports = {
         "random": allocator.random_baseline(params, topology, seed),
         "greedy": allocator.greedy_baseline(params, topology),

@@ -193,6 +193,12 @@ def topology_from_lines(params: SystemParams, lines: list[str]) -> PairedTopolog
         records.append((dev, float(parts[5])))
     if len(records) % 2 != 0:
         raise ValueError("topology file must hold an even number of devices")
+    if len(records) // 2 != params.channel_count:
+        # every channel's bandwidth is the total divided by the channel count
+        raise ValueError(
+            f"topology file holds {len(records) // 2} channels "
+            f"but the parameters define {params.channel_count}"
+        )
     channels = tuple(
         ChannelPair(
             channel_index=k,

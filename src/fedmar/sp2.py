@@ -1,32 +1,31 @@
-"""Transmit-power subproblem: sum-of-ratios upload-energy minimization.
+"""Transmit-power subproblem: upload-energy minimization at a fixed deadline.
 
 Each decoding stage minimizes, independently per subchannel, the upload
 energy p * d / r(p) with r(p) = B * log2(1 + p / noise_floor), subject to
-the minimum rate implied by the deadline and the power box. The ratio is
-handled in parametric form: auxiliary variables (energy_bound, rate_weight)
-must satisfy the fixed point
+the minimum rate implied by the deadline and the power box. With
+x = p / noise_floor the energy is (d * noise_floor / B) * x / log2(1 + x),
+which is strictly increasing in x. The optimum is therefore the least
+power that meets the minimum rate, boxed to the power bounds:
 
-    rate_weight = energy_weight / r(p),   energy_bound = p * d / r(p)
+    p* = clip((2 ** (r_min / B) - 1) * noise_floor, p_min, p_max)
 
-at an optimum, while the power has a closed form in the auxiliaries. A
-damped Newton iteration with geometric backtracking drives the fixed-point
-residual to zero; every accepted step shrinks the residual norm by a
-guaranteed margin, so the iteration cannot cycle.
+The parametric auxiliaries of the sum-of-ratios form follow from the
+fixed-point identities rate_weight = energy_weight / r(p*) and
+energy_bound = p* * d / r(p*).
 
 Stage one covers the interference-free (low-gain) member of every channel;
-its converged powers set the noise floors of stage two.
+its powers set the noise floors of stage two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import model
-from .model import LN2, PairedTopology, SystemParams
+from .model import PairedTopology, SystemParams
 
 
 class Stage(Enum):
@@ -61,221 +60,59 @@ class RatioProblem:
         if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
             raise ValueError("minimum rates must be positive and finite")
 
-    @property
-    def n_channels(self) -> int:
-        return len(np.asarray(self.upload_bits))
-
-
-@dataclass
-class NewtonState:
-    """Converged (or best-seen) iteration state of one channel."""
-
-    power_w: float
-    rate_weight: float
-    energy_bound: float
-    residual: np.ndarray
-    newton_steps: int
-    converged: bool
-    rate_infeasible: bool
-    norm_trace: list[float]
-
 
 @dataclass
 class RatioSolution:
     power_w: np.ndarray
     rate_weight: np.ndarray
     energy_bound: np.ndarray
+    # always all-True: the closed form is exact (kept for perfbench's sp2 counters)
     converged: np.ndarray
     rate_infeasible: np.ndarray
+    # always all-zero: no iteration runs (kept for perfbench's sp2 counters)
     newton_steps: np.ndarray
-    norm_traces: list[list[float]]
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(np.all(self.converged))
 
 
-def min_rate(upload_bits: float, deadline_s: float, t_cmp_s: float) -> float:
+def min_rate(upload_bits, deadline_s: float, t_cmp_s):
     """Rate needed to fit the upload into the time the deadline leaves
-    after local computation."""
-    slack = deadline_s - t_cmp_s
-    if slack <= 0.0:
+    after local computation. Bits and computation times may be scalars or
+    per-device arrays."""
+    slack = deadline_s - np.asarray(t_cmp_s)
+    if np.any(slack <= 0.0):
         raise DeadlineInfeasibleError(
-            f"deadline {deadline_s:g} s does not cover computation time {t_cmp_s:g} s"
+            f"deadline {deadline_s:g} s does not cover computation time "
+            f"{np.max(t_cmp_s):g} s"
         )
     return upload_bits / slack
 
 
-def required_power(noise_floor_w: float, min_rate_bps: float, bandwidth_hz: float) -> float:
+def required_power(noise_floor_w, min_rate_bps, bandwidth_hz):
     """Power at which the channel rate equals the minimum rate exactly."""
-    return (2.0 ** (min_rate_bps / bandwidth_hz) - 1.0) * noise_floor_w
+    # float_power calls the C library's pow; np.power may dispatch to a SIMD
+    # pow that differs in the last bit from one CPU to the next.
+    return (np.float_power(2.0, min_rate_bps / bandwidth_hz) - 1.0) * noise_floor_w
 
 
-def channel_rate(power_w: float, noise_floor_w: float, bandwidth_hz: float) -> float:
-    return bandwidth_hz * math.log2(1.0 + power_w / noise_floor_w)
+def channel_rate(power_w, noise_floor_w, bandwidth_hz):
+    return bandwidth_hz * np.log2(1.0 + power_w / noise_floor_w)
 
 
-def power_update(
-    rate_weight: float,
-    energy_bound: float,
-    noise_floor_w: float,
-    upload_bits: float,
-    min_rate_bps: float,
-    bandwidth_hz: float,
-    p_min_w: float,
-    p_max_w: float,
-) -> tuple[float, bool]:
-    """Closed-form power for given auxiliaries, boxed to its bounds.
+def solve_ratio_stage(problem: RatioProblem) -> RatioSolution:
+    """Least power meeting each channel's minimum rate, boxed to the bounds.
 
-    The rate-constraint multiplier is evaluated first; when it is active
-    the power sits exactly at the minimum-rate point, otherwise at the
-    stationary point of the parametric objective. Returns the boxed power
-    and whether the rate constraint alone already needs more than p_max.
+    A channel whose minimum rate needs more than p_max gets p_max and is
+    flagged rate-infeasible.
     """
-    growth = 2.0 ** (min_rate_bps / bandwidth_hz)
-    mu = max(
-        0.0,
-        growth * noise_floor_w * LN2 * rate_weight * upload_bits / bandwidth_hz
-        - rate_weight * energy_bound,
-    )
-    if mu > 0.0:
-        p = (growth - 1.0) * noise_floor_w
-    else:
-        p = energy_bound * bandwidth_hz / (upload_bits * LN2) - noise_floor_w
-    infeasible = (growth - 1.0) * noise_floor_w > p_max_w
-    return min(p_max_w, max(p, p_min_w)), infeasible
-
-
-def residual(
-    power_w: float,
-    rate_bps: float,
-    rate_weight: float,
-    energy_bound: float,
-    upload_bits: float,
-    weight_energy: float,
-) -> tuple[np.ndarray, float]:
-    """Fixed-point residual and the (shared, diagonal) Jacobian entry.
-
-    Both residual components are linear in their own auxiliary with slope
-    equal to the rate, so the Newton direction is just -residual / rate.
-    """
-    phi = np.array(
-        [
-            -power_w * upload_bits + energy_bound * rate_bps,
-            -weight_energy + rate_weight * rate_bps,
-        ]
-    )
-    return phi, rate_bps
-
-
-def _solve_channel(
-    noise_floor: float,
-    upload_bits: float,
-    rate_min: float,
-    bandwidth: float,
-    p_min: float,
-    p_max: float,
-    alpha: float,
-    *,
-    shrink: float,
-    margin: float,
-    residual_tol: float,
-    max_iterations: int,
-    max_backtracks: int,
-) -> NewtonState:
-    need = required_power(noise_floor, rate_min, bandwidth)
-    if need > p_max:
-        p0 = p_max
-    else:
-        p0 = 0.5 * (max(p_min, need) + p_max)
-    r0 = channel_rate(p0, noise_floor, bandwidth)
-    nu = alpha / r0
-    bound = p0 * upload_bits / r0
-
-    def probe(nu_x: float, bound_x: float):
-        p_x, inf_x = power_update(
-            nu_x, bound_x, noise_floor, upload_bits, rate_min, bandwidth, p_min, p_max
-        )
-        r_x = channel_rate(p_x, noise_floor, bandwidth)
-        phi_x, _ = residual(p_x, r_x, nu_x, bound_x, upload_bits, alpha)
-        return p_x, inf_x, r_x, phi_x, float(math.hypot(phi_x[0], phi_x[1]))
-
-    p, infeasible, rate, phi, norm = probe(nu, bound)
-    trace = [norm]
-    best = (norm, p, nu, bound, infeasible, phi)
-    steps = 0
-    converged = float(np.max(np.abs(phi))) <= residual_tol
-    while not converged and steps < max_iterations:
-        dir_bound = -phi[0] / rate
-        dir_nu = -phi[1] / rate
-        accepted = None
-        for i in range(max_backtracks + 1):
-            step = shrink**i
-            nu_t = nu + step * dir_nu
-            bound_t = bound + step * dir_bound
-            cand = probe(nu_t, bound_t)
-            if cand[4] <= (1.0 - margin * step) * norm:
-                accepted = (nu_t, bound_t, cand)
-                break
-        if accepted is None:
-            break  # no step shrinks the residual; keep the best iterate
-        nu, bound, (p, infeasible, rate, phi, norm) = accepted
-        steps += 1
-        trace.append(norm)
-        if norm < best[0]:
-            best = (norm, p, nu, bound, infeasible, phi)
-        converged = float(np.max(np.abs(phi))) <= residual_tol
-    if not converged:
-        _, p, nu, bound, infeasible, phi = best
-    return NewtonState(
-        power_w=p,
-        rate_weight=nu,
-        energy_bound=bound,
-        residual=phi,
-        newton_steps=steps,
-        converged=converged,
-        rate_infeasible=infeasible,
-        norm_trace=trace,
-    )
-
-
-def solve_ratio_stage(
-    problem: RatioProblem,
-    *,
-    shrink: float = 0.5,
-    margin: float = 0.01,
-    residual_tol: float = 1e-9,
-    max_iterations: int = 200,
-    max_backtracks: int = 60,
-) -> RatioSolution:
-    """Run the damped Newton iteration independently on every channel."""
-    if not (0.0 < shrink < 1.0 and 0.0 < margin < 1.0):
-        raise ValueError("step shrink and margin must lie in (0, 1)")
-    states = [
-        _solve_channel(
-            float(problem.noise_floor_w[k]),
-            float(problem.upload_bits[k]),
-            float(problem.min_rate_bps[k]),
-            problem.bandwidth_hz,
-            problem.p_min_w,
-            problem.p_max_w,
-            problem.weight_energy,
-            shrink=shrink,
-            margin=margin,
-            residual_tol=residual_tol,
-            max_iterations=max_iterations,
-            max_backtracks=max_backtracks,
-        )
-        for k in range(problem.n_channels)
-    ]
+    need = required_power(problem.noise_floor_w, problem.min_rate_bps, problem.bandwidth_hz)
+    power = np.clip(need, problem.p_min_w, problem.p_max_w)
+    rate = channel_rate(power, problem.noise_floor_w, problem.bandwidth_hz)
     return RatioSolution(
-        power_w=np.array([s.power_w for s in states]),
-        rate_weight=np.array([s.rate_weight for s in states]),
-        energy_bound=np.array([s.energy_bound for s in states]),
-        converged=np.array([s.converged for s in states]),
-        rate_infeasible=np.array([s.rate_infeasible for s in states]),
-        newton_steps=np.array([s.newton_steps for s in states]),
-        norm_traces=[s.norm_trace for s in states],
+        power_w=power,
+        rate_weight=problem.weight_energy / rate,
+        energy_bound=power * problem.upload_bits / rate,
+        converged=np.ones(len(power), dtype=bool),
+        rate_infeasible=need > problem.p_max_w,
+        newton_steps=np.zeros(len(power), dtype=int),
     )
 
 
@@ -300,11 +137,9 @@ def solve_sp2(
             for i, dev in enumerate(devices)
         ]
     )
-    rate_min = np.array(
-        [min_rate(dev.upload_bits, deadline_s, float(t_cmp[i])) for i, dev in enumerate(devices)]
-    )
-    gains = topology.gain_vector()
     bits = topology.upload_bits_vector()
+    rate_min = min_rate(bits, deadline_s, t_cmp)
+    gains = topology.gain_vector()
     bandwidth = params.subchannel_bandwidth_hz
     noise_w = bandwidth * params.noise_psd_w_per_hz
 

@@ -102,6 +102,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             tiny_spec(seeds=())
 
+    def test_zero_energy_weight_names_the_key(self):
+        with pytest.raises(ConfigError, match="'weights'"):
+            spec_from_values(parse_config_text("weights = 0,1,1"))
+
+    @pytest.mark.parametrize("weights", ["1,0,1", "0.5,0.5,0"])
+    def test_zero_time_or_accuracy_weight_yields_every_row(self, weights):
+        rows = run_experiment(spec_from_values(parse_config_text(f"weights = {weights}")))
+        assert len(rows) == 42  # 7 sweep values x 3 algorithms, plus their means
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             tiny_spec(algorithms=("proposed", "magic"))
@@ -269,6 +278,14 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "random" in out and "greedy" in out
+
+    def test_zero_energy_weight_exits_without_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("weights = 0,1,1\n")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "'weights'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1

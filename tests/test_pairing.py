@@ -141,6 +141,14 @@ class TestSerialization:
         loaded = load_topology(path, params)
         assert loaded == topo
 
+    def test_channel_count_mismatch_rejected(self, tmp_path):
+        params = SystemParams(channel_count=2)
+        devices, gains = sample_topology(TopologyConfig(user_count=4, channel_count=2))
+        path = tmp_path / "topo.txt"
+        save_topology(path, pairing.pair_users(params, devices, gains, PairingScheme.NEAREST_USER))
+        with pytest.raises(ValueError, match="2 channels.*define 25"):
+            load_topology(path, SystemParams())
+
     def test_lines_hold_one_device_per_record(self):
         params = SystemParams(channel_count=1)
         topo = pair_users(

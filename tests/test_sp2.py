@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmar import model
 from fedmar.model import SystemParams
@@ -11,16 +11,16 @@ from fedmar.sp2 import (
     Stage,
     channel_rate,
     min_rate,
-    power_update,
-    residual,
     solve_ratio_stage,
     solve_sp2,
 )
-from util import central_diff, table_instance, topology_from_gains
+from util import table_instance, topology_from_gains
+
+P_MAX_12DBM = 0.015848931924611134
 
 
 def single_channel_problem(
-    noise_floor=1e-9, bits=28.1e3, r_min=1e3, alpha=0.5, p_min=1e-3, p_max=0.015848931924611134
+    noise_floor=1e-9, bits=28.1e3, r_min=1e3, alpha=0.5, p_min=1e-3, p_max=P_MAX_12DBM
 ):
     return RatioProblem(
         stage=Stage.FIRST,
@@ -63,92 +63,86 @@ class TestMinRate:
         with pytest.raises(DeadlineInfeasibleError):
             min_rate(28.1e3, 0.3, 0.4)
 
+    def test_arrays_match_scalars_and_any_short_slack_rejects(self):
+        bits = np.array([28.1e3, 14e3, 50e3])
+        t_cmp = np.array([0.1, 0.25, 0.4])
+        got = min_rate(bits, 0.5, t_cmp)
+        assert got.tolist() == [min_rate(b, 0.5, t) for b, t in zip(bits, t_cmp)]
+        with pytest.raises(DeadlineInfeasibleError):
+            min_rate(bits, 0.4, t_cmp)
+
+
+def _energy(power, noise_floor, bits=28.1e3, bandwidth=0.8e6):
+    return power * bits / channel_rate(power, noise_floor, bandwidth)
+
+
+def _best_feasible_grid_energy(problem, points=1_000_000):
+    """Least energy over a dense power grid restricted to feasible points."""
+    floor = float(problem.noise_floor_w[0])
+    grid = np.linspace(problem.p_min_w, problem.p_max_w, points)
+    rates = problem.bandwidth_hz * np.log2(1.0 + grid / floor)
+    feasible = rates >= float(problem.min_rate_bps[0])
+    return float(np.min(grid[feasible] * problem.upload_bits[0] / rates[feasible]))
+
 
 class TestPowerUpdate:
-    def test_interior_point_is_stationary(self):
-        # with the rate constraint slack, the returned power must zero the
-        # derivative of nu * (p*d - bound*rate(p))
-        noise_floor = 2e-9
-        bits = 28.1e3
-        bandwidth = 0.8e6
-        nu, bound = 3e-7, 9e-3
-        p, infeasible = power_update(
-            nu, bound, noise_floor, bits, 1.0, bandwidth, 0.0, 10.0
-        )
-        assert not infeasible
-
-        def objective(x):
-            return nu * (x * bits - bound * bandwidth * math.log2(1 + x / noise_floor))
-
-        h = 1e-6 * p
-        fd = central_diff(objective, p, h)
-        scale = nu * bits  # derivative scale of the linear term
-        assert abs(fd) <= 1e-6 * scale
+    """The closed-form power returned by solve_ratio_stage."""
 
     def test_active_rate_constraint_hits_it_exactly(self):
         noise_floor = 2e-9
-        bandwidth = 0.8e6
-        r_min = 3e6
-        # tiny bound makes the constraint bind
-        p, _ = power_update(1e-6, 1e-10, noise_floor, 28.1e3, r_min, bandwidth, 0.0, 10.0)
-        assert channel_rate(p, noise_floor, bandwidth) == pytest.approx(r_min, rel=1e-12)
+        r_min = 17e6  # needs about 5 mW
+        sol = solve_ratio_stage(single_channel_problem(noise_floor=noise_floor, r_min=r_min))
+        p = sol.power_w[0]
+        assert 1e-3 < p < P_MAX_12DBM  # binding, not clamped
+        assert not sol.rate_infeasible[0]
+        assert channel_rate(p, noise_floor, 0.8e6) == pytest.approx(r_min, rel=1e-12)
 
-    def test_huge_bound_clamps_to_p_max(self):
-        p, infeasible = power_update(1e-6, 1e6, 2e-9, 28.1e3, 1.0, 0.8e6, 1e-3, 0.0158)
-        assert p == 0.0158
-        assert not infeasible
+    def test_slack_rate_sits_at_p_min(self):
+        sol = solve_ratio_stage(single_channel_problem(noise_floor=2e-9, r_min=1e3))
+        assert sol.power_w[0] == 1e-3
+        assert not sol.rate_infeasible[0]
 
     def test_unreachable_rate_flags(self):
         # the minimum-rate power alone exceeds the power ceiling
-        noise_floor = 1e-2
-        p, infeasible = power_update(1e-6, 1e-9, noise_floor, 28.1e3, 5e6, 0.8e6, 1e-3, 0.0158)
-        assert p == 0.0158
-        assert infeasible
+        sol = solve_ratio_stage(single_channel_problem(noise_floor=1e-2, r_min=5e6))
+        assert sol.power_w[0] == P_MAX_12DBM
+        assert sol.rate_infeasible[0]
+        # just past the ceiling flags; just inside it does not
+        for scale, flagged in ((1.01, True), (0.99, False)):
+            r_min = channel_rate(scale * P_MAX_12DBM, 2e-9, 0.8e6)
+            sol = solve_ratio_stage(single_channel_problem(noise_floor=2e-9, r_min=r_min))
+            assert sol.rate_infeasible[0] == flagged
+            assert sol.power_w[0] == pytest.approx(min(scale, 1.0) * P_MAX_12DBM, rel=1e-12)
+
+    def test_energy_strictly_increasing_on_box(self):
+        # why the least feasible power is optimal: no interior minimum exists
+        grid = np.linspace(1e-3, P_MAX_12DBM, 100_000)
+        for noise_floor in (1e-12, 1e-9, 1e-6, 1e-3):
+            assert np.all(np.diff(_energy(grid, noise_floor)) > 0.0)
 
 
 class TestResidual:
     def test_zero_at_fixed_point(self):
-        rate = 2e6
-        p, bits, alpha = 5e-3, 28.1e3, 0.5
-        phi, jac = residual(p, rate, alpha / rate, p * bits / rate, bits, alpha)
-        assert phi == pytest.approx([0.0, 0.0], abs=1e-12)
-        assert jac == rate
-
-    def test_linear_in_energy_bound(self):
-        rate, p, bits, alpha = 2e6, 5e-3, 28.1e3, 0.5
-        nu, bound = 1e-7, 4e-3
-        phi1, _ = residual(p, rate, nu, bound, bits, alpha)
-        phi2, _ = residual(p, rate, nu, 2 * bound, bits, alpha)
-        assert phi2[0] - phi1[0] == pytest.approx(bound * rate, rel=1e-12)
-        assert phi2[1] == phi1[1]
-
-    def test_jacobian_matches_finite_differences(self):
-        rate, p, bits, alpha = 2e6, 5e-3, 28.1e3, 0.5
-        nu, bound = 1e-7, 4e-3
-        _, jac = residual(p, rate, nu, bound, bits, alpha)
-        h_bound = 1e-6 * bound
-        fd1 = (
-            residual(p, rate, nu, bound + h_bound, bits, alpha)[0][0]
-            - residual(p, rate, nu, bound - h_bound, bits, alpha)[0][0]
-        ) / (2 * h_bound)
-        h_nu = 1e-6 * nu
-        fd2 = (
-            residual(p, rate, nu + h_nu, bound, bits, alpha)[0][1]
-            - residual(p, rate, nu - h_nu, bound, bits, alpha)[0][1]
-        ) / (2 * h_nu)
-        assert fd1 == pytest.approx(jac, rel=1e-9)
-        assert fd2 == pytest.approx(jac, rel=1e-9)
+        # the returned auxiliaries zero the parametric residual
+        # (p*d - bound*r, nu*r - alpha) on binding, clamped and flagged channels
+        alpha = 0.5
+        for noise_floor, r_min in ((2e-9, 17e6), (2e-9, 1e3), (1e-2, 5e6)):
+            problem = single_channel_problem(noise_floor=noise_floor, r_min=r_min, alpha=alpha)
+            sol = solve_ratio_stage(problem)
+            p, bits = sol.power_w[0], problem.upload_bits[0]
+            rate = channel_rate(p, noise_floor, 0.8e6)
+            assert sol.energy_bound[0] * rate == pytest.approx(p * bits, rel=1e-12)
+            assert sol.rate_weight[0] * rate == pytest.approx(alpha, rel=1e-12)
 
 
 class TestSolveRatioStage:
     def test_fixed_point_start_converges_without_steps(self):
         problem = single_channel_problem(r_min=1e3)
         first = solve_ratio_stage(problem)
-        assert first.all_converged
-        # warm restart from the converged state: residual is already zero
+        assert first.converged.all()
+        assert not first.newton_steps.any()
         again = solve_ratio_stage(problem)
-        assert again.newton_steps[0] <= first.newton_steps[0]
-        assert again.norm_traces[0][-1] <= 1e-9
+        assert np.array_equal(again.power_w, first.power_w)
 
     def test_matches_dense_grid_on_unconstrained_channel(self):
         rng = np.random.default_rng(21)
@@ -156,31 +150,52 @@ class TestSolveRatioStage:
             noise_floor = 10 ** rng.uniform(-9.5, -7.5)
             problem = single_channel_problem(noise_floor=noise_floor, r_min=1.0)
             sol = solve_ratio_stage(problem)
-            grid = np.linspace(problem.p_min_w, problem.p_max_w, 1_000_000)
-            rates = 0.8e6 * np.log2(1.0 + grid / noise_floor)
-            ratios = grid * 28.1e3 / rates
-            best = float(np.min(ratios))
-            got = float(sol.power_w[0] * 28.1e3 / channel_rate(sol.power_w[0], noise_floor, 0.8e6))
-            assert got <= best * (1 + 1e-4)
+            best = _best_feasible_grid_energy(problem)
+            assert _energy(sol.power_w[0], noise_floor) <= best * (1 + 1e-4)
 
-    def test_residual_norm_decreases_monotonically(self):
-        params, topo = table_instance(seed=13)
-        n = topo.n_devices
-        cpu = np.full(n, 1e9)
-        res = np.full(n, 320.0)
-        rates = model.uplink_rates(params, topo, np.full(n, 5e-3))
-        t_all = np.array(
-            [
-                dev.upload_bits / rates[i]
-                + model.computation_cost(params, dev, 320.0, 1e9)[0]
-                for i, dev in enumerate(topo.devices())
-            ]
+    def test_matches_dense_grid_on_constrained_channel(self):
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            noise_floor = 10 ** rng.uniform(-9.5, -7.5)
+            # the rate of a random interior power, so the constraint binds
+            r_min = channel_rate(rng.uniform(2e-3, 0.015), noise_floor, 0.8e6)
+            problem = single_channel_problem(noise_floor=noise_floor, r_min=r_min)
+            sol = solve_ratio_stage(problem)
+            assert 1e-3 < sol.power_w[0] < P_MAX_12DBM
+            best = _best_feasible_grid_energy(problem)
+            got = _energy(sol.power_w[0], noise_floor)
+            assert got <= best * (1 + 1e-12)
+            assert best <= got * (1 + 1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_noise_floor=st.floats(-12.0, -5.0),
+        bits=st.floats(1e3, 1e6),
+        # from 1 kbit/s: far below any deadline's rate, 2**(r/B) - 1 cancels
+        log_r_min=st.floats(3.0, 7.5),
+        p_min=st.floats(0.0, 0.05),
+        p_span=st.floats(1e-4, 1.0),
+    )
+    def test_property_no_feasible_grid_point_beats_closed_form(
+        self, log_noise_floor, bits, log_r_min, p_min, p_span
+    ):
+        noise_floor, r_min = 10.0**log_noise_floor, 10.0**log_r_min
+        problem = single_channel_problem(
+            noise_floor=noise_floor, bits=bits, r_min=r_min, p_min=p_min, p_max=p_min + p_span
         )
-        _, _, (first, second) = solve_sp2(params, topo, cpu, res, float(np.max(t_all)))
-        for stage in (first, second):
-            assert stage.all_converged
-            for trace in stage.norm_traces:
-                assert all(b < a for a, b in zip(trace, trace[1:]))
+        sol = solve_ratio_stage(problem)
+        p = sol.power_w[0]
+        assert problem.p_min_w <= p <= problem.p_max_w
+        grid = np.linspace(problem.p_min_w, problem.p_max_w, 2001)
+        rates = channel_rate(grid, noise_floor, 0.8e6)
+        feasible = rates >= r_min
+        if sol.rate_infeasible[0]:
+            assert p == problem.p_max_w
+            assert not feasible.any()
+            return
+        assert channel_rate(p, noise_floor, 0.8e6) >= r_min * (1 - 1e-12)
+        got = _energy(p, noise_floor, bits)
+        assert np.all(got <= grid[feasible] * bits / rates[feasible] * (1 + 1e-12))
 
     def test_powers_respect_bounds(self):
         rng = np.random.default_rng(22)
