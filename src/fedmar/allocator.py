@@ -74,19 +74,12 @@ def relaxed_objective(
     """Objective of the continuous relaxation: true energies and times, but
     accuracy taken on the linearized fit the block solver optimizes."""
     rates = model.uplink_rates(params, topology, power_w)
-    energy = 0.0
-    worst_time = 0.0
-    for i, dev in enumerate(topology.devices()):
-        t_tr, e_tr = model.transmission_cost(dev, float(rates[i]), float(power_w[i]))
-        t_c, e_c = model.computation_cost(
-            params, dev, float(resolution[i]), float(cpu_hz[i])
-        )
-        energy += e_tr + e_c
-        worst_time = max(worst_time, t_tr + t_c)
+    t_tr, e_tr = model.transmission_cost(topology, rates, power_w)
+    t_c, e_c = model.computation_cost(params, topology, resolution, cpu_hz)
     acc = float(np.sum(sp1.linear_accuracy(params, np.asarray(resolution))))
     return (
-        params.weight_energy * energy
-        + params.weight_time * worst_time
+        params.weight_energy * float(np.sum(e_tr + e_c))
+        + params.weight_time * float(np.max(t_tr + t_c))
         - params.weight_accuracy * acc
     )
 
@@ -226,45 +219,41 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     p_grid = _grid(params.p_min_w, params.p_max_w)
     f_grid = _grid(params.f_min_hz, params.f_max_hz)
     s_low = params.resolution_set_px[0]
-    bandwidth = params.subchannel_bandwidth_hz
-    noise_w = bandwidth * params.noise_psd_w_per_hz
     alpha, beta = params.weight_energy, params.weight_time
+    gains, bits = topology.gains, topology.upload_bits
+    # grid axis first: (f, device)
+    t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
 
     n = topology.n_devices
     power = np.empty(n)
     cpu = np.empty(n)
-    for k, pair in enumerate(topology.channels):
-        (dev_a, gain_a), (dev_b, gain_b) = pair.members
-
-        rate_a = bandwidth * np.log2(1.0 + p_grid * gain_a / noise_w)
+    for k, bandwidth in enumerate(topology.bandwidth_hz):
+        a, b = 2 * k, 2 * k + 1
+        # axes: (p_a, p_b)
+        rates = model._pair_rates(
+            params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
+        )
         with np.errstate(divide="ignore"):
-            t_tr_a = np.where(rate_a > 0.0, dev_a.upload_bits / rate_a, np.inf)
+            t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, np.inf)
+        t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
         e_tr_a = p_grid * t_tr_a
-
-        snr_b = p_grid[None, :] * gain_b / (noise_w + p_grid[:, None] * gain_a)
-        rate_b = bandwidth * np.log2(1.0 + snr_b)
-        with np.errstate(divide="ignore"):
-            t_tr_b = np.where(rate_b > 0.0, dev_b.upload_bits / rate_b, np.inf)
         e_tr_b = p_grid[None, :] * t_tr_b
-
-        t_cmp_a, e_cmp_a = _grid_compute(params, dev_a, s_low, f_grid)
-        t_cmp_b, e_cmp_b = _grid_compute(params, dev_b, s_low, f_grid)
 
         # axes: (f_a, f_b, p_a, p_b)
         energy = (
-            e_cmp_a[:, None, None, None]
-            + e_cmp_b[None, :, None, None]
+            e_cmp[:, a, None, None, None]
+            + e_cmp[None, :, b, None, None]
             + e_tr_a[None, None, :, None]
             + e_tr_b[None, None, :, :]
         )
         chan_time = np.maximum(
-            t_cmp_a[:, None, None, None] + t_tr_a[None, None, :, None],
-            t_cmp_b[None, :, None, None] + t_tr_b[None, None, :, :],
+            t_cmp[:, a, None, None, None] + t_tr_a[None, None, :, None],
+            t_cmp[None, :, b, None, None] + t_tr_b[None, None, :, :],
         )
         cost = alpha * energy + beta * chan_time
         fa, fb, pa, pb = np.unravel_index(int(np.argmin(cost)), cost.shape)
-        cpu[2 * k], cpu[2 * k + 1] = f_grid[fa], f_grid[fb]
-        power[2 * k], power[2 * k + 1] = p_grid[pa], p_grid[pb]
+        cpu[a], cpu[b] = f_grid[fa], f_grid[fb]
+        power[a], power[b] = p_grid[pa], p_grid[pb]
 
     allocation = Allocation(
         power_w=power, cpu_hz=cpu, resolution_px=np.full(n, s_low)
@@ -282,16 +271,3 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
         wall_time_s=time.perf_counter() - started,
     )
 
-
-def _grid_compute(
-    params: SystemParams, device: Device, resolution: float, f_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    cycles = (
-        params.local_iterations
-        * params.std_sample_scale
-        * resolution
-        * resolution
-        * device.cycles_per_std_sample
-        * device.sample_count
-    )
-    return cycles / f_grid, params.switched_capacitance * cycles * f_grid * f_grid

@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 
 from . import allocator, model
 from .allocator import SolveConfig, SolveReport
-from .model import SystemParams, UnreachableDeviceError
+from .model import Device, SystemParams, UnreachableDeviceError
 from .pairing import (
     DeviceParamRanges,
     PairingScheme,
@@ -102,6 +102,23 @@ class ExperimentSpec:
             raise ConfigError(f"unknown pairing {self.pairing!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # every cell's parameters must be buildable before the sweep starts;
+        # the base parameters are valid, so the sweep values are checked
+        # against them first and any later failure is the weight triple's
+        for value in self.sweep_values:
+            try:
+                replace(self.params, **_swept(self.sweep_variable, value))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"key 'sweep_values': {self.sweep_variable} = {value:g}: {exc}"
+                ) from exc
+        for weights in self.weights:
+            for value in self.sweep_values:
+                try:
+                    cell_params(self, value, weights)
+                except ValueError as exc:
+                    triple = ",".join(f"{w:g}" for w in weights)
+                    raise ConfigError(f"key 'weights': triple {triple}: {exc}") from exc
 
 
 _SCALAR_KEYS = {
@@ -178,8 +195,8 @@ def parse_config_text(text: str) -> dict:
 def spec_from_values(values: dict) -> ExperimentSpec:
     """Build a spec from parsed values; anything missing keeps its default."""
     s1, s2, s3 = values.get("resolutions_px", (160.0, 320.0, 640.0))
-    weights = values.get("weights", ((0.5, 0.5, 1.0),))
-    alpha0, beta0, gamma0 = weights[0]
+    # the weights stay at their defaults here: cell_params sets each triple,
+    # and ExperimentSpec rejects a bad one by key
     params = SystemParams(
         total_bandwidth_hz=values.get("bandwidth_mhz", 20.0) * 1e6,
         channel_count=values.get("channels", 25),
@@ -188,9 +205,6 @@ def spec_from_values(values: dict) -> ExperimentSpec:
         local_iterations=values.get("local_iterations", 10.0),
         std_resolution_px=values.get("std_resolution_px", 100.0),
         resolution_set_px=(s1, s2, s3),
-        weight_energy=alpha0,
-        weight_time=beta0,
-        weight_accuracy=gamma0,
         p_min_w=model.dbm_to_watts(values.get("p_min_dbm", 0.0)),
         p_max_w=model.dbm_to_watts(values.get("p_max_dbm", 12.0)),
         f_min_hz=values.get("f_min_ghz", 0.001) * 1e9,
@@ -219,7 +233,7 @@ def spec_from_values(values: dict) -> ExperimentSpec:
         ranges=ranges,
         sweep_variable=values.get("sweep", "p_max_dbm"),
         sweep_values=values.get("sweep_values", (6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)),
-        weights=weights,
+        weights=values.get("weights", ((0.5, 0.5, 1.0),)),
         seeds=values.get("seeds", (1,)),
         algorithms=values.get("algorithms", ALGORITHMS),
         pairing=values.get("pairing", "best"),
@@ -240,18 +254,18 @@ def cell_params(
     A gamma sweep overrides the triple's own gamma with the sweep value.
     """
     alpha, beta, gamma = weights
-    updates: dict = {
-        "weight_energy": alpha,
-        "weight_time": beta,
-        "weight_accuracy": gamma,
-    }
-    if spec.sweep_variable == "p_max_dbm":
-        updates["p_max_w"] = model.dbm_to_watts(sweep_value)
-    elif spec.sweep_variable == "f_max_ghz":
-        updates["f_max_hz"] = sweep_value * 1e9
-    else:
-        updates["weight_accuracy"] = sweep_value
-    return replace(spec.params, **updates)
+    fields = {"weight_energy": alpha, "weight_time": beta, "weight_accuracy": gamma}
+    fields.update(_swept(spec.sweep_variable, sweep_value))
+    return replace(spec.params, **fields)
+
+
+def _swept(sweep_variable: str, sweep_value: float) -> dict:
+    """The ``SystemParams`` field a sweep point sets, in SI units."""
+    if sweep_variable == "p_max_dbm":
+        return {"p_max_w": model.dbm_to_watts(sweep_value)}
+    if sweep_variable == "f_max_ghz":
+        return {"f_max_hz": sweep_value * 1e9}
+    return {"weight_accuracy": sweep_value}
 
 
 def _format_resolutions(resolutions) -> str:
@@ -326,6 +340,22 @@ def baseline_scheme(pairing: str) -> PairingScheme:
     return PairingScheme.NEAREST_USER if pairing == "best" else PairingScheme(pairing)
 
 
+def solve_proposed(
+    spec: ExperimentSpec, params: SystemParams, devices: list[Device], gains, seed: int
+) -> SolveReport:
+    """The proposed solve of one sampled cell under the configured pairing:
+    every scheme, keeping the best, for ``best``; the named scheme otherwise.
+    The report's scheme is always set."""
+    config = replace(spec.solve, rng_seed=seed)
+    if spec.pairing == "best":
+        return allocator.allocate_best_pairing(params, devices, gains, config)
+    scheme = PairingScheme(spec.pairing)
+    topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
+    report = allocator.allocate(params, topology, config)
+    report.scheme = scheme
+    return report
+
+
 def run_cell(
     spec: ExperimentSpec, sweep_value: float, weights: tuple[float, float, float], seed: int
 ) -> list[ResultRow]:
@@ -335,7 +365,6 @@ def run_cell(
     params = cell_params(spec, sweep_value, weights)
     topo_config = replace(spec.topology, rng_seed=seed)
     devices, gains = sample_topology(topo_config, spec.ranges)
-    solve_config = replace(spec.solve, rng_seed=seed)
 
     reports: dict[str, tuple[SolveReport | None, str, str]] = {}
     baseline_topology = None
@@ -343,15 +372,8 @@ def run_cell(
 
     if "proposed" in spec.algorithms:
         try:
-            if spec.pairing == "best":
-                report = allocator.allocate_best_pairing(params, devices, gains, solve_config)
-                label = report.scheme.value if report.scheme else "best"
-            else:
-                scheme = PairingScheme(spec.pairing)
-                topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
-                report = allocator.allocate(params, topology, solve_config)
-                report.scheme = scheme
-                label = spec.pairing
+            report = solve_proposed(spec, params, devices, gains, seed)
+            label = report.scheme.value
             reports["proposed"] = (report, label, "")
             baseline_topology = report.topology
             baseline_label = label

@@ -71,20 +71,15 @@ def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     seed = spec.seeds[0]
     params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
-    config = replace(spec.solve, rng_seed=seed)
     topo_config = replace(spec.topology, rng_seed=seed)
     devices, gains = pairing.sample_topology(topo_config, spec.ranges)
-    if spec.pairing == "best":
-        report = allocator.allocate_best_pairing(params, devices, gains, config)
-    else:
-        scheme = pairing.PairingScheme(spec.pairing)
-        topology = pairing.pair_users(params, devices, gains, scheme, rng_seed=seed)
-        report = allocator.allocate(params, topology, config)
-        report.scheme = scheme
+    report = bench.solve_proposed(spec, params, devices, gains, seed)
 
     c = report.costs
-    scheme = report.scheme.value if report.scheme else spec.pairing
-    print(f"seed {seed}  pairing {scheme}  converged {report.converged}  feasible {report.feasible}")
+    print(
+        f"seed {seed}  pairing {report.scheme.value}  "
+        f"converged {report.converged}  feasible {report.feasible}"
+    )
     if report.scheme_objectives:
         per = "  ".join(f"{k}={v:.6g}" for k, v in report.scheme_objectives.items())
         print(f"scheme objectives: {per}")

@@ -9,11 +9,9 @@ functions are pure, so concurrent evaluation needs no locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-LN2 = math.log(2.0)
 
 # Detector-accuracy fit against square training-frame resolution s (pixels):
 # accuracy(s) = 1 - 1.578 * exp(-6.5e-3 * s).
@@ -149,14 +147,37 @@ class ChannelPair:
 
 @dataclass(frozen=True)
 class PairedTopology:
-    """All subchannels of a cell. Device vectors are channel-major:
-    index 2k is channel k's low-gain member, 2k+1 its high-gain member."""
+    """All subchannels of a cell.
+
+    The per-device data of every member is also held as read-only arrays,
+    built once at construction and named after the ``Device`` fields so one
+    formula serves a single device and a whole topology alike. They are
+    channel-major: index 2k is channel k's low-gain member, 2k+1 its
+    high-gain member. ``bandwidth_hz`` has one entry per channel.
+    """
 
     channels: tuple[ChannelPair, ...]
+    id: np.ndarray = field(init=False, repr=False, compare=False)
+    gains: np.ndarray = field(init=False, repr=False, compare=False)
+    upload_bits: np.ndarray = field(init=False, repr=False, compare=False)
+    cycles_per_std_sample: np.ndarray = field(init=False, repr=False, compare=False)
+    sample_count: np.ndarray = field(init=False, repr=False, compare=False)
+    bandwidth_hz: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.channels:
             raise ValueError("topology needs at least one channel")
+        members = [m for ch in self.channels for m in ch.members]
+        columns = {
+            name: [getattr(dev, name) for dev, _ in members]
+            for name in ("id", "upload_bits", "cycles_per_std_sample", "sample_count")
+        }
+        columns["gains"] = [gain for _, gain in members]
+        columns["bandwidth_hz"] = [ch.bandwidth_hz for ch in self.channels]
+        for name, values in columns.items():
+            array = np.array(values)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_devices(self) -> int:
@@ -165,17 +186,12 @@ class PairedTopology:
     def devices(self) -> list[Device]:
         return [dev for ch in self.channels for dev in ch.devices]
 
+    # accessors of the former vector API; new code reads the arrays
     def gain_vector(self) -> np.ndarray:
-        return np.array([g for ch in self.channels for g in ch.gains])
+        return self.gains
 
     def upload_bits_vector(self) -> np.ndarray:
-        return np.array([d.upload_bits for d in self.devices()])
-
-    def cycles_vector(self) -> np.ndarray:
-        return np.array([d.cycles_per_std_sample for d in self.devices()])
-
-    def samples_vector(self) -> np.ndarray:
-        return np.array([d.sample_count for d in self.devices()])
+        return self.upload_bits
 
 
 @dataclass
@@ -214,82 +230,82 @@ class CostBreakdown:
     objective: float
 
 
-def uplink_rate(
-    params: SystemParams,
-    pair: ChannelPair,
-    powers: tuple[float, float] | np.ndarray,
-    member_index: int,
-) -> float:
-    """Shannon rate of one pair member under successive decoding.
+def _pair_rates(params: SystemParams, bandwidth_hz, gain_low, gain_high, power_low, power_high):
+    """Shannon rates of NOMA pair members under successive decoding, as a
+    stacked (low, high) array; all inputs broadcast against each other.
 
-    Member 0 (lower gain) transmits interference-free; member 1 is decoded
-    first and sees member 0's received power as extra noise. Zero transmit
-    power yields rate 0, which is a valid value.
+    The low-gain member transmits interference-free; the high-gain member is
+    decoded first and sees the low-gain member's received power as extra
+    noise. Zero transmit power yields rate 0, which is a valid value.
     """
-    gain = pair.members[member_index][1]
-    noise_w = pair.bandwidth_hz * params.noise_psd_w_per_hz
-    interference_w = sum(
-        powers[j] * pair.members[j][1] for j in range(member_index)
-    )
-    snr = powers[member_index] * gain / (noise_w + interference_w)
-    return pair.bandwidth_hz * math.log2(1.0 + snr)
+    noise_w = bandwidth_hz * params.noise_psd_w_per_hz
+    received_low = power_low * gain_low
+    snr_high = power_high * gain_high / (noise_w + received_low)
+    snr = np.empty((2, *np.shape(snr_high)))
+    snr[0] = received_low / noise_w
+    snr[1] = snr_high
+    return bandwidth_hz * np.log2(1.0 + snr)
 
 
 def uplink_rates(
     params: SystemParams, topology: PairedTopology, power_w: np.ndarray
 ) -> np.ndarray:
     """Rates for every device, channel-major order."""
-    rates = np.empty(topology.n_devices)
-    for k, pair in enumerate(topology.channels):
-        p = (power_w[2 * k], power_w[2 * k + 1])
-        rates[2 * k] = uplink_rate(params, pair, p, 0)
-        rates[2 * k + 1] = uplink_rate(params, pair, p, 1)
-    return rates
+    p = np.asarray(power_w, dtype=float)
+    g = topology.gains
+    rates = _pair_rates(params, topology.bandwidth_hz, g[0::2], g[1::2], p[0::2], p[1::2])
+    return rates.ravel(order="F")
 
 
-def transmission_cost(
-    device: Device, rate_bps: float, power_w: float
-) -> tuple[float, float]:
-    """Upload time and energy: t = bits/rate, e = p * t."""
-    if rate_bps <= 0.0:
+def transmission_cost(devices, rate_bps, power_w):
+    """Upload time and energy, t = bits/rate and e = p * t, of one
+    ``Device`` or of every device of a ``PairedTopology``."""
+    zero = np.asarray(rate_bps) <= 0.0
+    if zero.any():
+        i = int(np.argmax(zero))
         raise UnreachableDeviceError(
-            f"device {device.id} has zero uplink rate but {device.upload_bits:g} bits to send"
+            f"device {np.ravel(devices.id)[i]} has zero uplink rate but "
+            f"{np.ravel(devices.upload_bits)[i]:g} bits to send"
         )
-    t = device.upload_bits / rate_bps
+    t = devices.upload_bits / rate_bps
     return t, power_w * t
 
 
-def computation_cost(
-    params: SystemParams, device: Device, resolution_px: float, cpu_hz: float
-) -> tuple[float, float]:
-    """Local-training time and energy at a given frame resolution.
-
-    Cycles scale with the pixel count relative to the standard sample, so a
-    frame at the standard resolution costs exactly
-    kappa * iterations * cycles * samples * f**2 joules.
-    """
-    if cpu_hz < params.f_min_hz * (1.0 - 1e-12):
-        raise ValueError(
-            f"cpu frequency {cpu_hz:g} Hz below the minimum {params.f_min_hz:g} Hz"
-        )
-    cycles = (
+def load(params: SystemParams, devices):
+    """Cycles per squared pixel of resolution: iterations * pixel scale *
+    cycles per standard sample * samples, for a ``Device`` or a topology."""
+    return (
         params.local_iterations
         * params.std_sample_scale
-        * resolution_px
-        * resolution_px
-        * device.cycles_per_std_sample
-        * device.sample_count
+        * devices.cycles_per_std_sample
+        * devices.sample_count
     )
+
+
+def computation_cost(params: SystemParams, devices, resolution_px, cpu_hz):
+    """Local-training time and energy at a given frame resolution, for one
+    ``Device`` or every device of a topology.
+
+    Cycles are load * s**2, scaling with the pixel count relative to the
+    standard sample, so a frame at the standard resolution costs exactly
+    kappa * iterations * cycles * samples * f**2 joules.
+    """
+    if (np.asarray(cpu_hz) < params.f_min_hz * (1.0 - 1e-12)).any():
+        raise ValueError(
+            f"cpu frequency {np.min(cpu_hz):g} Hz below the minimum {params.f_min_hz:g} Hz"
+        )
+    cycles = load(params, devices) * resolution_px * resolution_px
     t = cycles / cpu_hz
     e = params.switched_capacitance * cycles * cpu_hz * cpu_hz
     return t, e
 
 
-def accuracy_of(resolution_px: float) -> float:
+def accuracy_of(resolution_px):
     """Analytic detector accuracy for a square training resolution."""
-    if resolution_px <= 0:
+    s = np.asarray(resolution_px)
+    if (s <= 0).any():
         raise ValueError("resolution must be positive")
-    return 1.0 - ACCURACY_SCALE * math.exp(-ACCURACY_DECAY * resolution_px)
+    return 1.0 - ACCURACY_SCALE * np.exp(-ACCURACY_DECAY * s)
 
 
 def _check_bounds(params: SystemParams, allocation: Allocation, n: int) -> None:
@@ -319,18 +335,11 @@ def evaluate(
     n = topology.n_devices
     _check_bounds(params, allocation, n)
     rates = uplink_rates(params, topology, allocation.power_w)
-
-    t_trans = np.empty(n)
-    e_trans = np.empty(n)
-    t_cmp = np.empty(n)
-    e_cmp = np.empty(n)
-    acc = np.empty(n)
-    for i, dev in enumerate(topology.devices()):
-        t_trans[i], e_trans[i] = transmission_cost(dev, rates[i], allocation.power_w[i])
-        t_cmp[i], e_cmp[i] = computation_cost(
-            params, dev, allocation.resolution_px[i], allocation.cpu_hz[i]
-        )
-        acc[i] = accuracy_of(allocation.resolution_px[i])
+    t_trans, e_trans = transmission_cost(topology, rates, allocation.power_w)
+    t_cmp, e_cmp = computation_cost(
+        params, topology, allocation.resolution_px, allocation.cpu_hz
+    )
+    acc = accuracy_of(allocation.resolution_px)
 
     total_energy = float(np.sum(e_trans + e_cmp))
     total_time = float(np.max(t_trans + t_cmp))

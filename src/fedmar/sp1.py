@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import Device, PairedTopology, SystemParams
+from .model import PairedTopology, SystemParams
 
 # curvature constant from substituting f(lam) back into the objective
 _CBRT_MIX = 2.0 ** (-2.0 / 3.0) + 2.0 ** (1.0 / 3.0)
@@ -78,16 +78,6 @@ def linear_accuracy(params: SystemParams, resolution: float | np.ndarray):
     return model.accuracy_of(s1) + accuracy_slope(params) * (resolution - s1)
 
 
-def _compute_load(params: SystemParams, device: Device) -> float:
-    """Cycles per squared pixel of resolution: iterations * scale * c * D."""
-    return (
-        params.local_iterations
-        * params.std_sample_scale
-        * device.cycles_per_std_sample
-        * device.sample_count
-    )
-
-
 def dual_coefficients(
     params: SystemParams, topology: PairedTopology, t_trans_s: np.ndarray
 ) -> DualCoefficients:
@@ -97,8 +87,7 @@ def dual_coefficients(
     gamma = params.weight_accuracy
     ak = params.weight_energy * params.switched_capacitance
     s1 = params.resolution_set_px[0]
-    loads = np.array([_compute_load(params, d) for d in topology.devices()])
-    h = loads * ak ** (1.0 / 3.0)
+    h = model.load(params, topology) * ak ** (1.0 / 3.0)
     curvature = (gamma * slope) ** 2 / (4.0 * h * _CBRT_MIX)
     constant = np.full_like(h, gamma * slope * s1 - gamma * model.accuracy_of(s1))
     return DualCoefficients(
@@ -269,22 +258,22 @@ def _solve_dual_clamped(
     return _bisect_budget(lam_of, beta)
 
 
-def recover_primal(
-    multiplier: float, params: SystemParams, device: Device
-) -> tuple[float, float]:
-    """Closed-form frequency and resolution for one device's multiplier.
+def recover_primal(multiplier, params: SystemParams, devices):
+    """Closed-form frequency and resolution for the multipliers of one
+    ``Device`` or of every device of a topology.
 
-    The frequency is evaluated first; the resolution formula divides by it,
-    so a frequency that collapsed toward zero (multiplier ~ 0) is lifted to
-    the box minimum before use.
+    Returns the raw frequency and the unclamped resolution. The resolution
+    formula uses the frequency boxed to [f_min, f_max]: that is what the
+    device will actually run, and what the clamp-aware dual terms priced.
+    The box also lifts a frequency that collapsed toward zero (multiplier
+    ~ 0) before the formula divides by it.
     """
     ak = params.weight_energy * params.switched_capacitance
     if ak <= 0.0:
         raise ValueError("primal recovery requires a positive energy weight")
-    f_raw = (max(multiplier, LAMBDA_FLOOR) / (2.0 * ak)) ** (1.0 / 3.0)
-    f_eff = max(f_raw, params.f_min_hz)
-    load = _compute_load(params, device)
-    denom = 2.0 * load * (ak * f_eff * f_eff + multiplier / f_eff)
+    f_raw = (np.maximum(multiplier, LAMBDA_FLOOR) / (2.0 * ak)) ** (1.0 / 3.0)
+    f_eff = clamp_frequency(params, f_raw)
+    denom = 2.0 * model.load(params, devices) * (ak * f_eff * f_eff + multiplier / f_eff)
     s_raw = params.weight_accuracy * accuracy_slope(params) / denom
     return f_raw, s_raw
 
@@ -298,19 +287,13 @@ def clamp_resolution(params: SystemParams, s_raw):
     return np.minimum(s3, np.maximum(s_raw, s1))
 
 
-def round_resolution(params: SystemParams, resolution: float) -> float:
-    """Map a continuous resolution in [s1, s3] onto the discrete set;
-    both midpoints belong to the middle step."""
-    s1, s2, s3 = params.resolution_set_px
-    if resolution > 0.5 * (s2 + s3):
-        return s3
-    if resolution >= 0.5 * (s1 + s2):
-        return s2
-    return s1
-
-
 def round_resolutions(params: SystemParams, resolution: np.ndarray) -> np.ndarray:
-    return np.array([round_resolution(params, float(s)) for s in resolution])
+    """Map continuous resolutions in [s1, s3] onto the discrete set; both
+    midpoints belong to the middle step."""
+    s1, s2, s3 = params.resolution_set_px
+    return np.where(
+        resolution > 0.5 * (s2 + s3), s3, np.where(resolution >= 0.5 * (s1 + s2), s2, s1)
+    )
 
 
 def deadline_of(
@@ -321,12 +304,8 @@ def deadline_of(
     resolution: np.ndarray,
 ) -> float:
     """Tight deadline: the largest transmission-plus-computation time."""
-    totals = [
-        t_trans_s[i]
-        + model.computation_cost(params, dev, float(resolution[i]), float(cpu_hz[i]))[0]
-        for i, dev in enumerate(topology.devices())
-    ]
-    return float(np.max(totals))
+    t_cmp, _ = model.computation_cost(params, topology, resolution, cpu_hz)
+    return float(np.max(t_trans_s + t_cmp))
 
 
 # clamp-set iterations are cheap (one bisection each); the cap only guards
@@ -345,36 +324,17 @@ def solve_sp1(
     block objective is returned, so extra passes can only help.
     """
     rates = model.uplink_rates(params, topology, power_w)
-    devices = topology.devices()
-    t_trans = np.array(
-        [
-            model.transmission_cost(dev, float(rates[i]), float(power_w[i]))[0]
-            for i, dev in enumerate(devices)
-        ]
-    )
+    t_trans, _ = model.transmission_cost(topology, rates, power_w)
     coeffs = dual_coefficients(params, topology, t_trans)
     beta = params.weight_time
     lam = solve_dual(coeffs, beta)
 
-    loads = np.array([_compute_load(params, d) for d in devices])
-    ak = params.weight_energy * params.switched_capacitance
-    gamma_slope = params.weight_accuracy * accuracy_slope(params)
+    loads = model.load(params, topology)
     s1, _, s3 = params.resolution_set_px
-    kappa = params.switched_capacitance
     alpha, gamma = params.weight_energy, params.weight_accuracy
 
-    def recover(lam_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the resolution uses the boxed frequency: that is what the device
-        # will actually run, and what the clamp-aware dual terms priced
-        f_raw = (np.maximum(lam_vec, LAMBDA_FLOOR) / (2.0 * ak)) ** (1.0 / 3.0)
-        f_eff = np.clip(f_raw, params.f_min_hz, params.f_max_hz)
-        s_unc = gamma_slope / (2.0 * loads * (ak * f_eff * f_eff + lam_vec / f_eff))
-        return f_raw, s_unc
-
     def block_value(cpu: np.ndarray, s_cont: np.ndarray) -> float:
-        cycles = loads * s_cont * s_cont
-        e_cmp = kappa * cycles * cpu * cpu
-        t_cmp = cycles / cpu
+        t_cmp, e_cmp = model.computation_cost(params, topology, s_cont, cpu)
         acc = linear_accuracy(params, s_cont)
         return float(
             alpha * np.sum(e_cmp)
@@ -383,9 +343,9 @@ def solve_sp1(
         )
 
     best = None
-    clamp_state = np.zeros(len(devices), dtype=int)
+    clamp_state = np.zeros(topology.n_devices, dtype=int)
     for _ in range(_MAX_CLAMP_PASSES):
-        f_raw, s_unc = recover(lam)
+        f_raw, s_unc = recover_primal(lam, params, topology)
         cpu = clamp_frequency(params, f_raw)
         s_cont = clamp_resolution(params, s_unc)
         value = block_value(cpu, s_cont)

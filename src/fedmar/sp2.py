@@ -129,17 +129,11 @@ def solve_sp2(
     noise floors seen by stage two. Returns the flattened power vector, a
     matching rate-infeasibility flag vector and both stage solutions.
     """
-    devices = topology.devices()
     n = topology.n_devices
-    t_cmp = np.array(
-        [
-            model.computation_cost(params, dev, float(resolution_px[i]), float(cpu_hz[i]))[0]
-            for i, dev in enumerate(devices)
-        ]
-    )
-    bits = topology.upload_bits_vector()
+    t_cmp, _ = model.computation_cost(params, topology, resolution_px, cpu_hz)
+    bits = topology.upload_bits
     rate_min = min_rate(bits, deadline_s, t_cmp)
-    gains = topology.gain_vector()
+    gains = topology.gains
     bandwidth = params.subchannel_bandwidth_hz
     noise_w = bandwidth * params.noise_psd_w_per_hz
 

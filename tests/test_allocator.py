@@ -60,13 +60,13 @@ class TestAllocate:
             params.local_iterations
             * params.std_sample_scale
             * 160.0**2
-            * topo.cycles_vector()
-            * topo.samples_vector()
+            * topo.cycles_per_std_sample
+            * topo.sample_count
         )
         best = np.inf
         for p in p_grid:
             rates = model.uplink_rates(params, topo, np.array([p, p]))
-            t_tr = topo.upload_bits_vector() / rates
+            t_tr = topo.upload_bits / rates
             e_tr = p * t_tr
             e_cmp = params.switched_capacitance * cyc[:, None] * f_grid[None, :] ** 2
             t_cmp = cyc[:, None] / f_grid[None, :]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,8 +288,42 @@ class TestCli:
         assert "'weights'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("weights = 0.5,0.5,1 0.3,0.3,1\n", "weights"),
+            ("weights = 0.5,0.6,1\n", "weights"),
+            ("sweep_values = -3 6 12\n", "sweep_values"),
+            ("sweep = f_max_ghz\nsweep_values = 0.0005 1 2\n", "sweep_values"),
+            ("sweep = gamma\nsweep_values = -1 0 1\n", "sweep_values"),
+        ],
+        ids=[
+            "later-triple",
+            "first-triple",
+            "p_max-below-p_min",
+            "f_max-below-f_min",
+            "negative-gamma",
+        ],
+    )
+    def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+def test_default_sweep_matches_golden_csv(tmp_path):
+    # tests/data/default_sweep.csv is `fedmar sweep --out ...` with no config;
+    # a change that moves any emitted digit must regenerate it on purpose
+    out = tmp_path / "default.csv"
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "default_sweep.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_gamma_sweep_resolutions_non_decreasing_per_user():

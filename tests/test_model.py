@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmar.model import (
     Allocation,
+    ChannelPair,
+    PairedTopology,
     SystemParams,
     UnreachableDeviceError,
     accuracy_of,
@@ -13,7 +17,6 @@ from fedmar.model import (
     dbm_to_watts,
     evaluate,
     transmission_cost,
-    uplink_rate,
     uplink_rates,
     watts_to_dbm,
 )
@@ -24,6 +27,7 @@ from util import (
     RATE_12DBM_100DB,
     T_TRANS_28_1_KBIT,
     make_device,
+    reference_costs,
     table_instance,
     topology_from_gains,
 )
@@ -67,19 +71,22 @@ class TestUplinkRate:
         self.topo = topology_from_gains(self.params, [1e-10, 2e-10])
         self.pair = self.topo.channels[0]
 
+    def rates(self, powers):
+        return uplink_rates(self.params, self.topo, np.array(powers))
+
     def test_zero_power_zero_rate(self):
-        assert uplink_rate(self.params, self.pair, (0.0, 0.0), 0) == 0.0
+        assert np.all(self.rates((0.0, 0.0)) == 0.0)
 
     def test_reference_value(self):
         # 12 dBm through a -100 dB channel on a 0.8 MHz subchannel
-        rate = uplink_rate(self.params, self.pair, (dbm_to_watts(12.0), 0.0), 0)
+        rate = self.rates((dbm_to_watts(12.0), 0.0))[0]
         assert rate == pytest.approx(RATE_12DBM_100DB, rel=1e-12)
 
     def test_interference_dominated_limit(self):
         # when the first member's received power dwarfs the noise, the
         # second member's rate collapses to the power-ratio form
         p = (0.5, 0.01)
-        rate = uplink_rate(self.params, self.pair, p, 1)
+        rate = self.rates(p)[1]
         g1, g2 = self.pair.gains
         approx = self.pair.bandwidth_hz * math.log2(1 + p[1] * g2 / (p[0] * g1))
         assert rate == pytest.approx(approx, rel=1e-3)
@@ -93,18 +100,14 @@ class TestUplinkRate:
                 (0, (p1, p2), (p1 + step, p2)),
                 (1, (p1, p2), (p1, p2 + step)),
             ]:
-                lo = uplink_rate(self.params, self.pair, powers_lo, member)
-                hi = uplink_rate(self.params, self.pair, powers_hi, member)
-                assert hi > lo
+                assert self.rates(powers_hi)[member] > self.rates(powers_lo)[member]
 
     def test_non_increasing_in_interferer_power(self):
-        base = uplink_rate(self.params, self.pair, (1e-3, 5e-3), 1)
-        more = uplink_rate(self.params, self.pair, (2e-3, 5e-3), 1)
-        assert more < base
+        base = self.rates((1e-3, 5e-3))
+        more = self.rates((2e-3, 5e-3))
+        assert more[1] < base[1]
         # member 0 decodes after cancellation: unaffected by member 1
-        assert uplink_rate(self.params, self.pair, (1e-3, 5e-3), 0) == uplink_rate(
-            self.params, self.pair, (1e-3, 1e-2), 0
-        )
+        assert base[0] == self.rates((1e-3, 1e-2))[0]
 
 
 class TestTransmissionCost:
@@ -127,6 +130,12 @@ class TestTransmissionCost:
     def test_zero_rate_is_an_error(self):
         with pytest.raises(UnreachableDeviceError):
             transmission_cost(make_device(3), 0.0, 0.01)
+
+    def test_topology_zero_rate_names_the_device(self):
+        topo = topology_from_gains(SystemParams(channel_count=2), [1e-10, 2e-10, 1e-10, 2e-10])
+        rates = np.array([1e6, 2e6, 0.0, 1e6])
+        with pytest.raises(UnreachableDeviceError, match=r"^device 2 has zero uplink rate"):
+            transmission_cost(topo, rates, np.full(4, 5e-3))
 
 
 class TestComputationCost:
@@ -219,36 +228,8 @@ class TestEvaluate:
             resolution_px=rng.choice(np.array(params.resolution_set_px), n),
         )
         costs = evaluate(params, topo, alloc)
-
-        energy = 0.0
-        worst = 0.0
-        acc = 0.0
-        i = 0
-        for pair in topo.channels:
-            noise = pair.bandwidth_hz * params.noise_psd_w_per_hz
-            interference = 0.0
-            for member, (dev, gain) in enumerate(pair.members):
-                p = alloc.power_w[i]
-                rate = pair.bandwidth_hz * math.log2(1 + p * gain / (noise + interference))
-                interference += p * gain
-                t_tr = dev.upload_bits / rate
-                cyc = (
-                    params.local_iterations
-                    * params.std_sample_scale
-                    * alloc.resolution_px[i] ** 2
-                    * dev.cycles_per_std_sample
-                    * dev.sample_count
-                )
-                energy += p * t_tr + params.switched_capacitance * cyc * alloc.cpu_hz[i] ** 2
-                worst = max(worst, t_tr + cyc / alloc.cpu_hz[i])
-                acc += 1.0 - 1.578 * math.exp(-6.5e-3 * alloc.resolution_px[i])
-                i += 1
-        objective = (
-            params.weight_energy * energy
-            + params.weight_time * worst
-            - params.weight_accuracy * acc
-        )
-        assert costs.objective == pytest.approx(objective, rel=1e-9)
+        ref = reference_costs(params, topo, alloc.power_w, alloc.cpu_hz, alloc.resolution_px)
+        assert costs.objective == pytest.approx(ref["objective"], rel=1e-9)
 
     def test_objective_linear_in_weights(self):
         base, topo = table_instance(seed=1)
@@ -306,13 +287,80 @@ class TestEvaluate:
         with pytest.raises(UnreachableDeviceError):
             evaluate(params, topo, alloc)
 
+    def test_zero_power_names_the_unreachable_device(self):
+        params = SystemParams(channel_count=2, p_min_w=0.0)
+        ids_and_gains = ((17, 1e-10), (4, 2e-10), (9, 1e-10), (30, 2e-10))
+        members = [(make_device(i), gain) for i, gain in ids_and_gains]
+        topo = PairedTopology(
+            channels=tuple(
+                ChannelPair(
+                    channel_index=k,
+                    bandwidth_hz=params.subchannel_bandwidth_hz,
+                    members=(members[2 * k], members[2 * k + 1]),
+                )
+                for k in range(2)
+            )
+        )
+        alloc = Allocation(
+            power_w=np.array([5e-3, 5e-3, 5e-3, 0.0]),
+            cpu_hz=np.full(4, 1e9),
+            resolution_px=np.full(4, 320.0),
+        )
+        with pytest.raises(UnreachableDeviceError, match=r"^device 30 has zero uplink rate"):
+            evaluate(params, topo, alloc)
+
+
+@st.composite
+def cells_and_allocations(draw):
+    """A random paired topology with an allocation inside the boxes."""
+    channels = draw(st.integers(1, 6))
+    params = SystemParams(
+        channel_count=channels,
+        weight_energy=(alpha := draw(st.floats(0.05, 1.0))),
+        weight_time=1.0 - alpha,
+        weight_accuracy=draw(st.floats(0.0, 2.0)),
+    )
+    n = 2 * channels
+    unit = st.floats(0.0, 1.0)
+    gains = np.sort(
+        np.array(draw(st.lists(st.floats(-13.0, -8.0), min_size=n, max_size=n))).reshape(-1, 2)
+    ).ravel()
+    topo = topology_from_gains(
+        params,
+        10.0**gains,
+        cycles=draw(st.lists(st.floats(1e4, 3e4), min_size=n, max_size=n)),
+    )
+    frac = np.array(draw(st.lists(unit, min_size=3 * n, max_size=3 * n))).reshape(3, n)
+    alloc = Allocation(
+        power_w=params.p_min_w + frac[0] * (params.p_max_w - params.p_min_w),
+        cpu_hz=params.f_min_hz + frac[1] * (params.f_max_hz - params.f_min_hz),
+        resolution_px=160.0 + frac[2] * 480.0,
+    )
+    return params, topo, alloc
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells_and_allocations())
+def test_evaluate_matches_scalar_reference(case):
+    params, topo, alloc = case
+    costs = evaluate(params, topo, alloc)
+    ref = reference_costs(params, topo, alloc.power_w, alloc.cpu_hz, alloc.resolution_px)
+    for name in ("rate_bps", "t_trans_s", "e_trans_j", "t_cmp_s", "e_cmp_j", "accuracy"):
+        np.testing.assert_allclose(getattr(costs, name), ref[name], rtol=1e-12, atol=0.0)
+    # the objective is a difference of terms: measure its error against their size
+    scale = (
+        params.weight_energy * costs.total_energy_j
+        + params.weight_time * costs.total_time_s
+        + params.weight_accuracy * costs.total_accuracy
+    )
+    assert abs(costs.objective - ref["objective"]) <= 1e-12 * scale
+
 
 def test_uplink_rates_matches_scalar_op():
     params, topo = table_instance(seed=4)
     rng = np.random.default_rng(4)
     p = rng.uniform(params.p_min_w, params.p_max_w, topo.n_devices)
     rates = uplink_rates(params, topo, p)
-    for k, pair in enumerate(topo.channels):
-        powers = (p[2 * k], p[2 * k + 1])
-        assert rates[2 * k] == uplink_rate(params, pair, powers, 0)
-        assert rates[2 * k + 1] == uplink_rate(params, pair, powers, 1)
+    n = topo.n_devices
+    ref = reference_costs(params, topo, p, np.full(n, 1e9), np.full(n, 320.0))
+    np.testing.assert_allclose(rates, ref["rate_bps"], rtol=1e-14, atol=0.0)

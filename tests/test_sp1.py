@@ -14,7 +14,6 @@ from fedmar.sp1 import (
     dual_objective,
     linear_accuracy,
     recover_primal,
-    round_resolution,
     round_resolutions,
     solve_dual,
     solve_sp1,
@@ -177,7 +176,7 @@ class TestClampsAndRounding:
         [(239.0, 160.0), (240.0, 320.0), (480.0, 320.0), (481.0, 640.0), (160.0, 160.0), (640.0, 640.0)],
     )
     def test_round_thresholds(self, s_hat, expected):
-        assert round_resolution(SystemParams(), s_hat) == expected
+        assert round_resolutions(SystemParams(), np.array([s_hat])).tolist() == [expected]
 
     def test_rounding_stays_in_set(self):
         params = SystemParams()

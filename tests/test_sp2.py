@@ -231,14 +231,14 @@ class TestSolveSp2:
         cpu, res, deadline = self._inputs(params, topo)
         power, flags, (first, second) = solve_sp2(params, topo, cpu, res, deadline)
         assert not np.any(flags)
-        gains = topo.gain_vector()
+        gains = topo.gains
         noise = params.subchannel_bandwidth_hz * params.noise_psd_w_per_hz
+        direct = model.uplink_rates(params, topo, power)
         for k in range(len(topo.channels)):
             p1, p2 = power[2 * k], power[2 * k + 1]
             floor = (noise + p1 * gains[2 * k]) / gains[2 * k + 1]
             rate2 = channel_rate(p2, floor, params.subchannel_bandwidth_hz)
-            direct = model.uplink_rate(params, topo.channels[k], (p1, p2), 1)
-            assert rate2 == pytest.approx(direct, rel=1e-12)
+            assert rate2 == pytest.approx(direct[2 * k + 1], rel=1e-12)
 
     def test_symmetric_channels_get_identical_powers(self):
         params = SystemParams(channel_count=2)
@@ -260,7 +260,7 @@ class TestSolveSp2:
         _, _, stages = solve_sp2(params, topo, cpu, res, deadline)
         alpha = params.weight_energy
         for stage_sol, idx in ((stages[0], 0), (stages[1], 1)):
-            bits = topo.upload_bits_vector()[idx::2]
+            bits = topo.upload_bits[idx::2]
             rates = np.array(
                 [
                     channel_rate(p, lam, params.subchannel_bandwidth_hz)
@@ -289,7 +289,7 @@ class TestSolveSp2:
         t_cmp = np.array(
             [model.computation_cost(params, dev, 320.0, 1e9)[0] for dev in devices]
         )
-        bits = topo.upload_bits_vector()
+        bits = topo.upload_bits
 
         def objective(p):
             rates = model.uplink_rates(params, topo, p)
@@ -308,7 +308,7 @@ class TestSolveSp2:
 
 
 def _noise_floors(params, topo, stages, idx):
-    gains = topo.gain_vector()
+    gains = topo.gains
     noise = params.subchannel_bandwidth_hz * params.noise_psd_w_per_hz
     if idx == 0:
         return noise / gains[0::2]

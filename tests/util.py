@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from fedmar import pairing, sp1
@@ -63,6 +65,56 @@ def small_instance(seed: int, users: int = 4, **params_kw) -> tuple[SystemParams
     devices, gains = pairing.sample_topology(config)
     topo = pairing.pair_users(params, devices, gains, pairing.PairingScheme.NEAREST_USER)
     return params, topo
+
+
+def reference_costs(params: SystemParams, topo: PairedTopology, power_w, cpu_hz, resolution_px):
+    """Independent per-device scalar evaluation: walks every channel's
+    members with ``math`` and returns rate, upload time, upload energy,
+    computation time, computation energy and accuracy per device,
+    channel-major, plus the objective."""
+    per_device = []
+    i = 0
+    for pair in topo.channels:
+        noise = pair.bandwidth_hz * params.noise_psd_w_per_hz
+        interference = 0.0
+        for dev, gain in pair.members:
+            p, f, s = float(power_w[i]), float(cpu_hz[i]), float(resolution_px[i])
+            rate = pair.bandwidth_hz * math.log2(1 + p * gain / (noise + interference))
+            interference += p * gain
+            t_tr = dev.upload_bits / rate
+            cycles = (
+                params.local_iterations
+                * params.std_sample_scale
+                * s**2
+                * dev.cycles_per_std_sample
+                * dev.sample_count
+            )
+            per_device.append(
+                (
+                    rate,
+                    t_tr,
+                    p * t_tr,
+                    cycles / f,
+                    params.switched_capacitance * cycles * f**2,
+                    1.0 - 1.578 * math.exp(-6.5e-3 * s),
+                )
+            )
+            i += 1
+    rate, t_tr, e_tr, t_cmp, e_cmp, acc = (np.array(col) for col in zip(*per_device))
+    objective = (
+        params.weight_energy * math.fsum(e_tr + e_cmp)
+        + params.weight_time * max(t_tr + t_cmp)
+        - params.weight_accuracy * math.fsum(acc)
+    )
+    return {
+        "rate_bps": rate,
+        "t_trans_s": t_tr,
+        "e_trans_j": e_tr,
+        "t_cmp_s": t_cmp,
+        "e_cmp_j": e_cmp,
+        "accuracy": acc,
+        "objective": objective,
+    }
 
 
 def project_budget(v: np.ndarray, total: float) -> np.ndarray:
