@@ -16,10 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, sp1, sp2
-from .model import Allocation, CostBreakdown, Device, PairedTopology, SystemParams
+from .model import (
+    Allocation,
+    CostBreakdown,
+    Device,
+    PairedTopology,
+    ParamsError,
+    SystemParams,
+)
 from .pairing import STREAM_BASELINE, PairingScheme, pair_users
 
 GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
+GREEDY_CHUNK = 4  # channels per greedy kernel pass: two 0.47 MB cost buffers
 
 
 @dataclass(frozen=True)
@@ -36,9 +44,9 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         if self.outer_tolerance <= 0.0:
-            raise ValueError("outer tolerance must be positive")
+            raise ParamsError("outer tolerance must be positive", "outer_tolerance")
         if self.max_outer_iterations < 1:
-            raise ValueError("need at least one outer iteration")
+            raise ParamsError("need at least one outer iteration", "max_outer_iterations")
         if not self.schemes:
             raise ValueError("need at least one pairing scheme")
 
@@ -207,13 +215,25 @@ def _grid(low: float, high: float) -> np.ndarray:
     return low + 0.1 * np.arange(GRID_STEPS) * (high - low)
 
 
+def _upload_time(bits, rate_bps):
+    """bits / rate, with a finite 0 standing in where the rate is zero."""
+    return np.divide(bits, rate_bps, out=np.zeros_like(rate_bps), where=rate_bps > 0.0)
+
+
 def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveReport:
     """Exhaustive per-channel grid search at the lowest resolution.
 
     Every channel independently picks the (f, f, p, p) grid combination
     minimizing its own energy-plus-time cost, time taken as the max over
-    the channel's two members. Aggregate energy sums over channels; the
-    reported completion time is the max across channels.
+    the channel's two members; a combination that leaves either member
+    with zero rate (zero power) costs +inf. Ties go to the first
+    combination in (f_a, f_b, p_a, p_b) order. Aggregate energy sums over
+    channels; the reported completion time is the max across channels.
+
+    The search runs GREEDY_CHUNK channels at a time over arrays shaped
+    (channel, f_a, f_b, q) with the power pair flattened to
+    q = p_a * GRID_STEPS + p_b, so the long contiguous axis comes last and
+    the flat order is the (f_a, f_b, p_a, p_b) order.
     """
     started = time.perf_counter()
     p_grid = _grid(params.p_min_w, params.p_max_w)
@@ -221,37 +241,55 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     s_low = params.resolution_set_px[0]
     alpha, beta = params.weight_energy, params.weight_time
     gains, bits = topology.gains, topology.upload_bits
-    # grid axis first: (f, device)
     t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
+    t_cmp, e_cmp = t_cmp.T, e_cmp.T  # axes: (device, f)
 
+    steps = GRID_STEPS
+    p_pair_b = np.tile(p_grid, steps)  # p_b along q
+    shape = (GREEDY_CHUNK, steps, steps, steps * steps)
+    cost, chan_time = np.empty(shape), np.empty(shape)
     n = topology.n_devices
     power = np.empty(n)
     cpu = np.empty(n)
-    for k, bandwidth in enumerate(topology.bandwidth_hz):
-        a, b = 2 * k, 2 * k + 1
-        # axes: (p_a, p_b)
+    n_channels = len(topology.channels)
+    for lo in range(0, n_channels, GREEDY_CHUNK):
+        hi = min(lo + GREEDY_CHUNK, n_channels)
+        c, a, b = hi - lo, slice(2 * lo, 2 * hi, 2), slice(2 * lo + 1, 2 * hi, 2)
+        # axes: (channel, p_a, p_b)
         rates = model._pair_rates(
-            params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
+            params,
+            topology.bandwidth_hz[lo:hi, None, None],
+            gains[a, None, None],
+            gains[b, None, None],
+            p_grid[:, None],
+            p_grid[None, :],
         )
-        with np.errstate(divide="ignore"):
-            t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, np.inf)
-        t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
-        e_tr_a = p_grid * t_tr_a
-        e_tr_b = p_grid[None, :] * t_tr_b
+        # axes: (channel, p_a) for the low-gain member, (channel, q) for both
+        rate_a, rate_b = rates[0, :, :, 0], rates[1].reshape(c, -1)
+        unreachable = np.repeat(rate_a <= 0.0, steps, axis=1) | (rate_b <= 0.0)
+        t_tr_a = _upload_time(bits[a, None], rate_a)
+        t_tr_b = _upload_time(bits[b, None], rate_b)
+        e_tr_a = np.repeat(p_grid * t_tr_a, steps, axis=1)
+        e_tr_b = p_pair_b * t_tr_b
+        t_tr_a = np.repeat(t_tr_a, steps, axis=1)
 
-        # axes: (f_a, f_b, p_a, p_b)
-        energy = (
-            e_cmp[:, a, None, None, None]
-            + e_cmp[None, :, b, None, None]
-            + e_tr_a[None, None, :, None]
-            + e_tr_b[None, None, :, :]
-        )
-        chan_time = np.maximum(
-            t_cmp[:, a, None, None, None] + t_tr_a[None, None, :, None],
-            t_cmp[None, :, b, None, None] + t_tr_b[None, None, :, :],
-        )
-        cost = alpha * energy + beta * chan_time
-        fa, fb, pa, pb = np.unravel_index(int(np.argmin(cost)), cost.shape)
+        # axes: (channel, f_a, f_b, q); energy sums in the order
+        # ((e_cmp_a + e_cmp_b) + e_tr_a) + e_tr_b
+        out, span = cost[:c], chan_time[:c]
+        e_cmp_ab = e_cmp[a, :, None] + e_cmp[b, None, :]
+        np.add(e_cmp_ab[..., None], e_tr_a[:, None, None, :], out=out)
+        out += e_tr_b[:, None, None, :]
+        out *= alpha
+        # beta * max(u, v) == max(beta * u, beta * v) exactly for beta >= 0
+        time_a = beta * (t_cmp[a, :, None] + t_tr_a[:, None, :])
+        time_b = beta * (t_cmp[b, :, None] + t_tr_b[:, None, :])
+        np.maximum(time_a[:, :, None, :], time_b[:, None, :, :], out=span)
+        out += span
+        if unreachable.any():
+            np.copyto(out, np.inf, where=unreachable[:, None, None, :])
+
+        best = out.reshape(c, -1).argmin(axis=1)
+        fa, fb, pa, pb = np.unravel_index(best, (steps, steps, steps, steps))
         cpu[a], cpu[b] = f_grid[fa], f_grid[fb]
         power[a], power[b] = p_grid[pa], p_grid[pb]
 

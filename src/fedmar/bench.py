@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 
 from . import allocator, model
 from .allocator import SolveConfig, SolveReport
-from .model import Device, SystemParams, UnreachableDeviceError
+from .model import Device, ParamsError, SystemParams, UnreachableDeviceError
 from .pairing import (
     DeviceParamRanges,
     PairingScheme,
@@ -192,12 +192,49 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+# the configuration key that sets each checked field of SystemParams,
+# TopologyConfig and SolveConfig
+_FIELD_KEYS = {
+    "total_bandwidth_hz": "bandwidth_mhz",
+    "channel_count": "channels",
+    "noise_psd_w_per_hz": "noise_dbm_per_hz",
+    "switched_capacitance": "kappa",
+    "local_iterations": "local_iterations",
+    "std_resolution_px": "std_resolution_px",
+    "resolution_set_px": "resolutions_px",
+    "weight_energy": "weights",
+    "weight_time": "weights",
+    "weight_accuracy": "weights",
+    "p_min_w": "p_min_dbm",
+    "p_max_w": "p_max_dbm",
+    "f_min_hz": "f_min_ghz",
+    "f_max_hz": "f_max_ghz",
+    "user_count": "users",
+    "cell_radius_km": "cell_radius_km",
+    "min_distance_km": "min_distance_km",
+    "shadow_sigma_db": "shadow_sigma_db",
+    "outer_tolerance": "outer_tolerance",
+    "max_outer_iterations": "max_outer_iterations",
+}
+
+
+def _keyed(build, **fields):
+    """``build(**fields)``, naming the configuration keys of a failed check."""
+    try:
+        return build(**fields)
+    except ParamsError as exc:
+        keys = dict.fromkeys(_FIELD_KEYS[f] for f in exc.fields)
+        label = "key" if len(keys) == 1 else "keys"
+        raise ConfigError(f"{label} {', '.join(map(repr, keys))}: {exc}") from exc
+
+
 def spec_from_values(values: dict) -> ExperimentSpec:
     """Build a spec from parsed values; anything missing keeps its default."""
     s1, s2, s3 = values.get("resolutions_px", (160.0, 320.0, 640.0))
     # the weights stay at their defaults here: cell_params sets each triple,
     # and ExperimentSpec rejects a bad one by key
-    params = SystemParams(
+    params = _keyed(
+        SystemParams,
         total_bandwidth_hz=values.get("bandwidth_mhz", 20.0) * 1e6,
         channel_count=values.get("channels", 25),
         noise_psd_w_per_hz=model.dbm_to_watts(values.get("noise_dbm_per_hz", -174.0)),
@@ -210,7 +247,8 @@ def spec_from_values(values: dict) -> ExperimentSpec:
         f_min_hz=values.get("f_min_ghz", 0.001) * 1e9,
         f_max_hz=values.get("f_max_ghz", 2.0) * 1e9,
     )
-    topology = TopologyConfig(
+    topology = _keyed(
+        TopologyConfig,
         user_count=values.get("users", 50),
         channel_count=values.get("channels", 25),
         cell_radius_km=values.get("cell_radius_km", 0.5),
@@ -223,7 +261,8 @@ def spec_from_values(values: dict) -> ExperimentSpec:
         sample_count=values.get("samples", 500.0),
         upload_bits=values.get("upload_kbits", 28.1) * 1e3,
     )
-    solve = SolveConfig(
+    solve = _keyed(
+        SolveConfig,
         outer_tolerance=values.get("outer_tolerance", 1e-4),
         max_outer_iterations=values.get("max_outer_iterations", 50),
     )

@@ -23,6 +23,14 @@ class UnreachableDeviceError(RuntimeError):
     """A device with pending upload bits has zero uplink rate."""
 
 
+class ParamsError(ValueError):
+    """A parameter check failed; ``fields`` names the fields it read."""
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
 
@@ -64,28 +72,42 @@ class SystemParams:
     f_max_hz: float = 2e9
 
     def __post_init__(self) -> None:
-        if self.total_bandwidth_hz <= 0 or self.channel_count <= 0:
-            raise ValueError("bandwidth and channel count must be positive")
+        if self.total_bandwidth_hz <= 0:
+            raise ParamsError("bandwidth must be positive", "total_bandwidth_hz")
+        if self.channel_count <= 0:
+            raise ParamsError("channel count must be positive", "channel_count")
         if self.noise_psd_w_per_hz <= 0:
-            raise ValueError("noise PSD must be positive")
+            raise ParamsError("noise PSD must be positive", "noise_psd_w_per_hz")
         if self.switched_capacitance <= 0:
-            raise ValueError("switched capacitance must be positive")
-        if self.local_iterations <= 0 or self.std_resolution_px <= 0:
-            raise ValueError("local iterations and standard resolution must be positive")
+            raise ParamsError("switched capacitance must be positive", "switched_capacitance")
+        if self.local_iterations <= 0:
+            raise ParamsError("local iterations must be positive", "local_iterations")
+        if self.std_resolution_px <= 0:
+            raise ParamsError("standard resolution must be positive", "std_resolution_px")
         s1, s2, s3 = self.resolution_set_px
         if not (0 < s1 < s2 < s3):
-            raise ValueError("resolution set must be positive and strictly increasing")
+            raise ParamsError(
+                "resolution set must be positive and strictly increasing", "resolution_set_px"
+            )
         a, b, g = self.weight_energy, self.weight_time, self.weight_accuracy
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-            raise ValueError("energy/time weights must lie in [0, 1]")
+            raise ParamsError(
+                "energy/time weights must lie in [0, 1]", "weight_energy", "weight_time"
+            )
         if abs(a + b - 1.0) > 1e-9:
-            raise ValueError("energy and time weights must sum to 1")
+            raise ParamsError(
+                "energy and time weights must sum to 1", "weight_energy", "weight_time"
+            )
         if g < 0.0:
-            raise ValueError("accuracy weight must be non-negative")
+            raise ParamsError("accuracy weight must be non-negative", "weight_accuracy")
         if not (0.0 <= self.p_min_w < self.p_max_w):
-            raise ValueError("power bounds must satisfy 0 <= p_min < p_max")
+            raise ParamsError(
+                "power bounds must satisfy 0 <= p_min < p_max", "p_min_w", "p_max_w"
+            )
         if not (0.0 < self.f_min_hz < self.f_max_hz):
-            raise ValueError("frequency bounds must satisfy 0 < f_min < f_max")
+            raise ParamsError(
+                "frequency bounds must satisfy 0 < f_min < f_max", "f_min_hz", "f_max_hz"
+            )
 
     @property
     def std_sample_scale(self) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelPair, Device, PairedTopology, SystemParams
+from .model import ChannelPair, Device, PairedTopology, ParamsError, SystemParams
 
 PATH_LOSS_OFFSET_DB = 128.1
 PATH_LOSS_SLOPE_DB = 37.6
@@ -54,11 +54,17 @@ class TopologyConfig:
 
     def __post_init__(self) -> None:
         if self.user_count != 2 * self.channel_count:
-            raise ValueError("exactly two users per subchannel: user_count == 2 * channel_count")
+            raise ParamsError(
+                "exactly two users per subchannel: user_count == 2 * channel_count",
+                "user_count",
+                "channel_count",
+            )
         if not (0 < self.min_distance_km < self.cell_radius_km):
-            raise ValueError("need 0 < min_distance < cell_radius")
+            raise ParamsError(
+                "need 0 < min_distance < cell_radius", "min_distance_km", "cell_radius_km"
+            )
         if self.shadow_sigma_db < 0:
-            raise ValueError("shadow sigma must be non-negative")
+            raise ParamsError("shadow sigma must be non-negative", "shadow_sigma_db")
 
 
 def generate_topology(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmar import allocator, model, pairing
 from fedmar.allocator import (
@@ -12,7 +14,13 @@ from fedmar.allocator import (
 )
 from fedmar.model import SystemParams
 from fedmar.pairing import PairingScheme, channel_gain
-from util import make_device, small_instance, table_instance, topology_from_gains
+from util import (
+    make_device,
+    reference_greedy_choice,
+    small_instance,
+    table_instance,
+    topology_from_gains,
+)
 
 
 class TestAllocate:
@@ -209,6 +217,43 @@ class TestGreedyBaseline:
         assert np.all(report.allocation.resolution_px == 160.0)
         assert np.all(report.allocation.power_w >= params.p_min_w)
         assert np.all(report.allocation.power_w <= params.p_max_w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        channels=st.integers(1, 13),
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([1.0, 0.999, 0.5, 0.001]),
+        p_max_dbm=st.floats(0.5, 30.0),
+        f_max_ghz=st.floats(0.01, 4.0),
+        bandwidth_mhz=st.floats(0.5, 50.0),
+    )
+    def test_chunked_kernel_matches_per_channel_reference(
+        self, channels, seed, alpha, p_max_dbm, f_max_ghz, bandwidth_mhz
+    ):
+        # channel counts around and across the chunk size exercise partial chunks
+        params, topo = small_instance(
+            seed,
+            users=2 * channels,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            p_max_w=model.dbm_to_watts(p_max_dbm),
+            f_max_hz=f_max_ghz * 1e9,
+            total_bandwidth_hz=bandwidth_mhz * 1e6,
+        )
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)])
+    def test_zero_power_floor_is_never_picked(self, alpha, beta):
+        # at p = 0 the rate is 0: such grid points cost +inf whatever the weights
+        params, topo = table_instance(
+            seed=4, p_min_w=0.0, weight_energy=alpha, weight_time=beta
+        )
+        report = greedy_baseline(params, topo)
+        assert np.all(report.allocation.power_w > 0.0)
+        assert np.isfinite(report.costs.objective)
 
 
 def test_relaxed_objective_uses_linear_accuracy():

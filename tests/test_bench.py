@@ -313,8 +313,37 @@ class TestCli:
         assert f"key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,keys",
+        [
+            ("p_max_dbm = -5\n", ("p_max_dbm",)),
+            ("users = 10\nchannels = 4\n", ("users", "channels")),
+            ("outer_tolerance = 0\n", ("outer_tolerance",)),
+        ],
+        ids=["p_max-below-base-p_min", "users-not-twice-channels", "zero-tolerance"],
+    )
+    def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(f"'{key}'" in err for key in keys)
+        assert not out.exists()
+
     def test_missing_config_is_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("weights", ["0.5,0.5,1", "1,0,1"])
+def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
+    spec = spec_from_values(
+        parse_config_text(f"p_min_dbm = -inf\nsweep_values = 6 12\nweights = {weights}\n")
+    )
+    greedy = [r for r in run_experiment(spec) if r.algorithm == "greedy"]
+    assert len(greedy) == 4  # two sweep points, each with its seed mean
+    assert all(r.flag == "" for r in greedy)
+    assert all(np.isfinite(r.objective) for r in greedy)
 
 
 def test_default_sweep_matches_golden_csv(tmp_path):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from fedmar import pairing, sp1
+from fedmar import model, pairing, sp1
 from fedmar.model import ChannelPair, Device, PairedTopology, SystemParams
 
 # Hand-computed reference values (independent of the package code).
@@ -115,6 +115,52 @@ def reference_costs(params: SystemParams, topo: PairedTopology, power_w, cpu_hz,
         "accuracy": acc,
         "objective": objective,
     }
+
+
+def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
+    """The greedy grid search one channel at a time, as a parity oracle for
+    the chunked kernel: each channel's (f_a, f_b, p_a, p_b) argmin over the
+    full 11^4 grid, in the same floating-point operations. Returns the power
+    and CPU-frequency vectors, channel-major."""
+    p_grid = params.p_min_w + 0.1 * np.arange(11) * (params.p_max_w - params.p_min_w)
+    f_grid = params.f_min_hz + 0.1 * np.arange(11) * (params.f_max_hz - params.f_min_hz)
+    s_low = params.resolution_set_px[0]
+    alpha, beta = params.weight_energy, params.weight_time
+    gains, bits = topology.gains, topology.upload_bits
+    # grid axis first: (f, device)
+    t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
+
+    n = topology.n_devices
+    power = np.empty(n)
+    cpu = np.empty(n)
+    for k, bandwidth in enumerate(topology.bandwidth_hz):
+        a, b = 2 * k, 2 * k + 1
+        # axes: (p_a, p_b)
+        rates = model._pair_rates(
+            params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
+        )
+        with np.errstate(divide="ignore"):
+            t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, np.inf)
+        t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
+        e_tr_a = p_grid * t_tr_a
+        e_tr_b = p_grid[None, :] * t_tr_b
+
+        # axes: (f_a, f_b, p_a, p_b)
+        energy = (
+            e_cmp[:, a, None, None, None]
+            + e_cmp[None, :, b, None, None]
+            + e_tr_a[None, None, :, None]
+            + e_tr_b[None, None, :, :]
+        )
+        chan_time = np.maximum(
+            t_cmp[:, a, None, None, None] + t_tr_a[None, None, :, None],
+            t_cmp[None, :, b, None, None] + t_tr_b[None, None, :, :],
+        )
+        cost = alpha * energy + beta * chan_time
+        fa, fb, pa, pb = np.unravel_index(int(np.argmin(cost)), cost.shape)
+        cpu[a], cpu[b] = f_grid[fa], f_grid[fb]
+        power[a], power[b] = p_grid[pa], p_grid[pb]
+    return power, cpu
 
 
 def project_budget(v: np.ndarray, total: float) -> np.ndarray:
