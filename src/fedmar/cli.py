@@ -27,7 +27,7 @@ def _load_spec(args) -> ExperimentSpec:
         spec = replace(spec, seeds=(args.seed,))
     if getattr(args, "pairing", None):
         spec = replace(spec, pairing=args.pairing)
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         spec = replace(spec, jobs=args.jobs)
     return spec
 

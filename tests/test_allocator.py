@@ -12,11 +12,12 @@ from fedmar.allocator import (
     random_baseline,
     relaxed_objective,
 )
-from fedmar.model import SystemParams
+from fedmar.model import ChannelPair, PairedTopology, SystemParams
 from fedmar.pairing import PairingScheme, channel_gain
 from util import (
     make_device,
     reference_greedy_choice,
+    reference_pair_minima,
     small_instance,
     table_instance,
     topology_from_gains,
@@ -254,6 +255,118 @@ class TestGreedyBaseline:
         report = greedy_baseline(params, topo)
         assert np.all(report.allocation.power_w > 0.0)
         assert np.isfinite(report.costs.objective)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channels=st.integers(1, 140),
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([1.0, 0.999, 0.5, 0.001]),
+        p_max_dbm=st.floats(0.5, 30.0),
+        f_max_ghz=st.floats(0.01, 4.0),
+        channel_khz=st.floats(1.0, 20.0),
+    )
+    def test_pruned_kernel_matches_reference_on_narrow_channels(
+        self, channels, seed, alpha, p_max_dbm, f_max_ghz, channel_khz
+    ):
+        # a few kHz per channel, like a 10,000-device cell, where most power
+        # pairs are pruned; up to 140 channels crosses two chunk boundaries
+        params, topo = small_instance(
+            seed,
+            users=2 * channels,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            p_max_w=model.dbm_to_watts(p_max_dbm),
+            f_max_hz=f_max_ghz * 1e9,
+            total_bandwidth_hz=channel_khz * 1e3 * channels,
+        )
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("bits", [28.1e3, 1e-20])
+    @pytest.mark.parametrize("channel_khz", [4.0, 800.0])
+    def test_tie_heavy_cells_match_reference(self, alpha, bits, channel_khz):
+        # identical pair members; alpha = 1 makes beta = 0, so the bound is
+        # exact at f_min; 1e-20 bits is too little upload to move any sum, so
+        # all 121 power pairs tie at the minimum and the first must win
+        channels = 70
+        params = SystemParams(
+            channel_count=channels,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            total_bandwidth_hz=channel_khz * 1e3 * channels,
+        )
+        rng = np.random.default_rng(5)
+        pairs = []
+        for k in range(channels):
+            gain, cycles = float(rng.uniform(1e-12, 1e-9)), float(rng.uniform(1e4, 3e4))
+            a = make_device(2 * k, cycles=cycles, bits=bits)
+            b = make_device(2 * k + 1, cycles=cycles, bits=bits)
+            pairs.append(
+                ChannelPair(
+                    channel_index=k,
+                    bandwidth_hz=params.subchannel_bandwidth_hz,
+                    members=((a, gain), (b, gain)),
+                )
+            )
+        topo = PairedTopology(channels=tuple(pairs))
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+        if bits < 1.0:
+            assert np.all(report.allocation.power_w == params.p_min_w)
+
+    def test_pruned_kernel_matches_reference_on_2000_device_cell(self):
+        params, topo = small_instance(seed=3, users=2000)
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([1.0, 0.999, 0.5, 0.001, 0.0]),
+        p_max_dbm=st.floats(0.5, 30.0),
+        f_max_ghz=st.floats(0.01, 4.0),
+        channel_khz=st.floats(1.0, 50_000.0),
+        zero_power_floor=st.booleans(),
+    )
+    def test_lower_bound_never_exceeds_exact_grid_minimum(
+        self, channels, seed, alpha, p_max_dbm, f_max_ghz, channel_khz, zero_power_floor
+    ):
+        params, topo = small_instance(
+            seed,
+            users=2 * channels,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            p_min_w=0.0 if zero_power_floor else model.dbm_to_watts(0.0),
+            p_max_w=model.dbm_to_watts(p_max_dbm),
+            f_max_hz=f_max_ghz * 1e9,
+            total_bandwidth_hz=channel_khz * 1e3 * channels,
+        )
+        bound, _ = allocator._pair_terms(params, topo, 0, channels)
+        minima = reference_pair_minima(params, topo)
+        assert np.all(bound <= minima)
+        assert np.array_equal(np.isinf(bound), np.isinf(minima))
+
+
+@pytest.mark.parametrize("length", [1, 2])
+def test_initial_point_of_wrong_length_names_it(length):
+    params, topo = table_instance(seed=1)
+    n = topo.n_devices
+    initial = (
+        np.full(length, params.p_min_w),
+        np.full(n, params.f_min_hz),
+        np.full(n, 320.0),
+    )
+    message = f"initial power array has length {length}, but the topology has n_devices = {n}"
+    with pytest.raises(ValueError, match=message):
+        allocate(params, topo, SolveConfig(initial=initial))
 
 
 def test_relaxed_objective_uses_linear_accuracy():

@@ -331,6 +331,15 @@ class TestCli:
         assert all(f"'{key}'" in err for key in keys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_naming_the_key(self, tmp_path, capsys, jobs):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
+        assert cli.main(argv) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
 

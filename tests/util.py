@@ -163,6 +163,48 @@ def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
     return power, cpu
 
 
+def reference_pair_minima(params: SystemParams, topology: PairedTopology):
+    """Exact greedy cost minimum over the (f_a, f_b) grid at every power
+    pair, one channel at a time in the kernel's floating-point operations;
+    +inf where either member's rate is zero. Axes: (channel, p_a * 11 + p_b)."""
+    p_grid = params.p_min_w + 0.1 * np.arange(11) * (params.p_max_w - params.p_min_w)
+    f_grid = params.f_min_hz + 0.1 * np.arange(11) * (params.f_max_hz - params.f_min_hz)
+    s_low = params.resolution_set_px[0]
+    alpha, beta = params.weight_energy, params.weight_time
+    gains, bits = topology.gains, topology.upload_bits
+    # grid axis first: (f, device)
+    t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
+
+    minima = np.empty((len(topology.bandwidth_hz), 121))
+    for k, bandwidth in enumerate(topology.bandwidth_hz):
+        a, b = 2 * k, 2 * k + 1
+        # axes: (p_a, p_b)
+        rates = model._pair_rates(
+            params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
+        )
+        reachable = (rates[0] > 0.0) & (rates[1] > 0.0)
+        with np.errstate(divide="ignore"):
+            t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, 0.0)
+        t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
+        e_tr_a = p_grid * t_tr_a
+        e_tr_b = p_grid[None, :] * t_tr_b
+
+        # axes: (f_a, f_b, p_a, p_b)
+        energy = (
+            e_cmp[:, a, None, None, None]
+            + e_cmp[None, :, b, None, None]
+            + e_tr_a[None, None, :, None]
+            + e_tr_b[None, None, :, :]
+        )
+        chan_time = np.maximum(
+            t_cmp[:, a, None, None, None] + t_tr_a[None, None, :, None],
+            t_cmp[None, :, b, None, None] + t_tr_b[None, None, :, :],
+        )
+        cost = alpha * energy + beta * chan_time
+        minima[k] = np.where(reachable, cost.min(axis=(0, 1)), np.inf).ravel()
+    return minima
+
+
 def project_budget(v: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) == total}."""
     u = np.sort(v)[::-1]
