@@ -293,8 +293,8 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     e_cmp = np.ascontiguousarray(e_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
     t_low, e_low = t_cmp.min(axis=1)[..., None], e_cmp.min(axis=1)[..., None]
 
-    # axes: (channel, p_a, p_b)
-    rates = model._pair_rates(
+    # axes: (channel, p_a, p_b); rate_a varies with p_a only, (channel, p_a, 1)
+    rate_a, rate_b = model._pair_rates(
         params,
         topology.bandwidth_hz[lo:hi, None, None],
         gains[a, None, None],
@@ -305,7 +305,6 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     # axes: (term, channel, p_a, p_b), terms e_tr_a, e_tr_b, t_tr_a, t_tr_b;
     # bits / rate, with a finite 0 standing in where the rate is zero
     upload = np.zeros((4, c, steps, steps))
-    rate_a, rate_b = rates[0, :, :, :1], rates[1]
     np.divide(bits[a, None, None], rate_a, out=upload[2], where=rate_a > 0.0)
     np.divide(bits[b, None, None], rate_b, out=upload[3], where=rate_b > 0.0)
     np.multiply(p_grid[:, None], upload[2], out=upload[0])

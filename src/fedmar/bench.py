@@ -32,11 +32,27 @@ SWEEP_VARIABLES = ("p_max_dbm", "f_max_ghz", "gamma")
 ALGORITHMS = ("proposed", "random", "greedy")
 PAIRING_CHOICES = ("random", "nearest", "nearest-farthest", "best")
 
-CSV_HEADER = (
-    "seed,sweep_variable,sweep_value,algorithm,pairing,alpha,beta,gamma,"
-    "energy_j,time_s,accuracy,weighted_energy_time,objective,resolutions,"
-    "converged,flag"
+_CSV_FIELDS = (
+    "seed",
+    "sweep_variable",
+    "sweep_value",
+    "algorithm",
+    "pairing",
+    "alpha",
+    "beta",
+    "gamma",
+    "energy_j",
+    "time_s",
+    "accuracy",
+    "weighted_energy_time",
+    "objective",
+    "resolutions",
+    "converged",
+    "flag",
 )
+CSV_HEADER = ",".join(_CSV_FIELDS)
+# the per-row metrics that summary rows average over seeds
+_MEAN_FIELDS = ("energy_j", "time_s", "accuracy", "weighted_energy_time", "objective")
 
 
 class ConfigError(ValueError):
@@ -311,8 +327,8 @@ def _format_resolutions(resolutions) -> str:
     return "|".join(f"{r:g}" for r in resolutions)
 
 
-def _row_from_report(
-    report: SolveReport,
+def _result_row(
+    report: SolveReport | None,
     *,
     seed: int,
     spec: ExperimentSpec,
@@ -320,8 +336,25 @@ def _row_from_report(
     params: SystemParams,
     algorithm: str,
     pairing_label: str,
+    flag: str = "",
 ) -> ResultRow:
-    flag = "" if report.feasible else "rate-infeasible"
+    """One run's row. A run that raised has no report: its metrics are NaN
+    and ``flag`` names the failure. A solved run is flagged only when it
+    is rate-infeasible."""
+    if report is None:
+        metrics = (float("nan"),) * len(_MEAN_FIELDS)
+        outcome = {"resolutions": "", "converged": "no", "flag": flag}
+    else:
+        c = report.costs
+        metrics = (
+            c.total_energy_j, c.total_time_s, c.total_accuracy, c.weighted_energy_time, c.objective
+        )
+        outcome = {
+            "resolutions": _format_resolutions(report.allocation.resolution_px),
+            "converged": "yes" if report.converged else "no",
+            "flag": "" if report.feasible else "rate-infeasible",
+            "wall_time_s": report.wall_time_s,
+        }
     return ResultRow(
         seed=seed,
         sweep_variable=spec.sweep_variable,
@@ -331,46 +364,8 @@ def _row_from_report(
         alpha=params.weight_energy,
         beta=params.weight_time,
         gamma=params.weight_accuracy,
-        energy_j=report.costs.total_energy_j,
-        time_s=report.costs.total_time_s,
-        accuracy=report.costs.total_accuracy,
-        weighted_energy_time=report.costs.weighted_energy_time,
-        objective=report.costs.objective,
-        resolutions=_format_resolutions(report.allocation.resolution_px),
-        converged="yes" if report.converged else "no",
-        flag=flag,
-        wall_time_s=report.wall_time_s,
-    )
-
-
-def _failure_row(
-    *,
-    seed: int,
-    spec: ExperimentSpec,
-    sweep_value: float,
-    params: SystemParams,
-    algorithm: str,
-    pairing_label: str,
-    flag: str,
-) -> ResultRow:
-    nan = float("nan")
-    return ResultRow(
-        seed=seed,
-        sweep_variable=spec.sweep_variable,
-        sweep_value=sweep_value,
-        algorithm=algorithm,
-        pairing=pairing_label,
-        alpha=params.weight_energy,
-        beta=params.weight_time,
-        gamma=params.weight_accuracy,
-        energy_j=nan,
-        time_s=nan,
-        accuracy=nan,
-        weighted_energy_time=nan,
-        objective=nan,
-        resolutions="",
-        converged="no",
-        flag=flag,
+        **dict(zip(_MEAN_FIELDS, metrics)),
+        **outcome,
     )
 
 
@@ -441,30 +436,18 @@ def run_cell(
         if algo not in reports:
             continue
         report, label, flag = reports[algo]
-        if report is None:
-            rows.append(
-                _failure_row(
-                    seed=seed,
-                    spec=spec,
-                    sweep_value=sweep_value,
-                    params=params,
-                    algorithm=algo,
-                    pairing_label=label,
-                    flag=flag,
-                )
+        rows.append(
+            _result_row(
+                report,
+                seed=seed,
+                spec=spec,
+                sweep_value=sweep_value,
+                params=params,
+                algorithm=algo,
+                pairing_label=label,
+                flag=flag,
             )
-        else:
-            rows.append(
-                _row_from_report(
-                    report,
-                    seed=seed,
-                    spec=spec,
-                    sweep_value=sweep_value,
-                    params=params,
-                    algorithm=algo,
-                    pairing_label=label,
-                )
-            )
+        )
     return rows
 
 
@@ -490,28 +473,10 @@ def summarize(rows: list[ResultRow]) -> list[ResultRow]:
         clean = [r for r in members if not r.flag]
         flagged = len(members) - len(clean)
         template = members[0]
-        if clean:
-            vals = {
-                name: _mean([getattr(r, name) for r in clean])
-                for name in (
-                    "energy_j",
-                    "time_s",
-                    "accuracy",
-                    "weighted_energy_time",
-                    "objective",
-                )
-            }
-        else:
-            vals = {
-                name: float("nan")
-                for name in (
-                    "energy_j",
-                    "time_s",
-                    "accuracy",
-                    "weighted_energy_time",
-                    "objective",
-                )
-            }
+        vals = {
+            name: _mean([getattr(r, name) for r in clean]) if clean else float("nan")
+            for name in _MEAN_FIELDS
+        }
         summary.append(
             ResultRow(
                 seed="mean",
@@ -585,24 +550,6 @@ def _fmt_number(x: float) -> str:
     return f"{x:.9g}"
 
 
-_CSV_FIELDS = (
-    "seed",
-    "sweep_variable",
-    "sweep_value",
-    "algorithm",
-    "pairing",
-    "alpha",
-    "beta",
-    "gamma",
-    "energy_j",
-    "time_s",
-    "accuracy",
-    "weighted_energy_time",
-    "objective",
-    "resolutions",
-    "converged",
-    "flag",
-)
 _NUMERIC_FIELDS = {
     "sweep_value",
     "alpha",

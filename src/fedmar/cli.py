@@ -1,4 +1,4 @@
-"""Command-line entry points: topology, solve, sweep, baselines.
+"""Command-line entry points: solve, sweep, baselines.
 
 Exit codes: 0 on success, 2 when any run carried an infeasibility flag,
 1 on configuration or runtime errors.
@@ -39,22 +39,13 @@ def _single_topology(spec: ExperimentSpec, seed: int):
     return pairing.pair_users(spec.params, devices, gains, scheme, rng_seed=seed)
 
 
-def _cmd_topology(args) -> int:
-    spec = _load_spec(args)
-    seed = spec.seeds[0]
-    topology = _single_topology(spec, seed)
-    pairing.save_topology(args.out, topology)
-    print(f"wrote {topology.n_devices} devices on {len(topology.channels)} channels to {args.out}")
-    return 0
-
-
 def _report_rows(spec: ExperimentSpec, seed: int, reports: dict[str, allocator.SolveReport]):
     params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
     rows = []
     for algo, report in reports.items():
         label = report.scheme.value if report.scheme else spec.pairing
         rows.append(
-            bench._row_from_report(
+            bench._result_row(
                 report,
                 seed=seed,
                 spec=spec,
@@ -140,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p_topo = sub.add_parser("topology", help="generate and save a paired topology")
-    common(p_topo)
-    p_topo.set_defaults(func=_cmd_topology)
-
     p_solve = sub.add_parser("solve", help="solve a single seeded instance")
     common(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
@@ -163,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "topology" and not args.out:
-        print("error: topology requires --out", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -253,8 +253,9 @@ class CostBreakdown:
 
 
 def _pair_rates(params: SystemParams, bandwidth_hz, gain_low, gain_high, power_low, power_high):
-    """Shannon rates of NOMA pair members under successive decoding, as a
-    stacked (low, high) array; all inputs broadcast against each other.
+    """Shannon rates (low, high) of NOMA pair members under successive
+    decoding. Each broadcasts over its own inputs only: the low-gain rate
+    over bandwidth, gain_low and power_low, the high-gain rate over all.
 
     The low-gain member transmits interference-free; the high-gain member is
     decoded first and sees the low-gain member's received power as extra
@@ -263,10 +264,10 @@ def _pair_rates(params: SystemParams, bandwidth_hz, gain_low, gain_high, power_l
     noise_w = bandwidth_hz * params.noise_psd_w_per_hz
     received_low = power_low * gain_low
     snr_high = power_high * gain_high / (noise_w + received_low)
-    snr = np.empty((2, *np.shape(snr_high)))
-    snr[0] = received_low / noise_w
-    snr[1] = snr_high
-    return bandwidth_hz * np.log2(1.0 + snr)
+    return (
+        bandwidth_hz * np.log2(1.0 + received_low / noise_w),
+        bandwidth_hz * np.log2(1.0 + snr_high),
+    )
 
 
 def uplink_rates(
@@ -276,7 +277,7 @@ def uplink_rates(
     p = np.asarray(power_w, dtype=float)
     g = topology.gains
     rates = _pair_rates(params, topology.bandwidth_hz, g[0::2], g[1::2], p[0::2], p[1::2])
-    return rates.ravel(order="F")
+    return np.stack(rates, axis=-1).ravel()
 
 
 def transmission_cost(devices, rate_bps, power_w):

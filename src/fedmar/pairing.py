@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -162,63 +161,3 @@ def pair_users(
             _ordered_pair(params, k, a, b) for k, (a, b) in enumerate(chosen)
         )
     )
-
-
-_HEADER = "# id distance_km cycles_per_std_sample sample_count upload_bits gain"
-
-
-def topology_to_lines(topology: PairedTopology) -> list[str]:
-    """One device per record, channel-major, so consecutive records form a
-    pair. Uses repr-exact floats for lossless replay."""
-    lines = [_HEADER]
-    for ch in topology.channels:
-        for dev, gain in ch.members:
-            lines.append(
-                f"{dev.id} {dev.distance_km!r} {dev.cycles_per_std_sample!r} "
-                f"{dev.sample_count!r} {dev.upload_bits!r} {gain!r}"
-            )
-    return lines
-
-
-def topology_from_lines(params: SystemParams, lines: list[str]) -> PairedTopology:
-    records = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"malformed topology record: {line!r}")
-        dev = Device(
-            id=int(parts[0]),
-            distance_km=float(parts[1]),
-            cycles_per_std_sample=float(parts[2]),
-            sample_count=float(parts[3]),
-            upload_bits=float(parts[4]),
-        )
-        records.append((dev, float(parts[5])))
-    if len(records) % 2 != 0:
-        raise ValueError("topology file must hold an even number of devices")
-    if len(records) // 2 != params.channel_count:
-        # every channel's bandwidth is the total divided by the channel count
-        raise ValueError(
-            f"topology file holds {len(records) // 2} channels "
-            f"but the parameters define {params.channel_count}"
-        )
-    channels = tuple(
-        ChannelPair(
-            channel_index=k,
-            bandwidth_hz=params.subchannel_bandwidth_hz,
-            members=(records[2 * k], records[2 * k + 1]),
-        )
-        for k in range(len(records) // 2)
-    )
-    return PairedTopology(channels=channels)
-
-
-def save_topology(path: str | Path, topology: PairedTopology) -> None:
-    Path(path).write_text("\n".join(topology_to_lines(topology)) + "\n")
-
-
-def load_topology(path: str | Path, params: SystemParams) -> PairedTopology:
-    return topology_from_lines(params, Path(path).read_text().splitlines())

@@ -11,17 +11,21 @@ in the multiplier:
 with a = energy weight, k = switched capacitance, g = accuracy weight and
 load = iterations * pixel_scale * cycles * samples. Eliminating (f, s)
 leaves a concave separable dual in the multipliers, maximized under the
-budget "sum of multipliers == time weight" by bisecting the budget price:
-a water-filling step.
+budget "sum of multipliers == time weight".
 
-Recovered resolutions are clamped to [s1, s3], but a clamped device no
-longer obeys the closed form the dual priced, so the budget split is wrong
-whenever a clamp is active. ``solve_sp1`` therefore iterates to a
-self-consistent clamp set: devices pinned at a resolution bound contribute
-the fixed-resolution dual term (same derivation, exponent +2/3 instead of
--2/3 in the multiplier) and the shared budget is re-bisected until no
-device changes clamp state. The resolution is rounded to the discrete set
-only when a caller asks.
+Stationarity makes each device's multiplier a non-increasing function of
+one shared budget price, through D = price - t_up. Along D the device's
+resolution only rises, so every change of branch is a fixed breakpoint in
+D, computed once per solve by ``dual_coefficients``:
+
+    free:                lam = (a_free / D)**0.6,  a_free = 2 * curvature / 3
+    f at f_max:          lam = g slope / 2 * sqrt(f_max / (load D)) - a k f_max**3,
+                         where s = sqrt(D f_max / load)
+    s pinned at s1, s3:  lam = (a_s / D)**3,  a_s = 2/3 load s**2 (a k)**(1/3) mix
+    s pinned, f at f_max: a flat dual term, an infinite jump in lam
+
+One bisection of the price splits the budget, and one primal recovery
+follows. The resolution is rounded to the discrete set only when asked.
 """
 
 from __future__ import annotations
@@ -41,16 +45,29 @@ _CBRT_MIX = 2.0 ** (-2.0 / 3.0) + 2.0 ** (1.0 / 3.0)
 # cannot underflow to zero
 LAMBDA_FLOOR = 1e-30
 
+# stands in for the unbounded multiplier of a flat dual term
+_JUMP = 1e300
+
 
 @dataclass(frozen=True)
 class DualCoefficients:
     """Per-device pieces of the dual objective
-    -curvature * lam**(-2/3) + t_up * lam + constant."""
+    -curvature * lam**(-2/3) + t_up * lam + constant, and of the multiplier
+    map along D = price - t_up (module docstring): ``lam_f_max`` is the
+    multiplier of f_max, ``f_max_scale`` the g slope / 2 * sqrt(f_max / load)
+    of its branch, ``s1_below`` and ``s3_above`` the resolution breakpoints
+    and ``pin_s1``, ``pin_s3`` their a_s. The defaults give the plain dual."""
 
     curvature: np.ndarray
     t_up: np.ndarray
     constant: np.ndarray
     slope: float
+    lam_f_max: float = math.inf
+    f_max_scale: np.ndarray | float = 0.0
+    s1_below: np.ndarray | float = 0.0
+    s3_above: np.ndarray | float = math.inf
+    pin_s1: np.ndarray | float = 0.0
+    pin_s3: np.ndarray | float = 0.0
 
 
 @dataclass(frozen=True)
@@ -84,17 +101,34 @@ def dual_coefficients(
     if params.weight_energy <= 0.0:
         raise ValueError("the dual solve requires a positive energy weight")
     slope = accuracy_slope(params)
-    gamma = params.weight_accuracy
+    gamma_slope = params.weight_accuracy * slope
     ak = params.weight_energy * params.switched_capacitance
-    s1 = params.resolution_set_px[0]
-    h = model.load(params, topology) * ak ** (1.0 / 3.0)
-    curvature = (gamma * slope) ** 2 / (4.0 * h * _CBRT_MIX)
-    constant = np.full_like(h, gamma * slope * s1 - gamma * model.accuracy_of(s1))
+    s1, _, s3 = params.resolution_set_px
+    loads = model.load(params, topology)
+    h = loads * ak ** (1.0 / 3.0)
+    curvature = gamma_slope**2 / (4.0 * h * _CBRT_MIX)
+    constant = np.full_like(h, gamma_slope * s1 - params.weight_accuracy * model.accuracy_of(s1))
+    h_mix = h * _CBRT_MIX
+
+    def reach(s_bar: float) -> np.ndarray:
+        # the unpinned resolution rises with D as the smaller of sqrt(D f_max
+        # / load) and the free-frequency g slope / (2 h_mix) * (D / a_free)**0.4,
+        # so it reaches s_bar where both have; with g = 0 the latter stays 0
+        with np.errstate(divide="ignore"):
+            free = (2.0 * h_mix * s_bar) ** 2.5 / (6.0 * h_mix * math.sqrt(gamma_slope))
+        return np.maximum(loads * s_bar * s_bar / params.f_max_hz, free)
+
     return DualCoefficients(
         curvature=curvature,
         t_up=np.asarray(t_trans_s, dtype=float),
         constant=constant,
         slope=slope,
+        lam_f_max=2.0 * ak * params.f_max_hz**3,
+        f_max_scale=0.5 * gamma_slope * np.sqrt(params.f_max_hz / loads),
+        s1_below=reach(s1),
+        s3_above=reach(s3),
+        pin_s1=2.0 * h_mix * s1 * s1 / 3.0,
+        pin_s3=2.0 * h_mix * s3 * s3 / 3.0,
     )
 
 
@@ -113,161 +147,94 @@ def dual_gradient(coeffs: DualCoefficients, multipliers: np.ndarray) -> np.ndarr
     return (2.0 * coeffs.curvature / 3.0) * lam ** (-5.0 / 3.0) + coeffs.t_up
 
 
-def _bisect_budget(lam_of, beta: float, *, rel_tol: float = 1e-10, max_iterations: int = 600) -> np.ndarray:
-    """Find the price offset at which the multipliers exhaust the budget.
-
-    ``lam_of`` maps a positive price offset to the multiplier vector and
-    must be non-increasing with sum diverging as the offset -> 0. The
-    bisection runs on the offset above max(t_up) directly; keeping it
-    explicit avoids cancellation when the offset is many orders of
-    magnitude below the transmission times.
-
-    A device whose frequency and resolution are both pinned contributes a
-    flat marginal value, i.e. a jump in the multiplier map. When the budget
-    level lands inside such a jump the interval collapses onto it; the
-    residual budget is then assigned to the jumping devices, whose primal
-    recovery does not depend on the split.
-    """
-    lo = hi = 1.0
-    for _ in range(max_iterations):
-        if float(np.sum(lam_of(hi))) <= beta:
-            break
-        hi *= 4.0
-    for _ in range(max_iterations):
-        if float(np.sum(lam_of(lo))) >= beta or lo < 1e-280:
-            break
-        lo /= 4.0
-    if float(np.sum(lam_of(lo))) < beta:
-        raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
-
-    for _ in range(max_iterations):
-        mid = math.sqrt(lo * hi)
-        total = float(np.sum(lam_of(mid)))
-        if abs(total - beta) <= rel_tol * beta:
-            return lam_of(mid)
-        if total > beta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            lam = lam_of(hi)
-            deficit = beta - float(np.sum(lam))
-            jump = lam_of(lo) - lam
-            jumpers = jump > 0.5 * float(np.max(jump)) if float(np.max(jump)) > 0 else None
-            if deficit > 0.0 and jumpers is not None and np.any(jumpers):
-                lam = lam.copy()
-                lam[jumpers] += deficit / int(np.count_nonzero(jumpers))
-                return lam
-            break
-    raise RuntimeError("budget-price bisection did not reach tolerance")
-
-
-def solve_dual(
-    coeffs: DualCoefficients,
-    beta: float,
-    *,
-    rel_tol: float = 1e-10,
-    max_iterations: int = 600,
-) -> np.ndarray:
+def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     """Maximize the dual subject to multipliers summing to ``beta``.
 
-    Stationarity gives lam(price) = ((2C/3) / (price - t_up))**(3/5),
-    strictly decreasing in the budget price beyond max(t_up), so the price
-    is found by bisection. With a zero accuracy weight the dual is linear
-    and the whole budget sits on the devices with the largest t_up.
+    Every multiplier is a non-increasing function of the budget price, so
+    one bisection finds the split. It bisects the price's offset above
+    max(t_up), which keeps its precision when far below the transmission
+    times, until the bracket is an ulp or two wide, and returns the end
+    whose total is closer to the budget: the result depends on the problem,
+    not on a tolerance. When the budget lands inside an infinite jump (a
+    flat dual term), the jumping devices take the rest of it; their primal
+    recovery does not depend on the split. Where the map is zero everywhere
+    (zero accuracy weight, no breakpoints) the dual is linear and the budget
+    goes to the devices with the largest t_up.
     """
-    curvature = np.asarray(coeffs.curvature, dtype=float)
     t_up = np.asarray(coeffs.t_up, dtype=float)
-    n = t_up.size
-    if n == 0:
+    if t_up.size == 0:
         raise ValueError("need at least one device")
     if beta < 0.0:
         raise ValueError("time weight must be non-negative")
-    lam = np.zeros(n)
+    lam = np.zeros(t_up.size)
     if beta == 0.0:
         return lam
-    if np.all(curvature == 0.0):
+    pinned_somewhere = np.any(coeffs.s1_below > 0.0) or np.any(coeffs.s3_above < math.inf)
+    if not pinned_somewhere and np.all(coeffs.curvature == 0.0):
         top = float(np.max(t_up))
         ties = t_up >= top - 1e-12 * max(abs(top), 1.0)
         lam[ties] = beta / int(np.count_nonzero(ties))
         return lam
 
     gaps = np.max(t_up) - t_up
-    scale = (2.0 * curvature / 3.0) ** 0.6
+    scale = (2.0 * np.asarray(coeffs.curvature, dtype=float) / 3.0) ** 0.6
 
     def lam_of(offset: float) -> np.ndarray:
-        return scale * (offset + gaps) ** -0.6
+        d = offset + gaps
+        lam = scale * d**-0.6
+        at_f_max = lam > coeffs.lam_f_max
+        if at_f_max.any():
+            lam = np.where(at_f_max, coeffs.f_max_scale / np.sqrt(d) - coeffs.lam_f_max / 2, lam)
+        low = d < coeffs.s1_below
+        pinned = low | (d > coeffs.s3_above)
+        if pinned.any():
+            fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
+            fix = fix * fix * fix
+            fix[fix > coeffs.lam_f_max] = _JUMP
+            lam = np.where(pinned, fix, lam)
+        return lam
 
-    return _bisect_budget(lam_of, beta, rel_tol=rel_tol, max_iterations=max_iterations)
+    def total(offset: float) -> float:
+        return float(np.sum(lam_of(offset)))
 
+    # bracket the offset so that total(lo) >= beta >= total(hi)
+    lo = hi = 1.0
+    total_lo = total_hi = total(1.0)
+    while total_hi > beta:
+        lo, total_lo = hi, total_hi
+        hi *= 4.0
+        total_hi = total(hi)
+    while total_lo < beta:
+        if lo < 1e-280:
+            raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
+        hi, total_hi = lo, total_lo
+        lo /= 4.0
+        total_lo = total(lo)
 
-def _solve_dual_clamped(
-    params: SystemParams,
-    coeffs: DualCoefficients,
-    loads: np.ndarray,
-    clamp_state: np.ndarray,
-    beta: float,
-) -> np.ndarray:
-    """Budget split when some devices sit at a resolution bound.
+    while hi - lo > 4e-16 * hi:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
+        value = total(mid)
+        if value > beta:
+            lo, total_lo = mid, value
+        else:
+            hi, total_hi = mid, value
 
-    A device pinned at resolution ``s_bar`` contributes
-    h~ * lam**(2/3) + t_up * lam to the dual, h~ = load * s_bar**2 *
-    (a k)**(1/3) * (2**(-2/3) + 2**(1/3)), so its stationarity reads
-    lam = ((2 h~ / 3) / (price - t_up))**3. Free devices keep the
-    unconstrained branch. One shared bisection exhausts the budget.
-
-    Whenever a branch formula asks for a frequency above f_max the true
-    dual term switches to its f_max piece; the corresponding multiplier
-    expressions join the interior ones continuously and are folded into
-    the map below. (The f_min piece is ignored: the multiplier scale where
-    it would matter, 2*a*k*f_min**3, is below every tolerance used here.)
-    """
-    t_up = np.asarray(coeffs.t_up, dtype=float)
-    if beta == 0.0:
-        return np.zeros(t_up.size)
-    ak = params.weight_energy * params.switched_capacitance
-    s1, _, s3 = params.resolution_set_px
-    s_bar = np.where(clamp_state < 0, s1, s3)
-    cycles_fixed = loads * s_bar * s_bar
-    h_fixed = cycles_fixed * ak ** (1.0 / 3.0) * _CBRT_MIX
-    clamped = clamp_state != 0
-    a_free = 2.0 * np.asarray(coeffs.curvature, dtype=float) / 3.0
-    a_fixed = 2.0 * h_fixed / 3.0
-    gaps = np.max(t_up) - t_up
-
-    f_hi = params.f_max_hz
-    lam_hi = 2.0 * ak * f_hi**3  # multiplier at which the free frequency hits f_max
-    gamma_slope = params.weight_accuracy * accuracy_slope(params)
-
-    def lam_of(offset: float) -> np.ndarray:
-        denom = offset + gaps
-        lam_free = (a_free / denom) ** 0.6
-        over = lam_free > lam_hi
-        if np.any(over):
-            lam_free = np.where(
-                over,
-                0.5 * gamma_slope * np.sqrt(f_hi / (loads * denom)) - ak * f_hi**3,
-                lam_free,
-            )
-        lam_fix = (a_fixed / denom) ** 3.0
-        # resolution and frequency both pinned gives a flat marginal value:
-        # represent the jump explicitly; _bisect_budget resolves it
-        lam_fix = np.where(lam_fix > lam_hi, 1e300, lam_fix)
-        return np.where(clamped, lam_fix, lam_free)
-
-    return _bisect_budget(lam_of, beta)
+    if total_lo >= _JUMP:
+        lam = lam_of(hi)
+        jumpers = lam_of(lo) >= _JUMP
+        lam[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
+        return lam
+    return lam_of(lo if total_lo - beta < beta - total_hi else hi)
 
 
 def recover_primal(multiplier, params: SystemParams, devices):
     """Closed-form frequency and resolution for the multipliers of one
-    ``Device`` or of every device of a topology.
-
-    Returns the raw frequency and the unclamped resolution. The resolution
-    formula uses the frequency boxed to [f_min, f_max]: that is what the
-    device will actually run, and what the clamp-aware dual terms priced.
-    The box also lifts a frequency that collapsed toward zero (multiplier
-    ~ 0) before the formula divides by it.
-    """
+    ``Device`` or of every device of a topology: the raw frequency, and the
+    unclamped resolution at the frequency boxed to [f_min, f_max], which the
+    device runs and the dual priced. The box also lifts a frequency that
+    collapsed toward zero (multiplier ~ 0) before the formula divides by it."""
     ak = params.weight_energy * params.switched_capacitance
     if ak <= 0.0:
         raise ValueError("primal recovery requires a positive energy weight")
@@ -308,56 +275,19 @@ def deadline_of(
     return float(np.max(t_trans_s + t_cmp))
 
 
-# clamp-set iterations are cheap (one bisection each); the cap only guards
-# against a flip-flopping boundary device
-_MAX_CLAMP_PASSES = 60
-
-
 def solve_sp1(
     params: SystemParams, topology: PairedTopology, power_w: np.ndarray
 ) -> Sp1Solution:
-    """Solve the frequency/resolution/deadline block given fixed powers.
-
-    Runs the dual solve, recovers and clamps the primal variables, then
-    repeats with the clamped devices priced at their bound until the clamp
-    set is stable. Among the visited clamp sets the recovery with the best
-    block objective is returned, so extra passes can only help.
-    """
+    """Solve the frequency/resolution/deadline block given fixed powers:
+    one budget-price root find, then one primal recovery, clamped to the
+    boxes the dual already priced."""
     rates = model.uplink_rates(params, topology, power_w)
     t_trans, _ = model.transmission_cost(topology, rates, power_w)
     coeffs = dual_coefficients(params, topology, t_trans)
-    beta = params.weight_time
-    lam = solve_dual(coeffs, beta)
-
-    loads = model.load(params, topology)
-    s1, _, s3 = params.resolution_set_px
-    alpha, gamma = params.weight_energy, params.weight_accuracy
-
-    def block_value(cpu: np.ndarray, s_cont: np.ndarray) -> float:
-        t_cmp, e_cmp = model.computation_cost(params, topology, s_cont, cpu)
-        acc = linear_accuracy(params, s_cont)
-        return float(
-            alpha * np.sum(e_cmp)
-            + beta * np.max(t_trans + t_cmp)
-            - gamma * np.sum(acc)
-        )
-
-    best = None
-    clamp_state = np.zeros(topology.n_devices, dtype=int)
-    for _ in range(_MAX_CLAMP_PASSES):
-        f_raw, s_unc = recover_primal(lam, params, topology)
-        cpu = clamp_frequency(params, f_raw)
-        s_cont = clamp_resolution(params, s_unc)
-        value = block_value(cpu, s_cont)
-        if best is None or value < best[0]:
-            best = (value, lam, cpu, s_cont)
-        desired = np.where(s_unc < s1, -1, np.where(s_unc > s3, 1, 0))
-        if beta == 0.0 or np.array_equal(desired, clamp_state):
-            break
-        clamp_state = desired
-        lam = _solve_dual_clamped(params, coeffs, loads, clamp_state, beta)
-
-    _, lam, cpu, s_cont = best
+    lam = solve_dual(coeffs, params.weight_time)
+    f_raw, s_unc = recover_primal(lam, params, topology)
+    cpu = clamp_frequency(params, f_raw)
+    s_cont = clamp_resolution(params, s_unc)
     return Sp1Solution(
         multipliers=lam,
         cpu_hz=cpu,

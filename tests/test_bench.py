@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmar import bench, cli
 from fedmar.bench import (
@@ -236,21 +238,6 @@ class TestCli:
         )
         return path
 
-    def test_topology_round_trip(self, tmp_path):
-        cfg = self._write_config(tmp_path)
-        out = tmp_path / "topo.txt"
-        code = cli.main(["topology", "--config", str(cfg), "--seed", "3", "--out", str(out)])
-        assert code == 0
-        from fedmar.pairing import load_topology
-        from fedmar.model import SystemParams
-
-        topo = load_topology(out, SystemParams(channel_count=2))
-        assert topo.n_devices == 4
-
-    def test_topology_requires_out(self, capsys):
-        assert cli.main(["topology"]) == 1
-        assert "requires --out" in capsys.readouterr().err
-
     def test_solve_succeeds(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "solve.json"
@@ -353,6 +340,43 @@ def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
     assert len(greedy) == 4  # two sweep points, each with its seed mean
     assert all(r.flag == "" for r in greedy)
     assert all(np.isfinite(r.objective) for r in greedy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels=st.integers(1, 10),
+    bandwidth_mhz=st.floats(1e-3, 100.0),
+    f_min_ghz=st.floats(1e-3, 1.0),
+    f_max_ghz=st.floats(0.01, 5.0),
+    alpha=st.floats(1e-6, 1.0),
+    gamma=st.floats(0.0, 50.0),
+    p_max_dbm=st.floats(1.0, 30.0),
+    seed=st.integers(0, 1000),
+)
+def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
+    channels, bandwidth_mhz, f_min_ghz, f_max_ghz, alpha, gamma, p_max_dbm, seed
+):
+    # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
+    values = {
+        "channels": channels,
+        "users": 2 * channels,
+        "bandwidth_mhz": bandwidth_mhz,
+        "p_min_dbm": float("-inf"),
+        "f_min_ghz": f_min_ghz,
+        "f_max_ghz": f_max_ghz,
+        "weights": ((alpha, 1.0 - alpha, gamma),),
+        "sweep_values": (p_max_dbm,),
+        "seeds": (seed,),
+    }
+    try:
+        spec = spec_from_values(values)
+    except ConfigError as exc:
+        assert "key" in str(exc)
+        return
+    rows = [r for r in run_experiment(spec) if r.seed != "mean"]
+    assert [r.algorithm for r in rows] == list(spec.algorithms)
+    for row in rows:
+        assert row.flag or np.isfinite(row.objective)
 
 
 def test_default_sweep_matches_golden_csv(tmp_path):

@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
-from fedmar import pairing
 from fedmar.model import SystemParams
 from fedmar.pairing import (
     PairingScheme,
     TopologyConfig,
     channel_gain,
     generate_topology,
-    load_topology,
     pair_users,
     sample_gains,
     sample_topology,
-    save_topology,
-    topology_from_lines,
-    topology_to_lines,
 )
 from util import GAIN_100M_NO_SHADOW, make_device
 
@@ -128,41 +123,3 @@ class TestShadowSampling:
         gains = sample_gains(config, devices)
         expected = [channel_gain(d.distance_km, 0.0) for d in devices]
         assert gains == pytest.approx(expected)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        params = SystemParams()
-        config = TopologyConfig(rng_seed=5)
-        devices, gains = sample_topology(config)
-        topo = pairing.pair_users(params, devices, gains, PairingScheme.NEAREST_FARTHEST)
-        path = tmp_path / "topo.txt"
-        save_topology(path, topo)
-        loaded = load_topology(path, params)
-        assert loaded == topo
-
-    def test_channel_count_mismatch_rejected(self, tmp_path):
-        params = SystemParams(channel_count=2)
-        devices, gains = sample_topology(TopologyConfig(user_count=4, channel_count=2))
-        path = tmp_path / "topo.txt"
-        save_topology(path, pairing.pair_users(params, devices, gains, PairingScheme.NEAREST_USER))
-        with pytest.raises(ValueError, match="2 channels.*define 25"):
-            load_topology(path, SystemParams())
-
-    def test_lines_hold_one_device_per_record(self):
-        params = SystemParams(channel_count=1)
-        topo = pair_users(
-            params,
-            [make_device(0, distance_km=0.1), make_device(1, distance_km=0.2)],
-            np.array([3e-10, 1e-10]),
-            PairingScheme.NEAREST_USER,
-        )
-        lines = topology_to_lines(topo)
-        assert lines[0].startswith("#")
-        assert len(lines) == 1 + topo.n_devices
-        assert len(lines[1].split()) == 6
-
-    def test_malformed_record_rejected(self):
-        params = SystemParams(channel_count=1)
-        with pytest.raises(ValueError):
-            topology_from_lines(params, ["1 2 3"])

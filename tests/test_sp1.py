@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedmar import model
+from fedmar import model, sp1
 from fedmar.model import SystemParams
 from fedmar.sp1 import (
     DualCoefficients,
@@ -21,9 +23,12 @@ from fedmar.sp1 import (
 from util import (
     ACC_160,
     ACC_640,
+    REFERENCE_MAX_CLAMP_PASSES,
     make_device,
     random_dual_instance,
+    reference_sp1,
     small_instance,
+    sp1_block_value,
     spg_max_dual,
     table_instance,
     topology_from_gains,
@@ -331,6 +336,75 @@ class TestSolveSp1:
         sol = solve_sp1(params, topo, np.full(topo.n_devices, 5e-3))
         assert np.all(sol.resolution_cont == 160.0)
         assert np.all(sol.resolution_px == 160.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        users=st.integers(1, 10).map(lambda k: 2 * k),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.01, 0.99),
+        gamma=st.floats(0.0, 20.0),
+        f_max_ghz=st.floats(0.05, 0.3),
+    )
+    def test_never_worse_than_reference_clamp_loop(self, users, seed, alpha, gamma, f_max_ghz):
+        params, topo = small_instance(
+            seed,
+            users=users,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            weight_accuracy=gamma,
+            f_max_hz=f_max_ghz * 1e9,
+        )
+        rng = np.random.default_rng(seed)
+        powers = rng.uniform(params.p_min_w, params.p_max_w, users)
+        sol = solve_sp1(params, topo, powers)
+        value = sp1_block_value(params, topo, sol.t_trans_s, sol.cpu_hz, sol.resolution_cont)
+        assert np.isfinite(value)
+        try:
+            reference, _, _, _ = reference_sp1(params, topo, powers)
+        except RuntimeError:
+            # the clamp loop's first bisection fails at some accuracy
+            # weights near zero (see the test below): nothing to compare
+            assert 0.0 < gamma < 1e-6
+            return
+        # the accuracy term can cancel the others: scale by the term sizes
+        assert value <= reference + 1e-12 * (abs(reference) + gamma * users)
+
+    def test_near_zero_accuracy_weight_solves_like_zero(self):
+        # the clamp loop raised "did not reach tolerance" on this cell
+        powers = np.array([8.5e-3, 5.1e-3])
+        solved = []
+        for gamma in (2.471272051149904e-81, 0.0):
+            params, topo = small_instance(
+                0, users=2, weight_energy=0.75, weight_time=0.25,
+                weight_accuracy=gamma, f_max_hz=0.25e9,
+            )
+            solved.append(solve_sp1(params, topo, powers))
+        tiny, zero = solved
+        assert np.all(tiny.resolution_cont == 160.0)
+        assert tiny.cpu_hz == pytest.approx(zero.cpu_hz, rel=1e-12)
+
+    def test_low_f_max_cell_beats_capped_reference_with_one_root_find(self, monkeypatch):
+        # the clamp loop flip-flops on this cell until its pass cap; the
+        # root find prices the f_max and resolution pieces at once
+        params, topo = small_instance(seed=1, users=4, f_max_hz=0.1e9)
+        powers = np.full(topo.n_devices, 5e-3)
+        reference, _, _, passes = reference_sp1(params, topo, powers)
+        assert passes == REFERENCE_MAX_CLAMP_PASSES
+
+        calls = {"solve_dual": 0, "recover_primal": 0}
+        for name in calls:
+            original = getattr(sp1, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(sp1, name, counted)
+        sol = solve_sp1(params, topo, powers)
+        assert calls == {"solve_dual": 1, "recover_primal": 1}
+        value = sp1_block_value(params, topo, sol.t_trans_s, sol.cpu_hz, sol.resolution_cont)
+        assert value < reference - 0.1
+        assert abs(float(np.sum(sol.multipliers)) - params.weight_time) <= 1e-15
 
     def test_zero_energy_weight_rejected(self):
         params = SystemParams(weight_energy=0.0, weight_time=1.0)

@@ -136,9 +136,9 @@ def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
     for k, bandwidth in enumerate(topology.bandwidth_hz):
         a, b = 2 * k, 2 * k + 1
         # axes: (p_a, p_b)
-        rates = model._pair_rates(
+        rates = np.stack(np.broadcast_arrays(*model._pair_rates(
             params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
-        )
+        )))
         with np.errstate(divide="ignore"):
             t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, np.inf)
         t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
@@ -179,9 +179,9 @@ def reference_pair_minima(params: SystemParams, topology: PairedTopology):
     for k, bandwidth in enumerate(topology.bandwidth_hz):
         a, b = 2 * k, 2 * k + 1
         # axes: (p_a, p_b)
-        rates = model._pair_rates(
+        rates = np.stack(np.broadcast_arrays(*model._pair_rates(
             params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
-        )
+        )))
         reachable = (rates[0] > 0.0) & (rates[1] > 0.0)
         with np.errstate(divide="ignore"):
             t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, 0.0)
@@ -267,6 +267,134 @@ def random_dual_instance(rng: np.random.Generator, n: int):
         curvature=curvature, t_up=t_up, constant=np.zeros(n), slope=slope
     )
     return coeffs, beta
+
+
+def sp1_block_value(params: SystemParams, topology: PairedTopology, t_trans, cpu, s_cont) -> float:
+    """The sp1 block objective at fixed powers: energy-weighted compute
+    energy plus time-weighted deadline minus the linearized accuracy."""
+    t_cmp, e_cmp = model.computation_cost(params, topology, s_cont, cpu)
+    acc = sp1.linear_accuracy(params, s_cont)
+    return float(
+        params.weight_energy * np.sum(e_cmp)
+        + params.weight_time * np.max(t_trans + t_cmp)
+        - params.weight_accuracy * np.sum(acc)
+    )
+
+
+def _reference_bisect_budget(lam_of, beta: float):
+    # near-zero accuracy weights drive the bracket below 1e-154, where
+    # sqrt(lo * hi) underflows to a zero offset; the clamp loop ran on with
+    # an infinite multiplier there and then raised, which the divide
+    # warning would otherwise pre-empt under the suite's warning filter
+    rel_tol, max_iterations = 1e-10, 600
+    with np.errstate(divide="ignore"):
+        lo = hi = 1.0
+        for _ in range(max_iterations):
+            if float(np.sum(lam_of(hi))) <= beta:
+                break
+            hi *= 4.0
+        for _ in range(max_iterations):
+            if float(np.sum(lam_of(lo))) >= beta or lo < 1e-280:
+                break
+            lo /= 4.0
+        if float(np.sum(lam_of(lo))) < beta:
+            raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
+        for _ in range(max_iterations):
+            mid = math.sqrt(lo * hi)
+            total = float(np.sum(lam_of(mid)))
+            if abs(total - beta) <= rel_tol * beta:
+                return lam_of(mid)
+            if total > beta:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-15 * hi:
+                lam = lam_of(hi)
+                deficit = beta - float(np.sum(lam))
+                jump = lam_of(lo) - lam
+                jumpers = jump > 0.5 * float(np.max(jump)) if float(np.max(jump)) > 0 else None
+                if deficit > 0.0 and jumpers is not None and np.any(jumpers):
+                    lam = lam.copy()
+                    lam[jumpers] += deficit / int(np.count_nonzero(jumpers))
+                    return lam
+                break
+        raise RuntimeError("budget-price bisection did not reach tolerance")
+
+
+REFERENCE_MAX_CLAMP_PASSES = 60
+
+
+def reference_sp1(params: SystemParams, topology: PairedTopology, power_w):
+    """The clamp-set fixed point that sp1 was solved by before it became
+    one budget-price root find, kept as a reference for it.
+
+    Bisects the budget of the unboxed dual, recovers and clamps the primal,
+    then re-prices the devices whose resolution left [s1, s3] with the
+    pinned-resolution term and re-bisects, until the clamp set repeats or
+    REFERENCE_MAX_CLAMP_PASSES passes ran. Returns (block value, cpu,
+    continuous resolution, passes) of the best visited set."""
+    rates = model.uplink_rates(params, topology, power_w)
+    t_trans, _ = model.transmission_cost(topology, rates, power_w)
+    coeffs = sp1.dual_coefficients(params, topology, t_trans)
+    beta = params.weight_time
+    curvature, t_up = coeffs.curvature, coeffs.t_up
+    gaps = np.max(t_up) - t_up
+    n = t_up.size
+    if beta == 0.0:
+        lam = np.zeros(n)
+    elif np.all(curvature == 0.0):
+        top = float(np.max(t_up))
+        ties = t_up >= top - 1e-12 * max(abs(top), 1.0)
+        lam = np.zeros(n)
+        lam[ties] = beta / int(np.count_nonzero(ties))
+    else:
+        scale = (2.0 * curvature / 3.0) ** 0.6
+        lam = _reference_bisect_budget(lambda offset: scale * (offset + gaps) ** -0.6, beta)
+
+    loads = model.load(params, topology)
+    ak = params.weight_energy * params.switched_capacitance
+    s1, _, s3 = params.resolution_set_px
+    f_hi = params.f_max_hz
+    lam_hi = 2.0 * ak * f_hi**3
+    gamma_slope = params.weight_accuracy * sp1.accuracy_slope(params)
+    a_free = 2.0 * curvature / 3.0
+
+    def clamped_split(clamp_state):
+        s_bar = np.where(clamp_state < 0, s1, s3)
+        a_fixed = 2.0 * (loads * s_bar * s_bar * ak ** (1.0 / 3.0) * sp1._CBRT_MIX) / 3.0
+        clamped = clamp_state != 0
+
+        def lam_of(offset):
+            denom = offset + gaps
+            lam_free = (a_free / denom) ** 0.6
+            over = lam_free > lam_hi
+            if np.any(over):
+                lam_free = np.where(
+                    over,
+                    0.5 * gamma_slope * np.sqrt(f_hi / (loads * denom)) - ak * f_hi**3,
+                    lam_free,
+                )
+            lam_fix = (a_fixed / denom) ** 3.0
+            lam_fix = np.where(lam_fix > lam_hi, 1e300, lam_fix)
+            return np.where(clamped, lam_fix, lam_free)
+
+        return _reference_bisect_budget(lam_of, beta)
+
+    best = None
+    clamp_state = np.zeros(n, dtype=int)
+    for passes in range(1, REFERENCE_MAX_CLAMP_PASSES + 1):
+        f_raw, s_unc = sp1.recover_primal(lam, params, topology)
+        cpu = sp1.clamp_frequency(params, f_raw)
+        s_cont = sp1.clamp_resolution(params, s_unc)
+        value = sp1_block_value(params, topology, t_trans, cpu, s_cont)
+        if best is None or value < best[0]:
+            best = (value, cpu, s_cont)
+        desired = np.where(s_unc < s1, -1, np.where(s_unc > s3, 1, 0))
+        if beta == 0.0 or np.array_equal(desired, clamp_state):
+            break
+        clamp_state = desired
+        lam = clamped_split(clamp_state)
+    return (*best, passes)
 
 
 def central_diff(fn, x: float, h: float) -> float:
