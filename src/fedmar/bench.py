@@ -3,14 +3,13 @@
 Configuration is a flat ``key = value`` text file in the usual radio units
 (dBm, dB, MHz, kbits); everything is converted to SI once, at load time.
 Sweeps are deterministic: topology, shadow fading, random pairing and the
-random baseline all derive from the per-run master seed, and result rows
-are collected in a fixed order regardless of worker scheduling.
+random baseline all derive from the per-run master seed, and cells run one
+after another in a fixed order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -116,8 +115,10 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown algorithm {algo!r}")
         if self.pairing not in PAIRING_CHOICES:
             raise ConfigError(f"unknown pairing {self.pairing!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if self.jobs != 1:
+            # cells run in one thread: a thread pool was slower, as the
+            # solves hold the GIL
+            raise ConfigError(f"key 'jobs': only 1 is accepted, got {self.jobs}")
         # every cell's parameters must be buildable before the sweep starts;
         # the base parameters are valid, so the sweep values are checked
         # against them first and any later failure is the weight triple's
@@ -516,22 +517,15 @@ def run_experiment(
         stream = open(out_path, "w", encoding="utf-8")
         stream.write(CSV_HEADER + "\n")
 
-    def consume(produced, rows: list[ResultRow]) -> None:
-        # executor.map preserves input order, so emission stays deterministic
-        for cell_rows in produced:
+    rows: list[ResultRow] = []
+    try:
+        for cell in cells:
+            cell_rows = run_cell(spec, *cell)
             rows.extend(cell_rows)
             if stream is not None:
                 for row in cell_rows:
                     stream.write(format_csv_row(row) + "\n")
                 stream.flush()
-
-    rows: list[ResultRow] = []
-    try:
-        if spec.jobs == 1:
-            consume((run_cell(spec, *cell) for cell in cells), rows)
-        else:
-            with ThreadPoolExecutor(max_workers=spec.jobs) as executor:
-                consume(executor.map(lambda c: run_cell(spec, *c), cells), rows)
         summary = summarize(rows)
         rows.extend(summary)
         if stream is not None:

@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import allocator, bench, pairing
+from . import bench, pairing
 from .bench import ConfigError, ExperimentSpec
 from .model import UnreachableDeviceError
 from .sp2 import DeadlineInfeasibleError
@@ -30,32 +30,6 @@ def _load_spec(args) -> ExperimentSpec:
     if getattr(args, "jobs", None) is not None:
         spec = replace(spec, jobs=args.jobs)
     return spec
-
-
-def _single_topology(spec: ExperimentSpec, seed: int):
-    config = replace(spec.topology, rng_seed=seed)
-    devices, gains = pairing.sample_topology(config, spec.ranges)
-    scheme = bench.baseline_scheme(spec.pairing)
-    return pairing.pair_users(spec.params, devices, gains, scheme, rng_seed=seed)
-
-
-def _report_rows(spec: ExperimentSpec, seed: int, reports: dict[str, allocator.SolveReport]):
-    params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
-    rows = []
-    for algo, report in reports.items():
-        label = report.scheme.value if report.scheme else spec.pairing
-        rows.append(
-            bench._result_row(
-                report,
-                seed=seed,
-                spec=spec,
-                sweep_value=spec.sweep_values[0],
-                params=params,
-                algorithm=algo,
-                pairing_label=label,
-            )
-        )
-    return rows
 
 
 def _cmd_solve(args) -> int:
@@ -81,30 +55,33 @@ def _cmd_solve(args) -> int:
     print(f"resolutions {bench._format_resolutions(report.allocation.resolution_px)}")
     print(f"wall time {report.wall_time_s:.3f} s")
     if args.out:
-        rows = _report_rows(spec, seed, {"proposed": report})
-        bench.emit(rows, args.format, args.out)
+        row = bench._result_row(
+            report,
+            seed=seed,
+            spec=spec,
+            sweep_value=spec.sweep_values[0],
+            params=params,
+            algorithm="proposed",
+            pairing_label=report.scheme.value,
+        )
+        bench.emit([row], args.format, args.out)
     return 0 if report.feasible else 2
 
 
 def _cmd_baselines(args) -> int:
-    spec = _load_spec(args)
+    spec = replace(_load_spec(args), algorithms=("random", "greedy"))
     seed = spec.seeds[0]
-    params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
-    topology = _single_topology(spec, seed)
-    reports = {
-        "random": allocator.random_baseline(params, topology, seed),
-        "greedy": allocator.greedy_baseline(params, topology),
-    }
-    for algo, report in reports.items():
-        c = report.costs
+    rows = bench.run_cell(spec, spec.sweep_values[0], spec.weights[0], seed)
+    for row in rows:
+        # rows name the configured pairing, which ``best`` runs as nearest
+        row.pairing = spec.pairing
         print(
-            f"{algo}: objective {c.objective:.9g}  energy {c.total_energy_j:.9g} J  "
-            f"time {c.total_time_s:.9g} s  accuracy {c.total_accuracy:.9g}"
+            f"{row.algorithm}: objective {row.objective:.9g}  energy {row.energy_j:.9g} J  "
+            f"time {row.time_s:.9g} s  accuracy {row.accuracy:.9g}"
         )
     if args.out:
-        rows = _report_rows(spec, seed, reports)
         bench.emit(rows, args.format, args.out)
-    return 0
+    return 2 if any(row.flag for row in rows) else 0
 
 
 def _cmd_sweep(args) -> int:

@@ -24,13 +24,18 @@ D, computed once per solve by ``dual_coefficients``:
     s pinned at s1, s3:  lam = (a_s / D)**3,  a_s = 2/3 load s**2 (a k)**(1/3) mix
     s pinned, f at f_max: a flat dual term, an infinite jump in lam
 
-One bisection of the price splits the budget, and one primal recovery
-follows. The resolution is rounded to the discrete set only when asked.
+Each branch is a power law in D, so the total multiplier and its slope
+come from one pass. A safeguarded Newton iteration on log total against
+log price offset finds the two adjacent floats where the float total
+crosses the budget, typically in about 8 evaluations, and one primal
+recovery follows. The resolution is rounded to the discrete set only when
+asked.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,21 @@ LAMBDA_FLOOR = 1e-30
 
 # stands in for the unbounded multiplier of a flat dual term
 _JUMP = 1e300
+
+# the price search gives up on a budget still unspent this close to max(t_up)
+_MIN_OFFSET = 1e-280
+
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+
+
+def _ulps(x: float) -> int:
+    """A non-negative float's place on the float grid: adjacent floats differ by 1."""
+    return _I64.unpack(_F64.pack(x))[0]
+
+
+def _from_ulps(k: int) -> float:
+    return _F64.unpack(_I64.pack(k))[0]
 
 
 @dataclass(frozen=True)
@@ -151,12 +171,12 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     """Maximize the dual subject to multipliers summing to ``beta``.
 
     Every multiplier is a non-increasing function of the budget price, so
-    one bisection finds the split. It bisects the price's offset above
-    max(t_up), which keeps its precision when far below the transmission
-    times, until the bracket is an ulp or two wide, and returns the end
-    whose total is closer to the budget: the result depends on the problem,
-    not on a tolerance. When the budget lands inside an infinite jump (a
-    flat dual term), the jumping devices take the rest of it; their primal
+    the split is where their total crosses the budget: ``_budget_crossing``
+    finds the two adjacent floats of the price offset where the float total
+    crosses it, and this returns the end whose total is closer to the
+    budget. The result depends on the problem, not on a tolerance or on the
+    iteration path. When the budget lands inside an infinite jump (a flat
+    dual term), the jumping devices take the rest of it; their primal
     recovery does not depend on the split. Where the map is zero everywhere
     (zero accuracy weight, no breakpoints) the dual is linear and the budget
     goes to the devices with the largest t_up.
@@ -176,57 +196,96 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
         lam[ties] = beta / int(np.count_nonzero(ties))
         return lam
 
+    (_, total_lo, lam_lo), (_, total_hi, lam_hi) = _budget_crossing(coeffs, beta)
+    if total_lo >= _JUMP:
+        jumpers = lam_lo >= _JUMP
+        lam_hi[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
+        return lam_hi
+    return lam_lo if total_lo - beta < beta - total_hi else lam_hi
+
+
+def _budget_crossing(coeffs: DualCoefficients, beta: float):
+    """The adjacent floats lo < hi of the price offset above max(t_up) with
+    total(lo) > beta >= total(hi), as (offset, total, multipliers) each.
+
+    Every branch of the multiplier map is a power law in D, so one pass
+    gives the total and its slope, and a Newton step on log total against
+    log offset aims at the crossing. Every evaluation narrows the bracket;
+    a step that leaves it, or does not halve the step before it, bisects
+    it on the float grid instead. Raises when no offset down to
+    ``_MIN_OFFSET`` makes the total reach the budget.
+    """
+    t_up = np.asarray(coeffs.t_up, dtype=float)
     gaps = np.max(t_up) - t_up
     scale = (2.0 * np.asarray(coeffs.curvature, dtype=float) / 3.0) ** 0.6
 
-    def lam_of(offset: float) -> np.ndarray:
+    def lam_of(offset: float):
+        # d lam / d D is -power * (lam + shift) / D on each branch: free 0.6;
+        # f at f_max 0.5, shifted by lam_f_max / 2; pinned 3; flat 0
         d = offset + gaps
         lam = scale * d**-0.6
+        rate = -0.6 * lam
         at_f_max = lam > coeffs.lam_f_max
         if at_f_max.any():
-            lam = np.where(at_f_max, coeffs.f_max_scale / np.sqrt(d) - coeffs.lam_f_max / 2, lam)
+            top = coeffs.f_max_scale / np.sqrt(d)
+            lam = np.where(at_f_max, top - coeffs.lam_f_max / 2, lam)
+            rate = np.where(at_f_max, -0.5 * top, rate)
         low = d < coeffs.s1_below
         pinned = low | (d > coeffs.s3_above)
         if pinned.any():
             fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
             fix = fix * fix * fix
-            fix[fix > coeffs.lam_f_max] = _JUMP
+            flat = fix > coeffs.lam_f_max
+            fix[flat] = _JUMP
             lam = np.where(pinned, fix, lam)
-        return lam
+            rate = np.where(pinned, np.where(flat, 0.0, -3.0 * fix), rate)
+        return lam, float(np.sum(lam)), float(np.sum(rate / d))
 
-    def total(offset: float) -> float:
-        return float(np.sum(lam_of(offset)))
-
-    # bracket the offset so that total(lo) >= beta >= total(hi)
-    lo = hi = 1.0
-    total_lo = total_hi = total(1.0)
-    while total_hi > beta:
-        lo, total_lo = hi, total_hi
-        hi *= 4.0
-        total_hi = total(hi)
-    while total_lo < beta:
-        if lo < 1e-280:
-            raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
-        hi, total_hi = lo, total_lo
-        lo /= 4.0
-        total_lo = total(lo)
-
-    while hi - lo > 4e-16 * hi:
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break
-        value = total(mid)
-        if value > beta:
-            lo, total_lo = mid, value
+    # Until both ends are known, a step goes at most a factor e**reach, and
+    # reach doubles. A step shorter than `gallop` ulps, or away from the
+    # crossing, moves `gallop` ulps toward it instead, and `gallop` doubles
+    # while that repeats. `last` is the previous step, in ulps.
+    lo = hi = None
+    offset, reach, gallop, last = 1.0, math.log(4.0), 1, math.inf
+    while True:
+        lam, total, slope = lam_of(offset)
+        above = total > beta
+        if above:
+            lo = (offset, total, lam)
         else:
-            hi, total_hi = mid, value
+            hi = (offset, total, lam)
+        bracketed = lo is not None and hi is not None
+        if bracketed and _ulps(hi[0]) - _ulps(lo[0]) == 1:
+            return lo, hi
+        if lo is None and offset <= _MIN_OFFSET:
+            raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
 
-    if total_lo >= _JUMP:
-        lam = lam_of(hi)
-        jumpers = lam_of(lo) >= _JUMP
-        lam[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
-        return lam
-    return lam_of(lo if total_lo - beta < beta - total_hi else hi)
+        step = math.nan
+        if 0.0 < total < _JUMP and slope < 0.0:
+            step = math.log(beta / total) * total / slope / offset
+        if not abs(step) <= reach:
+            step = math.nan if bracketed else (reach if above else -reach)
+        if not bracketed:
+            reach = min(2.0 * reach, 700.0)  # e**700 stays finite
+
+        here = _ulps(offset)
+        target = None
+        if not math.isnan(step):
+            target = _ulps(max(offset * math.exp(step), _MIN_OFFSET))
+            toward = target - here if above else here - target
+            if toward <= gallop:
+                target = here + gallop if above else here - gallop
+                gallop *= 2
+            else:
+                gallop = 1
+                if bracketed and toward > 4 and 2 * toward > last:
+                    target = None  # a kink or noise: bisect
+        if bracketed and (target is None or not _ulps(lo[0]) < target < _ulps(hi[0])):
+            target = (_ulps(lo[0]) + _ulps(hi[0])) // 2
+            last = math.inf
+        else:
+            last = abs(target - here)
+        offset = _from_ulps(target)
 
 
 def recover_primal(multiplier, params: SystemParams, devices):

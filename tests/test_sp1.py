@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,10 @@ from util import (
     ACC_640,
     REFERENCE_MAX_CLAMP_PASSES,
     make_device,
+    random_cell_dual,
     random_dual_instance,
+    reference_price_map,
+    reference_solve_dual,
     reference_sp1,
     small_instance,
     sp1_block_value,
@@ -35,6 +40,29 @@ from util import (
 )
 
 CBRT_MIX = 2 ** (-2 / 3) + 2 ** (1 / 3)
+
+
+def assert_crossing_matches_reference(coeffs, beta):
+    """``solve_dual`` returns the reference map at the closer end of two
+    adjacent floats where the float total crosses the budget, or, inside a
+    flat dual term, the reference jump split, and spends the budget as the
+    geometric bisection did."""
+    lam_of = reference_price_map(coeffs)
+    (lo, total_lo, lam_lo), (hi, total_hi, lam_hi) = sp1._budget_crossing(coeffs, beta)
+    assert hi == math.nextafter(lo, math.inf)
+    assert np.array_equal(lam_of(lo), lam_lo) and np.array_equal(lam_of(hi), lam_hi)
+    assert total_lo == float(np.sum(lam_lo)) > beta >= float(np.sum(lam_hi)) == total_hi
+    if total_lo >= sp1._JUMP:
+        jumpers = lam_lo >= sp1._JUMP
+        expected = lam_hi.copy()
+        expected[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
+    else:
+        expected = lam_lo if total_lo - beta < beta - total_hi else lam_hi
+    lam = solve_dual(coeffs, beta)
+    assert np.array_equal(lam, expected)
+    reference = reference_solve_dual(coeffs, beta)
+    assert abs(math.fsum(lam) - math.fsum(reference)) <= 1e-15 * beta
+    assert np.max(np.abs(lam - reference)) <= 1e-14 * beta
 
 
 class TestLinearAccuracy:
@@ -124,6 +152,58 @@ class TestSolveDual:
             slope=1e-3,
         )
         assert solve_dual(coeffs, 0.4) == pytest.approx([0.2, 0.2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_synthetic_crossing_matches_reference(self, seed, n):
+        assert_crossing_matches_reference(*random_dual_instance(np.random.default_rng(seed), n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        users=st.integers(1, 10).map(lambda k: 2 * k),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.01, 0.99),
+        gamma=st.floats(0.0, 20.0),
+        f_max_ghz=st.floats(0.05, 2.0),
+    )
+    def test_cell_crossing_matches_reference(self, users, seed, alpha, gamma, f_max_ghz):
+        # f_max and gamma span the free, f_max, pinned and flat branches
+        assert_crossing_matches_reference(*random_cell_dual(seed, users, alpha, gamma, f_max_ghz))
+
+    def test_budget_inside_a_flat_term_matches_reference(self):
+        params, topo = small_instance(seed=1, users=4, f_max_hz=0.1e9)
+        powers = np.full(topo.n_devices, 5e-3)
+        t_trans, _ = model.transmission_cost(topo, model.uplink_rates(params, topo, powers), powers)
+        coeffs = dual_coefficients(params, topo, t_trans)
+        (_, total_lo, _), _ = sp1._budget_crossing(coeffs, params.weight_time)
+        assert total_lo >= sp1._JUMP
+        assert_crossing_matches_reference(coeffs, params.weight_time)
+
+    def test_unexhaustible_budget_raises_promptly(self, monkeypatch):
+        # the device with the largest t_up has no multiplier at any price,
+        # and the other is pinned at s3 with at most (1e-3 / 0.01)**3
+        coeffs = DualCoefficients(
+            curvature=np.zeros(2),
+            t_up=np.array([0.02, 0.01]),
+            constant=np.zeros(2),
+            slope=1e-3,
+            s3_above=np.array([np.inf, 0.0]),
+            pin_s3=np.array([0.0, 1e-3]),
+        )
+        steps = 0
+        ulps = sp1._ulps
+
+        def counted(x):
+            nonlocal steps
+            steps += 1
+            if steps > 1000:
+                raise AssertionError("the price search does not stop")
+            return ulps(x)
+
+        monkeypatch.setattr(sp1, "_ulps", counted)
+        with pytest.raises(RuntimeError, match="budget cannot be exhausted"):
+            solve_dual(coeffs, 0.5)
+        assert steps <= 60
 
     def test_zero_budget_gives_zero_multipliers(self):
         rng = np.random.default_rng(14)
@@ -330,6 +410,44 @@ class TestSolveSp1:
             )
             best = min(best, float(np.min(value)))
         assert recovered <= best + 1e-4 * abs(best)
+
+    @pytest.mark.parametrize(
+        "f_max_ghz,gamma", [(0.05, 0.3), (0.1, 2.0), (0.15, 5.0), (0.2, 1.0), (0.3, 0.5)]
+    )
+    def test_two_device_independent_resolution_grid_oracle(self, f_max_ghz, gamma):
+        # a dense grid over (f1, s1, f2, s2): at a deadline T the devices
+        # decouple, so the grid minimum is the least, over every grid point's
+        # time T, of beta T plus each device's cheapest point finishing by T
+        params = SystemParams(
+            channel_count=1,
+            weight_energy=0.5,
+            weight_time=0.5,
+            weight_accuracy=gamma,
+            f_max_hz=f_max_ghz * 1e9,
+        )
+        topo = topology_from_gains(params, [2e-11, 8e-11], cycles=[1.2e4, 2.7e4])
+        sol = solve_sp1(params, topo, np.array([4e-3, 9e-3]))
+        value = sp1_block_value(params, topo, sol.t_trans_s, sol.cpu_hz, sol.resolution_cont)
+
+        f = np.linspace(params.f_min_hz, params.f_max_hz, 300)[:, None]
+        s = np.linspace(160.0, 640.0, 300)[None, :]
+        finish, cheapest = [], []
+        for t_trans, load in zip(sol.t_trans_s, model.load(params, topo)):
+            time = (t_trans + load * s * s / f).ravel()
+            cost = (
+                params.weight_energy * params.switched_capacitance * load * s * s * f * f
+                - params.weight_accuracy * linear_accuracy(params, s)
+            ).ravel()
+            order = np.argsort(time)
+            finish.append(time[order])
+            cheapest.append(np.minimum.accumulate(cost[order]))
+        deadlines = np.concatenate(finish)
+        total = params.weight_time * deadlines
+        for time, least in zip(finish, cheapest):
+            k = np.searchsorted(time, deadlines, side="right") - 1
+            total = total + np.where(k >= 0, least[np.maximum(k, 0)], np.inf)
+        best = float(np.min(total))
+        assert value <= best + 1e-4 * abs(best)
 
     def test_gamma_zero_resolution_floors(self):
         params, topo = small_instance(seed=3, weight_accuracy=0.0)

@@ -269,6 +269,104 @@ def random_dual_instance(rng: np.random.Generator, n: int):
     return coeffs, beta
 
 
+def reference_price_map(coeffs: sp1.DualCoefficients):
+    """The multiplier map of ``solve_dual`` before its Newton search, in the
+    same operations: multipliers at a price offset above max(t_up)."""
+    t_up = np.asarray(coeffs.t_up, dtype=float)
+    gaps = np.max(t_up) - t_up
+    scale = (2.0 * np.asarray(coeffs.curvature, dtype=float) / 3.0) ** 0.6
+
+    def lam_of(offset: float) -> np.ndarray:
+        d = offset + gaps
+        lam = scale * d**-0.6
+        at_f_max = lam > coeffs.lam_f_max
+        if at_f_max.any():
+            lam = np.where(at_f_max, coeffs.f_max_scale / np.sqrt(d) - coeffs.lam_f_max / 2, lam)
+        low = d < coeffs.s1_below
+        pinned = low | (d > coeffs.s3_above)
+        if pinned.any():
+            fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
+            fix = fix * fix * fix
+            fix[fix > coeffs.lam_f_max] = sp1._JUMP
+            lam = np.where(pinned, fix, lam)
+        return lam
+
+    return lam_of
+
+
+def reference_solve_dual(coeffs: sp1.DualCoefficients, beta: float) -> np.ndarray:
+    """``solve_dual`` as it was before its Newton search, kept as a reference
+    for it: bracket the price offset by factors of 4 from 1, then bisect it
+    geometrically until the bracket is an ulp or two wide, and return the
+    end whose total is closer to the budget, with the same jump rule."""
+    t_up = np.asarray(coeffs.t_up, dtype=float)
+    if t_up.size == 0:
+        raise ValueError("need at least one device")
+    if beta < 0.0:
+        raise ValueError("time weight must be non-negative")
+    lam = np.zeros(t_up.size)
+    if beta == 0.0:
+        return lam
+    pinned_somewhere = np.any(coeffs.s1_below > 0.0) or np.any(coeffs.s3_above < math.inf)
+    if not pinned_somewhere and np.all(coeffs.curvature == 0.0):
+        top = float(np.max(t_up))
+        ties = t_up >= top - 1e-12 * max(abs(top), 1.0)
+        lam[ties] = beta / int(np.count_nonzero(ties))
+        return lam
+
+    lam_of = reference_price_map(coeffs)
+
+    def total(offset: float) -> float:
+        return float(np.sum(lam_of(offset)))
+
+    # bracket the offset so that total(lo) >= beta >= total(hi)
+    lo = hi = 1.0
+    total_lo = total_hi = total(1.0)
+    while total_hi > beta:
+        lo, total_lo = hi, total_hi
+        hi *= 4.0
+        total_hi = total(hi)
+    while total_lo < beta:
+        if lo < 1e-280:
+            raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
+        hi, total_hi = lo, total_lo
+        lo /= 4.0
+        total_lo = total(lo)
+
+    while hi - lo > 4e-16 * hi:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
+        value = total(mid)
+        if value > beta:
+            lo, total_lo = mid, value
+        else:
+            hi, total_hi = mid, value
+
+    if total_lo >= sp1._JUMP:
+        lam = lam_of(hi)
+        jumpers = lam_of(lo) >= sp1._JUMP
+        lam[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
+        return lam
+    return lam_of(lo if total_lo - beta < beta - total_hi else hi)
+
+
+def random_cell_dual(seed: int, users: int, alpha: float, gamma: float, f_max_ghz: float):
+    """Dual coefficients and budget of a small seeded cell at random powers."""
+    params, topo = small_instance(
+        seed,
+        users=users,
+        weight_energy=alpha,
+        weight_time=1.0 - alpha,
+        weight_accuracy=gamma,
+        f_max_hz=f_max_ghz * 1e9,
+    )
+    powers = np.random.default_rng(seed).uniform(params.p_min_w, params.p_max_w, users)
+    rates = model.uplink_rates(params, topo, powers)
+    t_trans, _ = model.transmission_cost(topo, rates, powers)
+    return sp1.dual_coefficients(params, topo, t_trans), params.weight_time
+
+
 def sp1_block_value(params: SystemParams, topology: PairedTopology, t_trans, cpu, s_cont) -> float:
     """The sp1 block objective at fixed powers: energy-weighted compute
     energy plus time-weighted deadline minus the linearized accuracy."""
