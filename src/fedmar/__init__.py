@@ -3,7 +3,6 @@ federated MAR cells, with greedy and random baselines and a sweep CLI."""
 
 from .model import (
     Allocation,
-    ChannelPair,
     CostBreakdown,
     Device,
     PairedTopology,
@@ -13,7 +12,6 @@ from .model import (
 
 __all__ = [
     "Allocation",
-    "ChannelPair",
     "CostBreakdown",
     "Device",
     "PairedTopology",

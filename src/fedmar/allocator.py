@@ -44,11 +44,6 @@ GREEDY_BLOCK = 512
 class SolveConfig:
     outer_tolerance: float = 1e-4
     max_outer_iterations: int = 50
-    schemes: tuple[PairingScheme, ...] = (
-        PairingScheme.RANDOM,
-        PairingScheme.NEAREST_USER,
-        PairingScheme.NEAREST_FARTHEST,
-    )
     rng_seed: int = 0
     initial: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -57,8 +52,6 @@ class SolveConfig:
             raise ParamsError("outer tolerance must be positive", "outer_tolerance")
         if self.max_outer_iterations < 1:
             raise ParamsError("need at least one outer iteration", "max_outer_iterations")
-        if not self.schemes:
-            raise ValueError("need at least one pairing scheme")
 
 
 @dataclass
@@ -178,14 +171,14 @@ def allocate(
 
 def allocate_best_pairing(
     params: SystemParams,
-    devices: list[Device],
+    devices: Device,
     gains: np.ndarray,
     config: SolveConfig = SolveConfig(),
 ) -> SolveReport:
-    """Solve under every configured pairing scheme and keep the lowest
-    objective; ties go to the scheme listed first."""
+    """Solve under every pairing scheme and keep the lowest objective; ties
+    go to the scheme ``PairingScheme`` lists first."""
     reports: list[SolveReport] = []
-    for scheme in config.schemes:
+    for scheme in PairingScheme:
         topology = pair_users(params, devices, gains, scheme, rng_seed=config.rng_seed)
         report = allocate(params, topology, config)
         report.scheme = scheme
@@ -359,7 +352,7 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     f_grid = _grid(params.f_min_hz, params.f_max_hz)
     buffers = np.empty((2, pairs * GREEDY_BLOCK))
 
-    n_channels = len(topology.channels)
+    n_channels = topology.n_channels
     choice = np.empty(n_channels, dtype=np.intp)
     for lo in range(0, n_channels, GREEDY_CHUNK):
         hi = min(lo + GREEDY_CHUNK, n_channels)

@@ -210,7 +210,7 @@ def parse_config_text(text: str) -> dict:
 
 
 # the configuration key that sets each checked field of SystemParams,
-# TopologyConfig and SolveConfig
+# TopologyConfig, DeviceParamRanges and SolveConfig
 _FIELD_KEYS = {
     "total_bandwidth_hz": "bandwidth_mhz",
     "channel_count": "channels",
@@ -230,6 +230,10 @@ _FIELD_KEYS = {
     "cell_radius_km": "cell_radius_km",
     "min_distance_km": "min_distance_km",
     "shadow_sigma_db": "shadow_sigma_db",
+    "cycles_low": "cycles_low",
+    "cycles_high": "cycles_high",
+    "sample_count": "samples",
+    "upload_bits": "upload_kbits",
     "outer_tolerance": "outer_tolerance",
     "max_outer_iterations": "max_outer_iterations",
 }
@@ -272,7 +276,8 @@ def spec_from_values(values: dict) -> ExperimentSpec:
         min_distance_km=values.get("min_distance_km", 0.01),
         shadow_sigma_db=values.get("shadow_sigma_db", 8.0),
     )
-    ranges = DeviceParamRanges(
+    ranges = _keyed(
+        DeviceParamRanges,
         cycles_low=values.get("cycles_low", 1e4),
         cycles_high=values.get("cycles_high", 3e4),
         sample_count=values.get("samples", 500.0),
@@ -376,7 +381,7 @@ def baseline_scheme(pairing: str) -> PairingScheme:
 
 
 def solve_proposed(
-    spec: ExperimentSpec, params: SystemParams, devices: list[Device], gains, seed: int
+    spec: ExperimentSpec, params: SystemParams, devices: Device, gains, seed: int
 ) -> SolveReport:
     """The proposed solve of one sampled cell under the configured pairing:
     every scheme, keeping the best, for ``best``; the named scheme otherwise.

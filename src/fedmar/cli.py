@@ -73,8 +73,6 @@ def _cmd_baselines(args) -> int:
     seed = spec.seeds[0]
     rows = bench.run_cell(spec, spec.sweep_values[0], spec.weights[0], seed)
     for row in rows:
-        # rows name the configured pairing, which ``best`` runs as nearest
-        row.pairing = spec.pairing
         print(
             f"{row.algorithm}: objective {row.objective:.9g}  energy {row.energy_j:.9g} J  "
             f"time {row.time_s:.9g} s  accuracy {row.accuracy:.9g}"

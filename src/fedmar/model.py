@@ -2,14 +2,14 @@
 
 Every quantity is SI once it enters this module: watts, hertz, joules,
 seconds, bits, linear channel gains. Radio-style units (dBm, dB) are
-converted exactly once at ingestion through the helpers below. All
+converted exactly once at ingestion, by ``dbm_to_watts`` and
+``pairing.channel_gain``. All
 functions are pure, so concurrent evaluation needs no locking.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,16 +33,6 @@ class ParamsError(ValueError):
 
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("dBm is undefined for non-positive power")
-    return 10.0 * math.log10(watts * 1e3)
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,8 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Device:
-    """One MAR user: position plus its local-training workload."""
+    """MAR users: position plus local-training workload. The fields are
+    scalars for one user, or equal-length arrays for a sampled population."""
 
     id: int
     distance_km: float
@@ -129,84 +120,61 @@ class Device:
     sample_count: float
     upload_bits: float
 
-    def __post_init__(self) -> None:
-        if self.distance_km <= 0:
-            raise ValueError(f"device {self.id}: distance must be positive")
-        if min(self.cycles_per_std_sample, self.sample_count, self.upload_bits) <= 0:
-            raise ValueError(f"device {self.id}: workload fields must be positive")
 
+@dataclass(frozen=True, eq=False)
+class PairedTopology:
+    """All subchannels of a cell, two users each, as read-only arrays named
+    after the ``Device`` fields so one formula serves a single device and a
+    whole topology alike.
 
-@dataclass(frozen=True)
-class ChannelPair:
-    """Two devices multiplexed on one subchannel, ordered by ascending gain.
-
-    The second member is decoded first at the base station, so the first
-    member's signal acts as interference on it; the first member is decoded
-    after cancellation and sees a clean channel.
+    The arrays are channel-major: index 2k is channel k's low-gain member,
+    2k+1 its high-gain member. The high-gain member is decoded first at the
+    base station, so the low-gain member's signal acts as interference on
+    it; the low-gain member is decoded after cancellation and sees a clean
+    channel. ``bandwidth_hz`` has one entry per channel.
     """
 
-    channel_index: int
-    bandwidth_hz: float
-    members: tuple[tuple[Device, float], tuple[Device, float]]
+    id: np.ndarray
+    distance_km: np.ndarray
+    cycles_per_std_sample: np.ndarray
+    sample_count: np.ndarray
+    upload_bits: np.ndarray
+    gains: np.ndarray
+    bandwidth_hz: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
+        for name in _TOPOLOGY_ARRAYS:
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        n = self.id.size
+        if n == 0 or n % 2 != 0:
+            raise ValueError("topology needs two devices per channel and at least one channel")
+        per_device = _TOPOLOGY_ARRAYS[:-1]  # all but bandwidth_hz
+        if any(getattr(self, name).shape != (n,) for name in per_device):
+            raise ValueError("need one value per device in every device array")
+        if self.bandwidth_hz.shape != (n // 2,):
+            raise ValueError("need one bandwidth per channel")
+        if not np.all(self.bandwidth_hz > 0):
             raise ValueError("subchannel bandwidth must be positive")
-        (_, g1), (_, g2) = self.members
-        if g1 <= 0 or g2 <= 0:
-            raise ValueError("channel gains must be positive (linear scale)")
-        if g1 > g2:
+        g = self.gains
+        if not np.all(np.isfinite(g) & (g > 0)):
+            raise ValueError("channel gains must be finite and positive (linear scale)")
+        if np.any(g[0::2] > g[1::2]):
             raise ValueError("pair members must be ordered by ascending gain")
 
     @property
-    def devices(self) -> tuple[Device, Device]:
-        return (self.members[0][0], self.members[1][0])
-
-    @property
-    def gains(self) -> tuple[float, float]:
-        return (self.members[0][1], self.members[1][1])
-
-
-@dataclass(frozen=True)
-class PairedTopology:
-    """All subchannels of a cell.
-
-    The per-device data of every member is also held as read-only arrays,
-    built once at construction and named after the ``Device`` fields so one
-    formula serves a single device and a whole topology alike. They are
-    channel-major: index 2k is channel k's low-gain member, 2k+1 its
-    high-gain member. ``bandwidth_hz`` has one entry per channel.
-    """
-
-    channels: tuple[ChannelPair, ...]
-    id: np.ndarray = field(init=False, repr=False, compare=False)
-    gains: np.ndarray = field(init=False, repr=False, compare=False)
-    upload_bits: np.ndarray = field(init=False, repr=False, compare=False)
-    cycles_per_std_sample: np.ndarray = field(init=False, repr=False, compare=False)
-    sample_count: np.ndarray = field(init=False, repr=False, compare=False)
-    bandwidth_hz: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.channels:
-            raise ValueError("topology needs at least one channel")
-        members = [m for ch in self.channels for m in ch.members]
-        columns = {
-            name: [getattr(dev, name) for dev, _ in members]
-            for name in ("id", "upload_bits", "cycles_per_std_sample", "sample_count")
-        }
-        columns["gains"] = [gain for _, gain in members]
-        columns["bandwidth_hz"] = [ch.bandwidth_hz for ch in self.channels]
-        for name, values in columns.items():
-            array = np.array(values)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    @property
     def n_devices(self) -> int:
-        return 2 * len(self.channels)
+        return self.id.size
+
+    @property
+    def n_channels(self) -> int:
+        return self.bandwidth_hz.size
 
     def devices(self) -> list[Device]:
-        return [dev for ch in self.channels for dev in ch.devices]
+        """One scalar ``Device`` per member, channel-major."""
+        columns = (getattr(self, f.name).tolist() for f in fields(Device))
+        return [Device(*values) for values in zip(*columns)]
 
     # accessors of the former vector API; new code reads the arrays
     def gain_vector(self) -> np.ndarray:
@@ -214,6 +182,9 @@ class PairedTopology:
 
     def upload_bits_vector(self) -> np.ndarray:
         return self.upload_bits
+
+
+_TOPOLOGY_ARRAYS = tuple(f.name for f in fields(PairedTopology))
 
 
 @dataclass

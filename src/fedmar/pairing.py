@@ -8,12 +8,12 @@ of an experiment replays exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .model import ChannelPair, Device, PairedTopology, ParamsError, SystemParams
+from .model import Device, PairedTopology, ParamsError, SystemParams
 
 PATH_LOSS_OFFSET_DB = 128.1
 PATH_LOSS_SLOPE_DB = 37.6
@@ -41,6 +41,18 @@ class DeviceParamRanges:
     sample_count: float = 500.0
     upload_bits: float = 28.1e3
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sample_count < math.inf:
+            raise ParamsError("sample count must be positive and finite", "sample_count")
+        if not 0.0 < self.upload_bits < math.inf:
+            raise ParamsError("upload size must be positive and finite", "upload_bits")
+        if not self.cycles_low > 0.0:
+            raise ParamsError("cycles per sample must be positive", "cycles_low")
+        if not self.cycles_low <= self.cycles_high < math.inf:
+            raise ParamsError(
+                "need cycles_low <= cycles_high, finite", "cycles_low", "cycles_high"
+            )
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -58,106 +70,111 @@ class TopologyConfig:
                 "user_count",
                 "channel_count",
             )
-        if not (0 < self.min_distance_km < self.cell_radius_km):
+        if not (0 < self.min_distance_km < self.cell_radius_km < math.inf):
             raise ParamsError(
-                "need 0 < min_distance < cell_radius", "min_distance_km", "cell_radius_km"
+                "need 0 < min_distance < cell_radius, finite", "min_distance_km", "cell_radius_km"
             )
         if self.shadow_sigma_db < 0:
             raise ParamsError("shadow sigma must be non-negative", "shadow_sigma_db")
+        # the strongest and weakest gains a +-10 sigma shadow draw can give
+        with np.errstate(over="ignore", under="ignore"):
+            extremes = channel_gain(
+                np.array([self.min_distance_km, self.cell_radius_km]),
+                np.array([-10.0, 10.0]) * self.shadow_sigma_db,
+            )
+        if not np.all((extremes > 0.0) & (extremes < math.inf)):
+            raise ParamsError(
+                "shadow sigma too large: a 10-sigma draw between min_distance_km and "
+                "cell_radius_km takes the channel gain out of the float range",
+                "shadow_sigma_db",
+            )
 
 
 def generate_topology(
     config: TopologyConfig, ranges: DeviceParamRanges = DeviceParamRanges()
-) -> list[Device]:
+) -> Device:
     """Place devices uniformly in distance over the cell annulus and draw
-    their workload parameters. Deterministic for a fixed seed."""
+    their workload parameters, as one ``Device`` of arrays over ids 0..n-1.
+    Deterministic for a fixed seed."""
     rng = np.random.default_rng([STREAM_PLACEMENT, config.rng_seed])
     n = config.user_count
     distances = rng.uniform(config.min_distance_km, config.cell_radius_km, n)
     cycles = rng.uniform(ranges.cycles_low, ranges.cycles_high, n)
-    return [
-        Device(
-            id=i,
-            distance_km=float(distances[i]),
-            cycles_per_std_sample=float(cycles[i]),
-            sample_count=ranges.sample_count,
-            upload_bits=ranges.upload_bits,
-        )
-        for i in range(n)
-    ]
+    return Device(
+        id=np.arange(n),
+        distance_km=distances,
+        cycles_per_std_sample=cycles,
+        sample_count=np.full(n, ranges.sample_count),
+        upload_bits=np.full(n, ranges.upload_bits),
+    )
 
 
-def channel_gain(distance_km: float, shadow_db_sample: float) -> float:
+def channel_gain(distance_km, shadow_db_sample):
     """Linear gain from log-distance path loss plus a caller-supplied
-    shadow-fading sample in dB (callers own the randomness)."""
-    if distance_km <= 0:
+    shadow-fading sample in dB (callers own the randomness), for one device
+    or elementwise over arrays."""
+    d = np.asarray(distance_km, dtype=float)
+    if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    loss_db = PATH_LOSS_OFFSET_DB + PATH_LOSS_SLOPE_DB * math.log10(distance_km)
-    return 10.0 ** (-(loss_db + shadow_db_sample) / 10.0)
+    # math.log10 and float_power round like the scalar formula; np.log10 and
+    # np.power can differ from it in the last bit
+    log_d = np.fromiter(map(math.log10, d.ravel().tolist()), float, d.size).reshape(d.shape)
+    loss_db = PATH_LOSS_OFFSET_DB + PATH_LOSS_SLOPE_DB * log_d
+    return np.float_power(10.0, -(loss_db + shadow_db_sample) / 10.0)
 
 
-def sample_gains(config: TopologyConfig, devices: list[Device]) -> np.ndarray:
+def sample_gains(config: TopologyConfig, devices: Device) -> np.ndarray:
     """One shadow draw per device (block fading over the studied round)."""
     rng = np.random.default_rng([STREAM_SHADOW, config.rng_seed])
-    shadows = rng.normal(0.0, config.shadow_sigma_db, len(devices))
-    return np.array(
-        [channel_gain(d.distance_km, float(x)) for d, x in zip(devices, shadows)]
-    )
+    shadows = rng.normal(0.0, config.shadow_sigma_db, np.size(devices.id))
+    return channel_gain(devices.distance_km, shadows)
 
 
 def sample_topology(
     config: TopologyConfig, ranges: DeviceParamRanges = DeviceParamRanges()
-) -> tuple[list[Device], np.ndarray]:
+) -> tuple[Device, np.ndarray]:
     devices = generate_topology(config, ranges)
     return devices, sample_gains(config, devices)
 
 
-def _ordered_pair(
-    params: SystemParams, index: int, a: tuple[Device, float], b: tuple[Device, float]
-) -> ChannelPair:
-    # ascending gain; equal gains ordered by device id to stay deterministic
-    if (a[1], a[0].id) > (b[1], b[0].id):
-        a, b = b, a
-    return ChannelPair(
-        channel_index=index,
-        bandwidth_hz=params.subchannel_bandwidth_hz,
-        members=(a, b),
-    )
-
-
 def pair_users(
     params: SystemParams,
-    devices: list[Device],
+    devices: Device,
     gains: np.ndarray,
     scheme: PairingScheme,
     rng_seed: int = 0,
 ) -> PairedTopology:
     """Group devices two per subchannel according to the chosen scheme.
 
-    Random draws a uniform perfect matching; nearest sorts by distance and
-    pairs consecutive devices; nearest-farthest pairs the sorted list from
-    both ends inward. Pair members are then ordered by ascending gain.
+    ``devices`` holds one array per field, as ``sample_topology`` returns
+    it. Random draws a uniform perfect matching; nearest sorts by distance
+    and pairs consecutive devices; nearest-farthest pairs the sorted list
+    from both ends inward. Distance ties sort by device id. Pair members are
+    then ordered by ascending gain, equal gains by device id.
     """
-    n = len(devices)
+    ids = np.asarray(devices.id)
+    gains = np.asarray(gains, dtype=float)
+    n = ids.size
     if n % 2 != 0:
         raise ValueError("cannot pair an odd number of devices")
-    if len(gains) != n:
+    if gains.shape != (n,):
         raise ValueError("need one gain per device")
 
-    tagged = list(zip(devices, (float(g) for g in gains)))
     if scheme is PairingScheme.RANDOM:
         rng = np.random.default_rng([STREAM_PAIRING, rng_seed])
         order = rng.permutation(n)
-        chosen = [(tagged[order[2 * k]], tagged[order[2 * k + 1]]) for k in range(n // 2)]
     else:
-        by_distance = sorted(tagged, key=lambda t: (t[0].distance_km, t[0].id))
-        if scheme is PairingScheme.NEAREST_USER:
-            chosen = [(by_distance[2 * k], by_distance[2 * k + 1]) for k in range(n // 2)]
-        else:
-            chosen = [(by_distance[k], by_distance[n - 1 - k]) for k in range(n // 2)]
+        order = np.lexsort((ids, devices.distance_km))  # by distance, then id
+        if scheme is PairingScheme.NEAREST_FARTHEST:
+            order = np.stack((order, order[::-1]), axis=-1)[: n // 2].ravel()
+    # members of each pair ascend by (gain, id)
+    pairs = order.reshape(-1, 2)
+    low, high = pairs.T
+    swap = (gains[low] > gains[high]) | ((gains[low] == gains[high]) & (ids[low] > ids[high]))
+    pairs[swap] = pairs[swap, ::-1]
 
     return PairedTopology(
-        channels=tuple(
-            _ordered_pair(params, k, a, b) for k, (a, b) in enumerate(chosen)
-        )
+        **{f.name: np.asarray(getattr(devices, f.name))[order] for f in fields(Device)},
+        gains=gains[order],
+        bandwidth_hz=np.full(n // 2, params.subchannel_bandwidth_hz),
     )

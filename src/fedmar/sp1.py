@@ -71,17 +71,15 @@ def _from_ulps(k: int) -> float:
 
 @dataclass(frozen=True)
 class DualCoefficients:
-    """Per-device pieces of the dual objective
-    -curvature * lam**(-2/3) + t_up * lam + constant, and of the multiplier
-    map along D = price - t_up (module docstring): ``lam_f_max`` is the
+    """Per-device pieces of the dual objective -curvature * lam**(-2/3)
+    + t_up * lam (up to a constant) and of the multiplier map along
+    D = price - t_up (module docstring): ``lam_f_max`` is the
     multiplier of f_max, ``f_max_scale`` the g slope / 2 * sqrt(f_max / load)
     of its branch, ``s1_below`` and ``s3_above`` the resolution breakpoints
     and ``pin_s1``, ``pin_s3`` their a_s. The defaults give the plain dual."""
 
     curvature: np.ndarray
     t_up: np.ndarray
-    constant: np.ndarray
-    slope: float
     lam_f_max: float = math.inf
     f_max_scale: np.ndarray | float = 0.0
     s1_below: np.ndarray | float = 0.0
@@ -120,14 +118,12 @@ def dual_coefficients(
 ) -> DualCoefficients:
     if params.weight_energy <= 0.0:
         raise ValueError("the dual solve requires a positive energy weight")
-    slope = accuracy_slope(params)
-    gamma_slope = params.weight_accuracy * slope
+    gamma_slope = params.weight_accuracy * accuracy_slope(params)
     ak = params.weight_energy * params.switched_capacitance
     s1, _, s3 = params.resolution_set_px
     loads = model.load(params, topology)
     h = loads * ak ** (1.0 / 3.0)
     curvature = gamma_slope**2 / (4.0 * h * _CBRT_MIX)
-    constant = np.full_like(h, gamma_slope * s1 - params.weight_accuracy * model.accuracy_of(s1))
     h_mix = h * _CBRT_MIX
 
     def reach(s_bar: float) -> np.ndarray:
@@ -141,8 +137,6 @@ def dual_coefficients(
     return DualCoefficients(
         curvature=curvature,
         t_up=np.asarray(t_trans_s, dtype=float),
-        constant=constant,
-        slope=slope,
         lam_f_max=2.0 * ak * params.f_max_hz**3,
         f_max_scale=0.5 * gamma_slope * np.sqrt(params.f_max_hz / loads),
         s1_below=reach(s1),
@@ -150,21 +144,6 @@ def dual_coefficients(
         pin_s1=2.0 * h_mix * s1 * s1 / 3.0,
         pin_s3=2.0 * h_mix * s3 * s3 / 3.0,
     )
-
-
-def dual_objective(coeffs: DualCoefficients, multipliers: np.ndarray) -> float:
-    lam = np.asarray(multipliers, dtype=float)
-    terms = np.where(
-        lam > 0.0,
-        -coeffs.curvature * lam ** (-2.0 / 3.0),
-        np.where(coeffs.curvature > 0.0, -np.inf, 0.0),
-    )
-    return float(np.sum(terms + coeffs.t_up * lam + coeffs.constant))
-
-
-def dual_gradient(coeffs: DualCoefficients, multipliers: np.ndarray) -> np.ndarray:
-    lam = np.asarray(multipliers, dtype=float)
-    return (2.0 * coeffs.curvature / 3.0) * lam ** (-5.0 / 3.0) + coeffs.t_up
 
 
 def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
@@ -233,9 +212,12 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
         low = d < coeffs.s1_below
         pinned = low | (d > coeffs.s3_above)
         if pinned.any():
-            fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
-            fix = fix * fix * fix
-            flat = fix > coeffs.lam_f_max
+            # only pinned devices cube their pin; a cube past the float range is flat
+            pin = np.where(low, coeffs.pin_s1, coeffs.pin_s3)
+            fix = np.divide(pin, d, out=np.zeros_like(d), where=pinned)
+            with np.errstate(over="ignore"):
+                fix = fix * fix * fix
+            flat = (fix > coeffs.lam_f_max) | (fix == math.inf)
             fix[flat] = _JUMP
             lam = np.where(pinned, fix, lam)
             rate = np.where(pinned, np.where(flat, 0.0, -3.0 * fix), rate)

@@ -12,10 +12,10 @@ from fedmar.allocator import (
     random_baseline,
     relaxed_objective,
 )
-from fedmar.model import ChannelPair, PairedTopology, SystemParams
+from fedmar.model import SystemParams
 from fedmar.pairing import PairingScheme, channel_gain
 from util import (
-    make_device,
+    make_devices,
     reference_greedy_choice,
     reference_pair_minima,
     small_instance,
@@ -112,7 +112,7 @@ class TestAllocate:
 class TestBestPairing:
     def test_identical_devices_tie_to_first_scheme(self):
         params = SystemParams(channel_count=2)
-        devices = [make_device(i, distance_km=0.2) for i in range(4)]
+        devices = make_devices([0.2] * 4)
         gains = np.full(4, 1e-11)
         report = allocate_best_pairing(params, devices, gains)
         assert report.scheme == PairingScheme.RANDOM
@@ -122,8 +122,8 @@ class TestBestPairing:
     def test_adversarial_spread_prefers_nearest_farthest(self):
         params = SystemParams(channel_count=2)
         distances = [0.01, 0.012, 0.4, 0.42]
-        devices = [make_device(i, distance_km=d) for i, d in enumerate(distances)]
-        gains = np.array([channel_gain(d, 0.0) for d in distances])
+        devices = make_devices(distances)
+        gains = channel_gain(devices.distance_km, 0.0)
         report = allocate_best_pairing(params, devices, gains)
         objs = report.scheme_objectives
         assert len(objs) == 3
@@ -169,7 +169,8 @@ class TestGreedyBaseline:
         # independent re-implementation: plain nested loops over the grids
         p_grid = [params.p_min_w + 0.1 * i * (params.p_max_w - params.p_min_w) for i in range(11)]
         f_grid = [params.f_min_hz + 0.1 * i * (params.f_max_hz - params.f_min_hz) for i in range(11)]
-        (dev_a, gain_a), (dev_b, gain_b) = topo.channels[0].members
+        dev_a, dev_b = topo.devices()
+        gain_a, gain_b = topo.gains
         bandwidth = params.subchannel_bandwidth_hz
         noise = bandwidth * params.noise_psd_w_per_hz
         s = 160.0
@@ -299,19 +300,11 @@ class TestGreedyBaseline:
             total_bandwidth_hz=channel_khz * 1e3 * channels,
         )
         rng = np.random.default_rng(5)
-        pairs = []
+        gains, cycles = np.empty(2 * channels), np.empty(2 * channels)
         for k in range(channels):
-            gain, cycles = float(rng.uniform(1e-12, 1e-9)), float(rng.uniform(1e4, 3e4))
-            a = make_device(2 * k, cycles=cycles, bits=bits)
-            b = make_device(2 * k + 1, cycles=cycles, bits=bits)
-            pairs.append(
-                ChannelPair(
-                    channel_index=k,
-                    bandwidth_hz=params.subchannel_bandwidth_hz,
-                    members=((a, gain), (b, gain)),
-                )
-            )
-        topo = PairedTopology(channels=tuple(pairs))
+            gains[2 * k : 2 * k + 2] = rng.uniform(1e-12, 1e-9)
+            cycles[2 * k : 2 * k + 2] = rng.uniform(1e4, 3e4)
+        topo = topology_from_gains(params, gains, cycles=cycles, bits=bits)
         power, cpu = reference_greedy_choice(params, topo)
         report = greedy_baseline(params, topo)
         assert np.array_equal(report.allocation.power_w, power)

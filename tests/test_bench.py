@@ -262,6 +262,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "random" in out and "greedy" in out
 
+    def test_baselines_rows_match_the_sweep_cell(self, tmp_path):
+        # without a proposed run to pick it, the default best pairing runs
+        # the baselines on the nearest pairing, and the rows say so
+        out = tmp_path / "b.csv"
+        assert cli.main(["baselines", "--seed", "7", "--out", str(out)]) == 0
+        spec = ExperimentSpec(algorithms=("random", "greedy"))
+        rows = bench.run_cell(spec, spec.sweep_values[0], spec.weights[0], 7)
+        assert [r.pairing for r in rows] == ["nearest", "nearest"]
+        assert out.read_text() == rows_to_csv(rows)
+
     def test_zero_energy_weight_exits_without_writing(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("weights = 0,1,1\n")
@@ -278,6 +288,13 @@ class TestCli:
             ("sweep_values = -3 6 12\n", "sweep_values"),
             ("sweep = f_max_ghz\nsweep_values = 0.0005 1 2\n", "sweep_values"),
             ("sweep = gamma\nsweep_values = -1 0 1\n", "sweep_values"),
+            ("samples = 0\n", "samples"),
+            ("upload_kbits = 0\n", "upload_kbits"),
+            ("cycles_low = -5\n", "cycles_low"),
+            (
+                "users = 50\nshadow_sigma_db = 2000\nsweep_values = 12\nseeds = 1 2 3\n",
+                "shadow_sigma_db",
+            ),
         ],
         ids=[
             "later-triple",
@@ -285,6 +302,10 @@ class TestCli:
             "p_max-below-p_min",
             "f_max-below-f_min",
             "negative-gamma",
+            "zero-samples",
+            "zero-upload",
+            "negative-cycles",
+            "huge-shadow-sigma",
         ],
     )
     def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):
@@ -301,8 +322,14 @@ class TestCli:
             ("p_max_dbm = -5\n", ("p_max_dbm",)),
             ("users = 10\nchannels = 4\n", ("users", "channels")),
             ("outer_tolerance = 0\n", ("outer_tolerance",)),
+            ("cycles_low = 5e4\n", ("cycles_low", "cycles_high")),
         ],
-        ids=["p_max-below-base-p_min", "users-not-twice-channels", "zero-tolerance"],
+        ids=[
+            "p_max-below-base-p_min",
+            "users-not-twice-channels",
+            "zero-tolerance",
+            "cycles-low-above-high",
+        ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
         cfg = tmp_path / "exp.cfg"
@@ -346,10 +373,26 @@ def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
     alpha=st.floats(1e-6, 1.0),
     gamma=st.floats(0.0, 50.0),
     p_max_dbm=st.floats(1.0, 30.0),
+    # rejected non-positive values, or at least one sample, bit and cycle
+    samples=st.one_of(st.floats(-10.0, 0.0), st.floats(1.0, 1e4)),
+    upload_kbits=st.one_of(st.floats(-10.0, 0.0), st.floats(1e-3, 1e3)),
+    cycles_low=st.one_of(st.floats(-1e3, 0.0), st.floats(1.0, 1e5)),
+    cycles_high=st.one_of(st.floats(-1e3, 0.0), st.floats(1.0, 1e5)),
     seed=st.integers(0, 1000),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
-    channels, bandwidth_mhz, f_min_ghz, f_max_ghz, alpha, gamma, p_max_dbm, seed
+    channels,
+    bandwidth_mhz,
+    f_min_ghz,
+    f_max_ghz,
+    alpha,
+    gamma,
+    p_max_dbm,
+    samples,
+    upload_kbits,
+    cycles_low,
+    cycles_high,
+    seed,
 ):
     # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
     values = {
@@ -361,6 +404,10 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
         "f_max_ghz": f_max_ghz,
         "weights": ((alpha, 1.0 - alpha, gamma),),
         "sweep_values": (p_max_dbm,),
+        "samples": samples,
+        "upload_kbits": upload_kbits,
+        "cycles_low": cycles_low,
+        "cycles_high": cycles_high,
         "seeds": (seed,),
     }
     try:

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from fedmar.model import (
     Allocation,
-    ChannelPair,
     PairedTopology,
     SystemParams,
     UnreachableDeviceError,
     accuracy_of,
     computation_cost,
-    db_to_linear,
     dbm_to_watts,
     evaluate,
     transmission_cost,
     uplink_rates,
-    watts_to_dbm,
 )
 from util import (
     ACC_160,
@@ -36,10 +33,6 @@ from util import (
 def test_unit_conversions():
     assert dbm_to_watts(0.0) == pytest.approx(1e-3)
     assert dbm_to_watts(12.0) == pytest.approx(0.015848931924611134)
-    assert watts_to_dbm(dbm_to_watts(7.3)) == pytest.approx(7.3)
-    assert db_to_linear(-100.0) == pytest.approx(1e-10)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
 
 
 class TestSystemParams:
@@ -65,11 +58,65 @@ class TestSystemParams:
             SystemParams(**kw)
 
 
+def _topology_arrays(**change):
+    arrays = {
+        "id": np.arange(4),
+        "distance_km": np.full(4, 0.2),
+        "cycles_per_std_sample": np.full(4, 2e4),
+        "sample_count": np.full(4, 500.0),
+        "upload_bits": np.full(4, 28.1e3),
+        "gains": np.array([1e-10, 2e-10, 1e-10, 2e-10]),
+        "bandwidth_hz": np.full(2, 0.8e6),
+    }
+    arrays.update(change)
+    return arrays
+
+
+class TestPairedTopology:
+    def test_holds_read_only_copies(self):
+        arrays = _topology_arrays()
+        topo = PairedTopology(**arrays)
+        arrays["gains"][0] = 5.0
+        assert topo.gains[0] == 1e-10
+        with pytest.raises(ValueError):
+            topo.gains[0] = 1.0
+        assert (topo.n_devices, topo.n_channels) == (4, 2)
+        assert [d.id for d in topo.devices()] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"id": np.arange(3)}, "two devices per channel"),
+            ({"id": np.arange(0)}, "two devices per channel"),
+            ({"upload_bits": np.full(2, 28.1e3)}, "one value per device"),
+            ({"bandwidth_hz": np.full(4, 0.8e6)}, "one bandwidth per channel"),
+            ({"bandwidth_hz": np.array([0.8e6, 0.0])}, "bandwidth must be positive"),
+            ({"gains": np.array([0.0, 2e-10, 1e-10, 2e-10])}, "finite and positive"),
+            ({"gains": np.array([1e-10, 2e-10, 1e-10, np.inf])}, "finite and positive"),
+            ({"gains": np.array([1e-10, np.nan, 1e-10, 2e-10])}, "finite and positive"),
+            ({"gains": np.array([1e-10, 2e-10, 3e-10, 2e-10])}, "ascending gain"),
+        ],
+        ids=[
+            "odd-count",
+            "empty",
+            "short-array",
+            "bandwidth-per-device",
+            "zero-bandwidth",
+            "zero-gain",
+            "infinite-gain",
+            "nan-gain",
+            "descending-pair",
+        ],
+    )
+    def test_rejects_bad_arrays(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            PairedTopology(**_topology_arrays(**change))
+
+
 class TestUplinkRate:
     def setup_method(self):
         self.params = SystemParams()
         self.topo = topology_from_gains(self.params, [1e-10, 2e-10])
-        self.pair = self.topo.channels[0]
 
     def rates(self, powers):
         return uplink_rates(self.params, self.topo, np.array(powers))
@@ -87,8 +134,8 @@ class TestUplinkRate:
         # second member's rate collapses to the power-ratio form
         p = (0.5, 0.01)
         rate = self.rates(p)[1]
-        g1, g2 = self.pair.gains
-        approx = self.pair.bandwidth_hz * math.log2(1 + p[1] * g2 / (p[0] * g1))
+        g1, g2 = self.topo.gains
+        approx = self.topo.bandwidth_hz[0] * math.log2(1 + p[1] * g2 / (p[0] * g1))
         assert rate == pytest.approx(approx, rel=1e-3)
 
     def test_monotone_in_own_power(self):
@@ -289,18 +336,7 @@ class TestEvaluate:
 
     def test_zero_power_names_the_unreachable_device(self):
         params = SystemParams(channel_count=2, p_min_w=0.0)
-        ids_and_gains = ((17, 1e-10), (4, 2e-10), (9, 1e-10), (30, 2e-10))
-        members = [(make_device(i), gain) for i, gain in ids_and_gains]
-        topo = PairedTopology(
-            channels=tuple(
-                ChannelPair(
-                    channel_index=k,
-                    bandwidth_hz=params.subchannel_bandwidth_hz,
-                    members=(members[2 * k], members[2 * k + 1]),
-                )
-                for k in range(2)
-            )
-        )
+        topo = topology_from_gains(params, [1e-10, 2e-10, 1e-10, 2e-10], ids=[17, 4, 9, 30])
         alloc = Allocation(
             power_w=np.array([5e-3, 5e-3, 5e-3, 0.0]),
             cpu_hz=np.full(4, 1e9),

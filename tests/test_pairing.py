@@ -3,6 +3,7 @@ import pytest
 
 from fedmar.model import SystemParams
 from fedmar.pairing import (
+    DeviceParamRanges,
     PairingScheme,
     TopologyConfig,
     channel_gain,
@@ -11,30 +12,62 @@ from fedmar.pairing import (
     sample_gains,
     sample_topology,
 )
-from util import GAIN_100M_NO_SHADOW, make_device
+from util import (
+    GAIN_100M_NO_SHADOW,
+    make_devices,
+    reference_generate_topology,
+    reference_pair_users,
+    reference_sample_gains,
+    scalar_devices,
+)
+
+DEVICE_FIELDS = ("id", "distance_km", "cycles_per_std_sample", "sample_count", "upload_bits")
 
 
 class TestGenerateTopology:
     def test_deterministic_for_fixed_seed(self):
         config = TopologyConfig(rng_seed=11)
-        assert generate_topology(config) == generate_topology(config)
+        a, b = generate_topology(config), generate_topology(config)
         other = generate_topology(TopologyConfig(rng_seed=12))
-        assert other != generate_topology(config)
+        for name in DEVICE_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.distance_km, other.distance_km)
 
     def test_default_counts_and_ranges(self):
         devices = generate_topology(TopologyConfig(rng_seed=2))
-        assert len(devices) == 50
-        cycles = np.array([d.cycles_per_std_sample for d in devices])
+        assert np.array_equal(devices.id, np.arange(50))
+        cycles = devices.cycles_per_std_sample
         assert np.all(cycles >= 1e4) and np.all(cycles <= 3e4)
-        distances = np.array([d.distance_km for d in devices])
+        distances = devices.distance_km
         assert np.all(distances >= 0.01) and np.all(distances <= 0.5)
-        assert all(d.sample_count == 500.0 and d.upload_bits == 28.1e3 for d in devices)
+        assert np.all(devices.sample_count == 500.0) and np.all(devices.upload_bits == 28.1e3)
+        assert all(np.shape(getattr(devices, name)) == (50,) for name in DEVICE_FIELDS)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TopologyConfig(user_count=49)
         with pytest.raises(ValueError):
             TopologyConfig(min_distance_km=0.6)
+        with pytest.raises(ValueError):
+            TopologyConfig(cell_radius_km=np.inf)
+        with pytest.raises(ValueError, match="shadow sigma too large"):
+            TopologyConfig(shadow_sigma_db=2000.0)
+        TopologyConfig(shadow_sigma_db=20.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"sample_count": 0.0},
+            {"sample_count": np.inf},
+            {"upload_bits": 0.0},
+            {"cycles_low": 5e4},
+            {"cycles_low": -5.0},
+            {"cycles_high": np.inf},
+        ],
+    )
+    def test_ranges_validation(self, kw):
+        with pytest.raises(ValueError):
+            DeviceParamRanges(**kw)
 
 
 class TestChannelGain:
@@ -62,32 +95,29 @@ class TestPairUsers:
     def setup_method(self):
         self.params = SystemParams(channel_count=2)
 
-    def _devices(self, distances):
-        return [make_device(i, distance_km=d) for i, d in enumerate(distances)]
-
     def test_nearest_user_chunks_sorted_order(self):
-        devices = self._devices([0.3, 0.1, 0.4, 0.2])
+        devices = make_devices([0.3, 0.1, 0.4, 0.2])
         gains = np.array([1e-10, 4e-10, 0.5e-10, 2e-10])
         topo = pair_users(self.params, devices, gains, PairingScheme.NEAREST_USER)
-        chosen = [{d.distance_km for d in ch.devices} for ch in topo.channels]
+        chosen = [set(pair) for pair in topo.distance_km.reshape(-1, 2).tolist()]
         assert chosen == [{0.1, 0.2}, {0.3, 0.4}]
 
     def test_nearest_farthest_pairs_ends_inward(self):
-        devices = self._devices([0.1, 0.2, 0.3, 0.4])
+        devices = make_devices([0.1, 0.2, 0.3, 0.4])
         gains = np.array([4e-10, 3e-10, 2e-10, 1e-10])
         topo = pair_users(self.params, devices, gains, PairingScheme.NEAREST_FARTHEST)
-        chosen = [{d.distance_km for d in ch.devices} for ch in topo.channels]
+        chosen = [set(pair) for pair in topo.distance_km.reshape(-1, 2).tolist()]
         assert chosen == [{0.1, 0.4}, {0.2, 0.3}]
 
     def test_random_is_seeded(self):
-        devices = self._devices([0.1, 0.2, 0.3, 0.4])
+        devices = make_devices([0.1, 0.2, 0.3, 0.4])
         gains = np.array([4e-10, 3e-10, 2e-10, 1e-10])
         a = pair_users(self.params, devices, gains, PairingScheme.RANDOM, rng_seed=9)
         b = pair_users(self.params, devices, gains, PairingScheme.RANDOM, rng_seed=9)
-        assert [ch.devices for ch in a.channels] == [ch.devices for ch in b.channels]
+        assert np.array_equal(a.id, b.id)
 
     def test_rejects_odd_count(self):
-        devices = self._devices([0.1, 0.2, 0.3])
+        devices = make_devices([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             pair_users(self.params, devices, np.array([1e-10] * 3), PairingScheme.NEAREST_USER)
 
@@ -97,18 +127,64 @@ class TestPairUsers:
         config = TopologyConfig(rng_seed=7)
         devices, gains = sample_topology(config)
         topo = pair_users(params, devices, gains, scheme, rng_seed=7)
-        seen = sorted(d.id for ch in topo.channels for d in ch.devices)
-        assert seen == sorted(d.id for d in devices)
-        assert [ch.channel_index for ch in topo.channels] == list(range(25))
-        for ch in topo.channels:
-            (_, g1), (_, g2) = ch.members
-            assert g1 <= g2
+        assert sorted(topo.id) == sorted(devices.id)
+        assert topo.n_channels == 25
+        assert np.all(topo.gains[0::2] <= topo.gains[1::2])
+        # every device keeps its own fields and gain
+        for name in DEVICE_FIELDS:
+            assert np.array_equal(getattr(topo, name), getattr(devices, name)[topo.id])
+        assert np.array_equal(topo.gains, gains[topo.id])
 
     def test_gain_ties_break_by_device_id(self):
-        devices = self._devices([0.1, 0.2])[:2]
+        devices = make_devices([0.1, 0.2])
         params = SystemParams(channel_count=1)
         topo = pair_users(params, devices, np.array([2e-10, 2e-10]), PairingScheme.NEAREST_USER)
-        assert [d.id for d in topo.channels[0].devices] == [0, 1]
+        assert [d.id for d in topo.devices()] == [0, 1]
+
+
+def _assert_matches_reference(topo, expected):
+    for name, want in expected.items():
+        got = getattr(topo, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+class TestReferenceParity:
+    """Array sampling and pairing reproduce the object-based reference in
+    ``util`` bit for bit."""
+
+    @pytest.mark.parametrize("scheme", list(PairingScheme))
+    @pytest.mark.parametrize("sigma", [0.0, 8.0, 20.0])
+    @pytest.mark.parametrize("users", [2, 4, 50, 2000])
+    def test_sampled_topology_matches_reference(self, users, sigma, scheme):
+        params = SystemParams(channel_count=users // 2)
+        for seed in (1, 2):
+            config = TopologyConfig(
+                user_count=users, channel_count=users // 2, shadow_sigma_db=sigma, rng_seed=seed
+            )
+            devices, gains = sample_topology(config)
+            ref_devices = reference_generate_topology(config)
+            ref_gains = reference_sample_gains(config, ref_devices)
+            assert np.array_equal(gains, ref_gains)
+            topo = pair_users(params, devices, gains, scheme, rng_seed=seed)
+            expected = reference_pair_users(params, ref_devices, ref_gains, scheme, rng_seed=seed)
+            _assert_matches_reference(topo, expected)
+            assert topo.devices() == [ref_devices[i] for i in expected["id"]]
+
+    @pytest.mark.parametrize("scheme", list(PairingScheme))
+    def test_distance_and_gain_ties_match_reference(self, scheme):
+        rng = np.random.default_rng(23)
+        for users in (2, 6, 40, 400):
+            params = SystemParams(channel_count=users // 2)
+            # three distances and three gains, so most pairs tie on both
+            distances = rng.choice([0.05, 0.2, 0.4], users)
+            gains = rng.choice([1e-11, 3e-11, 1e-10], users)
+            devices = make_devices(distances, cycles=rng.uniform(1e4, 3e4, users))
+            topo = pair_users(params, devices, gains, scheme, rng_seed=users)
+            expected = reference_pair_users(
+                params, scalar_devices(devices), gains, scheme, rng_seed=users
+            )
+            _assert_matches_reference(topo, expected)
 
 
 class TestShadowSampling:
@@ -121,5 +197,5 @@ class TestShadowSampling:
         config = TopologyConfig(rng_seed=3, shadow_sigma_db=0.0)
         devices = generate_topology(config)
         gains = sample_gains(config, devices)
-        expected = [channel_gain(d.distance_km, 0.0) for d in devices]
+        expected = [channel_gain(d, 0.0) for d in devices.distance_km]
         assert gains == pytest.approx(expected)

@@ -234,7 +234,7 @@ class TestSolveSp2:
         gains = topo.gains
         noise = params.subchannel_bandwidth_hz * params.noise_psd_w_per_hz
         direct = model.uplink_rates(params, topo, power)
-        for k in range(len(topo.channels)):
+        for k in range(topo.n_channels):
             p1, p2 = power[2 * k], power[2 * k + 1]
             floor = (noise + p1 * gains[2 * k]) / gains[2 * k + 1]
             rate2 = channel_rate(p2, floor, params.subchannel_bandwidth_hz)

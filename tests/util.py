@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from fedmar import model, pairing, sp1
-from fedmar.model import ChannelPair, Device, PairedTopology, SystemParams
+from fedmar.model import Device, PairedTopology, SystemParams
 
 # Hand-computed reference values (independent of the package code).
 RATE_12DBM_100DB = 7169469.873181168  # 0.8 MHz, -174 dBm/Hz, 12 dBm through -100 dB
@@ -29,25 +30,39 @@ def make_device(i: int, distance_km: float = 0.2, cycles: float = 2e4,
     )
 
 
+def make_devices(distances, cycles=2e4, samples: float = 500.0, bits: float = 28.1e3) -> Device:
+    """Devices 0..n-1 as one ``Device`` of arrays, the form ``pair_users`` takes."""
+    n = len(distances)
+    return Device(
+        id=np.arange(n),
+        distance_km=np.array(distances, dtype=float),
+        cycles_per_std_sample=np.broadcast_to(np.asarray(cycles, dtype=float), (n,)),
+        sample_count=np.full(n, samples),
+        upload_bits=np.full(n, bits),
+    )
+
+
+def scalar_devices(devices: Device) -> list[Device]:
+    """One scalar ``Device`` per entry of a ``Device`` of arrays."""
+    columns = (np.asarray(getattr(devices, f.name)).tolist() for f in fields(Device))
+    return [Device(*values) for values in zip(*columns)]
+
+
 def topology_from_gains(
-    params: SystemParams, gains, cycles=None, distances=None
+    params: SystemParams, gains, cycles=None, distances=None, ids=None, bits=28.1e3
 ) -> PairedTopology:
-    """Consecutive devices form a pair; each gain pair must be ascending."""
+    """Consecutive devices form a pair; each gain pair must be ascending.
+    Ids default to the channel-major index."""
     n = len(gains)
-    cycles = cycles if cycles is not None else [2e4] * n
-    distances = distances if distances is not None else [0.2] * n
-    channels = []
-    for k in range(n // 2):
-        a = make_device(2 * k, distance_km=distances[2 * k], cycles=cycles[2 * k])
-        b = make_device(2 * k + 1, distance_km=distances[2 * k + 1], cycles=cycles[2 * k + 1])
-        channels.append(
-            ChannelPair(
-                channel_index=k,
-                bandwidth_hz=params.subchannel_bandwidth_hz,
-                members=((a, float(gains[2 * k])), (b, float(gains[2 * k + 1]))),
-            )
-        )
-    return PairedTopology(channels=tuple(channels))
+    return PairedTopology(
+        id=np.arange(n) if ids is None else ids,
+        distance_km=np.full(n, 0.2) if distances is None else distances,
+        cycles_per_std_sample=np.full(n, 2e4) if cycles is None else cycles,
+        sample_count=np.full(n, 500.0),
+        upload_bits=np.full(n, bits),
+        gains=np.array(gains, dtype=float),
+        bandwidth_hz=np.full(n // 2, params.subchannel_bandwidth_hz),
+    )
 
 
 def table_instance(seed: int, **params_kw) -> tuple[SystemParams, PairedTopology]:
@@ -67,27 +82,111 @@ def small_instance(seed: int, users: int = 4, **params_kw) -> tuple[SystemParams
     return params, topo
 
 
+# Object-based sampling and pairing as the package did it before both became
+# array operations, kept as the reference they must reproduce bit for bit:
+# one scalar Device per user, one scalar gain per device, pairs as tuples.
+
+
+def reference_generate_topology(
+    config: pairing.TopologyConfig, ranges: pairing.DeviceParamRanges = pairing.DeviceParamRanges()
+) -> list[Device]:
+    rng = np.random.default_rng([pairing.STREAM_PLACEMENT, config.rng_seed])
+    n = config.user_count
+    distances = rng.uniform(config.min_distance_km, config.cell_radius_km, n)
+    cycles = rng.uniform(ranges.cycles_low, ranges.cycles_high, n)
+    return [
+        Device(
+            id=i,
+            distance_km=float(distances[i]),
+            cycles_per_std_sample=float(cycles[i]),
+            sample_count=ranges.sample_count,
+            upload_bits=ranges.upload_bits,
+        )
+        for i in range(n)
+    ]
+
+
+def reference_channel_gain(distance_km: float, shadow_db_sample: float) -> float:
+    if distance_km <= 0:
+        raise ValueError("distance must be positive")
+    loss_db = pairing.PATH_LOSS_OFFSET_DB + pairing.PATH_LOSS_SLOPE_DB * math.log10(distance_km)
+    return 10.0 ** (-(loss_db + shadow_db_sample) / 10.0)
+
+
+def reference_sample_gains(config: pairing.TopologyConfig, devices: list[Device]) -> np.ndarray:
+    rng = np.random.default_rng([pairing.STREAM_SHADOW, config.rng_seed])
+    shadows = rng.normal(0.0, config.shadow_sigma_db, len(devices))
+    return np.array(
+        [reference_channel_gain(d.distance_km, float(x)) for d, x in zip(devices, shadows)]
+    )
+
+
+def _reference_ordered_pair(a: tuple[Device, float], b: tuple[Device, float]):
+    # ascending gain; equal gains ordered by device id to stay deterministic
+    if (a[1], a[0].id) > (b[1], b[0].id):
+        a, b = b, a
+    return a, b
+
+
+def reference_pair_users(
+    params: SystemParams,
+    devices: list[Device],
+    gains: np.ndarray,
+    scheme: pairing.PairingScheme,
+    rng_seed: int = 0,
+) -> dict[str, np.ndarray]:
+    """The pairing of scalar ``devices``, as the channel-major arrays a
+    ``PairedTopology`` holds."""
+    n = len(devices)
+    if n % 2 != 0:
+        raise ValueError("cannot pair an odd number of devices")
+    if len(gains) != n:
+        raise ValueError("need one gain per device")
+
+    tagged = list(zip(devices, (float(g) for g in gains)))
+    if scheme is pairing.PairingScheme.RANDOM:
+        rng = np.random.default_rng([pairing.STREAM_PAIRING, rng_seed])
+        order = rng.permutation(n)
+        chosen = [(tagged[order[2 * k]], tagged[order[2 * k + 1]]) for k in range(n // 2)]
+    else:
+        by_distance = sorted(tagged, key=lambda t: (t[0].distance_km, t[0].id))
+        if scheme is pairing.PairingScheme.NEAREST_USER:
+            chosen = [(by_distance[2 * k], by_distance[2 * k + 1]) for k in range(n // 2)]
+        else:
+            chosen = [(by_distance[k], by_distance[n - 1 - k]) for k in range(n // 2)]
+
+    members = [m for a, b in chosen for m in _reference_ordered_pair(a, b)]
+    columns = {
+        name: np.array([getattr(dev, name) for dev, _ in members])
+        for name in ("id", "distance_km", "upload_bits", "cycles_per_std_sample", "sample_count")
+    }
+    columns["gains"] = np.array([gain for _, gain in members])
+    columns["bandwidth_hz"] = np.array([params.subchannel_bandwidth_hz] * (n // 2))
+    return columns
+
+
 def reference_costs(params: SystemParams, topo: PairedTopology, power_w, cpu_hz, resolution_px):
-    """Independent per-device scalar evaluation: walks every channel's
-    members with ``math`` and returns rate, upload time, upload energy,
-    computation time, computation energy and accuracy per device,
-    channel-major, plus the objective."""
+    """Independent per-device scalar evaluation: walks every channel's two
+    members, index 2k then 2k+1, with ``math`` and returns rate, upload
+    time, upload energy, computation time, computation energy and accuracy
+    per device, channel-major, plus the objective."""
     per_device = []
-    i = 0
-    for pair in topo.channels:
-        noise = pair.bandwidth_hz * params.noise_psd_w_per_hz
+    for k in range(len(topo.bandwidth_hz)):
+        bandwidth = float(topo.bandwidth_hz[k])
+        noise = bandwidth * params.noise_psd_w_per_hz
         interference = 0.0
-        for dev, gain in pair.members:
+        for i in (2 * k, 2 * k + 1):
             p, f, s = float(power_w[i]), float(cpu_hz[i]), float(resolution_px[i])
-            rate = pair.bandwidth_hz * math.log2(1 + p * gain / (noise + interference))
+            gain = float(topo.gains[i])
+            rate = bandwidth * math.log2(1 + p * gain / (noise + interference))
             interference += p * gain
-            t_tr = dev.upload_bits / rate
+            t_tr = float(topo.upload_bits[i]) / rate
             cycles = (
                 params.local_iterations
                 * params.std_sample_scale
                 * s**2
-                * dev.cycles_per_std_sample
-                * dev.sample_count
+                * float(topo.cycles_per_std_sample[i])
+                * float(topo.sample_count[i])
             )
             per_device.append(
                 (
@@ -99,7 +198,6 @@ def reference_costs(params: SystemParams, topo: PairedTopology, power_w, cpu_hz,
                     1.0 - 1.578 * math.exp(-6.5e-3 * s),
                 )
             )
-            i += 1
     rate, t_tr, e_tr, t_cmp, e_cmp, acc = (np.array(col) for col in zip(*per_device))
     objective = (
         params.weight_energy * math.fsum(e_tr + e_cmp)
@@ -120,25 +218,39 @@ def reference_costs(params: SystemParams, topo: PairedTopology, power_w, cpu_hz,
 def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
     """The greedy grid search one channel at a time, as a parity oracle for
     the chunked kernel: each channel's (f_a, f_b, p_a, p_b) argmin over the
-    full 11^4 grid, in the same floating-point operations. Returns the power
-    and CPU-frequency vectors, channel-major."""
+    full 11^4 grid, in the same floating-point operations, written out here
+    rather than taken from ``fedmar.model``. Returns the power and
+    CPU-frequency vectors, channel-major."""
     p_grid = params.p_min_w + 0.1 * np.arange(11) * (params.p_max_w - params.p_min_w)
     f_grid = params.f_min_hz + 0.1 * np.arange(11) * (params.f_max_hz - params.f_min_hz)
     s_low = params.resolution_set_px[0]
     alpha, beta = params.weight_energy, params.weight_time
     gains, bits = topology.gains, topology.upload_bits
     # grid axis first: (f, device)
-    t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
+    cycles = (
+        params.local_iterations
+        * params.std_sample_scale
+        * topology.cycles_per_std_sample
+        * topology.sample_count
+        * s_low
+        * s_low
+    )
+    f = f_grid[:, None]
+    t_cmp = cycles / f
+    e_cmp = params.switched_capacitance * cycles * f * f
 
     n = topology.n_devices
     power = np.empty(n)
     cpu = np.empty(n)
-    for k, bandwidth in enumerate(topology.bandwidth_hz):
+    for k in range(n // 2):
         a, b = 2 * k, 2 * k + 1
-        # axes: (p_a, p_b)
-        rates = np.stack(np.broadcast_arrays(*model._pair_rates(
-            params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
-        )))
+        bandwidth = topology.bandwidth_hz[k]
+        noise = bandwidth * params.noise_psd_w_per_hz
+        # axes: (p_a, p_b); the high-gain member b hears member a as noise
+        received_a = p_grid[:, None] * gains[a]
+        rate_a = bandwidth * np.log2(1.0 + received_a / noise)
+        rate_b = bandwidth * np.log2(1.0 + p_grid[None, :] * gains[b] / (noise + received_a))
+        rates = np.stack(np.broadcast_arrays(rate_a, rate_b))
         with np.errstate(divide="ignore"):
             t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, np.inf)
         t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
@@ -263,9 +375,7 @@ def random_dual_instance(rng: np.random.Generator, n: int):
     )
     t_up = rng.uniform(1e-3, 8e-2, n)
     beta = rng.uniform(0.1, 0.9)
-    coeffs = sp1.DualCoefficients(
-        curvature=curvature, t_up=t_up, constant=np.zeros(n), slope=slope
-    )
+    coeffs = sp1.DualCoefficients(curvature=curvature, t_up=t_up)
     return coeffs, beta
 
 
