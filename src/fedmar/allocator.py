@@ -150,11 +150,26 @@ def allocate(
             converged = True
             break
 
-    allocation = Allocation(
-        power_w=power.copy(),
-        cpu_hz=cpu.copy(),
-        resolution_px=sp1.round_resolutions(params, s_cont),
+    resolution = sp1.round_resolutions(params, s_cont)
+    return _report(
+        params, topology, started, power.copy(), cpu.copy(), resolution, trace, converged, feasible
     )
+
+
+def _report(
+    params: SystemParams,
+    topology: PairedTopology,
+    started: float,
+    power: np.ndarray,
+    cpu: np.ndarray,
+    resolution: np.ndarray,
+    trace: list[float] | None = None,
+    converged: bool = True,
+    feasible: bool = True,
+) -> SolveReport:
+    """The report of a final allocation, costed by ``model.evaluate``, with
+    its completion time as the deadline; the wall time runs from ``started``."""
+    allocation = Allocation(power_w=power, cpu_hz=cpu, resolution_px=resolution)
     costs = model.evaluate(params, topology, allocation)
     allocation.deadline_s = costs.total_time_s
     return SolveReport(
@@ -162,7 +177,7 @@ def allocate(
         costs=costs,
         topology=topology,
         scheme=None,
-        objective_trace=trace,
+        objective_trace=[] if trace is None else trace,
         converged=converged,
         feasible=feasible,
         wall_time_s=time.perf_counter() - started,
@@ -197,23 +212,9 @@ def random_baseline(
     started = time.perf_counter()
     rng = np.random.default_rng([STREAM_BASELINE, seed])
     n = topology.n_devices
-    allocation = Allocation(
-        power_w=rng.uniform(params.p_min_w, params.p_max_w, n),
-        cpu_hz=rng.uniform(params.f_min_hz, params.f_max_hz, n),
-        resolution_px=np.full(n, params.resolution_set_px[0]),
-    )
-    costs = model.evaluate(params, topology, allocation)
-    allocation.deadline_s = costs.total_time_s
-    return SolveReport(
-        allocation=allocation,
-        costs=costs,
-        topology=topology,
-        scheme=None,
-        objective_trace=[],
-        converged=True,
-        feasible=True,
-        wall_time_s=time.perf_counter() - started,
-    )
+    power = rng.uniform(params.p_min_w, params.p_max_w, n)
+    cpu = rng.uniform(params.f_min_hz, params.f_max_hz, n)
+    return _report(params, topology, started, power, cpu, np.full(n, params.resolution_set_px[0]))
 
 
 def _grid(low: float, high: float) -> np.ndarray:
@@ -377,20 +378,5 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     cpu = np.empty(n)
     cpu[0::2], cpu[1::2] = f_grid[fa], f_grid[fb]
     power[0::2], power[1::2] = p_grid[pa], p_grid[pb]
-
-    allocation = Allocation(
-        power_w=power, cpu_hz=cpu, resolution_px=np.full(n, params.resolution_set_px[0])
-    )
-    costs = model.evaluate(params, topology, allocation)
-    allocation.deadline_s = costs.total_time_s
-    return SolveReport(
-        allocation=allocation,
-        costs=costs,
-        topology=topology,
-        scheme=None,
-        objective_trace=[],
-        converged=True,
-        feasible=True,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return _report(params, topology, started, power, cpu, np.full(n, params.resolution_set_px[0]))
 

@@ -10,8 +10,10 @@ after another in a fixed order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, TextIO
 
 from . import allocator, model
@@ -94,31 +96,35 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ALGORITHMS
     pairing: str = "best"
     solve: SolveConfig = SolveConfig()
-    jobs: int = 1
 
     def __post_init__(self) -> None:
+        try:
+            self._check()
+        except ParamsError as exc:
+            raise _naming_keys(exc) from exc
+
+    def _check(self) -> None:
         if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"unknown sweep variable {self.sweep_variable!r}")
+            raise ParamsError(f"unknown sweep variable {self.sweep_variable!r}", "sweep_variable")
         if not self.sweep_values:
-            raise ConfigError("sweep needs at least one value")
+            raise ParamsError("sweep needs at least one value", "sweep_values")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
-            raise ConfigError("sweep values must be strictly increasing")
+            raise ParamsError("sweep values must be strictly increasing", "sweep_values")
         if not self.seeds:
-            raise ConfigError("need at least one seed")
+            raise ParamsError("need at least one seed", "seeds")
         if not self.weights:
-            raise ConfigError("need at least one weight triple")
+            raise ParamsError("need at least one weight triple", "weights")
         if any(alpha <= 0.0 for alpha, _, _ in self.weights):
             # the power and frequency solves price energy by alpha
-            raise ConfigError("key 'weights': the energy weight alpha must be positive")
+            raise ParamsError("the energy weight alpha must be positive", "weights")
+        if not self.algorithms:
+            raise ParamsError("need at least one algorithm", "algorithms")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {algo!r}")
+                raise ParamsError(f"unknown algorithm {algo!r}", "algorithms")
         if self.pairing not in PAIRING_CHOICES:
-            raise ConfigError(f"unknown pairing {self.pairing!r}")
-        if self.jobs != 1:
-            # cells run in one thread: a thread pool was slower, as the
-            # solves hold the GIL
-            raise ConfigError(f"key 'jobs': only 1 is accepted, got {self.jobs}")
+            raise ParamsError(f"unknown pairing {self.pairing!r}", "pairing")
+        _check_round_cycles(self.params, self.ranges)
         # every cell's parameters must be buildable before the sweep starts;
         # the base parameters are valid, so the sweep values are checked
         # against them first and any later failure is the weight triple's
@@ -126,8 +132,8 @@ class ExperimentSpec:
             try:
                 replace(self.params, **_swept(self.sweep_variable, value))
             except ValueError as exc:
-                raise ConfigError(
-                    f"key 'sweep_values': {self.sweep_variable} = {value:g}: {exc}"
+                raise ParamsError(
+                    f"{self.sweep_variable} = {value:g}: {exc}", "sweep_values"
                 ) from exc
         for weights in self.weights:
             for value in self.sweep_values:
@@ -135,42 +141,125 @@ class ExperimentSpec:
                     cell_params(self, value, weights)
                 except ValueError as exc:
                     triple = ",".join(f"{w:g}" for w in weights)
-                    raise ConfigError(f"key 'weights': triple {triple}: {exc}") from exc
+                    raise ParamsError(f"triple {triple}: {exc}", "weights") from exc
 
 
-_SCALAR_KEYS = {
-    "users": int,
-    "channels": int,
-    "bandwidth_mhz": float,
-    "noise_dbm_per_hz": float,
-    "p_min_dbm": float,
-    "p_max_dbm": float,
-    "f_min_ghz": float,
-    "f_max_ghz": float,
-    "kappa": float,
-    "local_iterations": float,
-    "std_resolution_px": float,
-    "upload_kbits": float,
-    "samples": float,
-    "cycles_low": float,
-    "cycles_high": float,
-    "cell_radius_km": float,
-    "min_distance_km": float,
-    "shadow_sigma_db": float,
-    "outer_tolerance": float,
-    "max_outer_iterations": int,
-    "jobs": int,
+def _check_round_cycles(params: SystemParams, ranges: DeviceParamRanges) -> None:
+    """A device's training round must take at least one CPU cycle at the
+    lowest resolution and finitely many at the highest: below that the
+    per-device load is so small that sp1's dual coefficients overflow."""
+    s1, _, s3 = params.resolution_set_px
+
+    def cycles(per_sample: float, s: float) -> float:
+        samples = ranges.sample_count
+        device = SimpleNamespace(cycles_per_std_sample=per_sample, sample_count=samples)
+        return model.load(params, device) * s * s
+
+    fewest, most = cycles(ranges.cycles_low, s1), cycles(ranges.cycles_high, s3)
+    shared = ("sample_count", "local_iterations", "std_resolution_px", "resolution_set_px")
+    if not fewest >= 1.0:
+        message = f"a round at {s1:g} px takes {fewest:g} CPU cycles, below one"
+        raise ParamsError(message, "cycles_low", *shared)
+    if not most < math.inf:
+        message = f"a round at {s3:g} px takes more CPU cycles than a float holds"
+        raise ParamsError(message, "cycles_high", *shared)
+
+
+def _number(kind):
+    def parse(key: str, text: str):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {text!r} as {kind.__name__}") from exc
+
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
+def _numbers(parse):
+    return lambda key, text: tuple(parse(key, token) for token in text.split())
+
+
+def _words(key: str, text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+def _string(key: str, text: str) -> str:
+    return text
+
+
+def _triples(key: str, text: str) -> tuple[tuple[float, float, float], ...]:
+    triples = []
+    for token in text.split():
+        parts = token.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"key {key!r}: expected alpha,beta,gamma triples, got {token!r}")
+        triples.append(tuple(_FLOAT(key, part) for part in parts))
+    return tuple(triples)
+
+
+def _one(key: str, text: str) -> int:
+    # cells run in one thread: a thread pool was slower, as the solves hold the GIL
+    if (value := _INT(key, text)) != 1:
+        raise ConfigError(f"key {key!r}: only 1 is accepted, got {value}")
+    return value
+
+
+def _same(value):
+    return value
+
+
+def _si(scale: float):
+    return lambda value: value * scale
+
+
+# Every configuration key: its parser, then the fields it sets, each as
+# (section, field, conversion to SI). A key left out of a config sets
+# nothing, so every default lives in its dataclass.
+_KEYS = {
+    "users": (_INT, (TopologyConfig, "user_count", _same)),
+    "channels": (
+        _INT, (SystemParams, "channel_count", _same), (TopologyConfig, "channel_count", _same)
+    ),
+    "bandwidth_mhz": (_FLOAT, (SystemParams, "total_bandwidth_hz", _si(1e6))),
+    "noise_dbm_per_hz": (_FLOAT, (SystemParams, "noise_psd_w_per_hz", model.dbm_to_watts)),
+    "p_min_dbm": (_FLOAT, (SystemParams, "p_min_w", model.dbm_to_watts)),
+    "p_max_dbm": (_FLOAT, (SystemParams, "p_max_w", model.dbm_to_watts)),
+    "f_min_ghz": (_FLOAT, (SystemParams, "f_min_hz", _si(1e9))),
+    "f_max_ghz": (_FLOAT, (SystemParams, "f_max_hz", _si(1e9))),
+    "kappa": (_FLOAT, (SystemParams, "switched_capacitance", _same)),
+    "local_iterations": (_FLOAT, (SystemParams, "local_iterations", _same)),
+    "std_resolution_px": (_FLOAT, (SystemParams, "std_resolution_px", _same)),
+    "resolutions_px": (_numbers(_FLOAT), (SystemParams, "resolution_set_px", _same)),
+    "upload_kbits": (_FLOAT, (DeviceParamRanges, "upload_bits", _si(1e3))),
+    "samples": (_FLOAT, (DeviceParamRanges, "sample_count", _same)),
+    "cycles_low": (_FLOAT, (DeviceParamRanges, "cycles_low", _same)),
+    "cycles_high": (_FLOAT, (DeviceParamRanges, "cycles_high", _same)),
+    "cell_radius_km": (_FLOAT, (TopologyConfig, "cell_radius_km", _same)),
+    "min_distance_km": (_FLOAT, (TopologyConfig, "min_distance_km", _same)),
+    "shadow_sigma_db": (_FLOAT, (TopologyConfig, "shadow_sigma_db", _same)),
+    "outer_tolerance": (_FLOAT, (SolveConfig, "outer_tolerance", _same)),
+    "max_outer_iterations": (_INT, (SolveConfig, "max_outer_iterations", _same)),
+    "weights": (_triples, (ExperimentSpec, "weights", _same)),
+    "sweep": (_string, (ExperimentSpec, "sweep_variable", _same)),
+    "sweep_values": (_numbers(_FLOAT), (ExperimentSpec, "sweep_values", _same)),
+    "seeds": (_numbers(_INT), (ExperimentSpec, "seeds", _same)),
+    "algorithms": (_words, (ExperimentSpec, "algorithms", _same)),
+    "pairing": (_string, (ExperimentSpec, "pairing", _same)),
+    "jobs": (_one,),  # accepted for older configs; sets nothing
 }
-_LIST_KEYS = {"resolutions_px": float, "sweep_values": float, "seeds": int}
-_STRING_KEYS = {"sweep", "pairing"}
-_WORDLIST_KEYS = {"algorithms"}
-
-
-def _parse_number(key: str, text: str, kind):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {text!r} as {kind.__name__}") from exc
+# the key that sets each field: the one field name two sections share,
+# channel_count, is set by `channels` alone
+_FIELD_KEYS = {field: key for key, (_, *sets) in _KEYS.items() for _, field, _ in sets}
+# the ExperimentSpec field that holds each section
+_SECTIONS = {
+    SystemParams: "params",
+    TopologyConfig: "topology",
+    DeviceParamRanges: "ranges",
+    SolveConfig: "solve",
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -184,123 +273,35 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        rhs = rhs.strip()
-        if key in _SCALAR_KEYS:
-            values[key] = _parse_number(key, rhs, _SCALAR_KEYS[key])
-        elif key in _LIST_KEYS:
-            kind = _LIST_KEYS[key]
-            values[key] = tuple(_parse_number(key, tok, kind) for tok in rhs.split())
-        elif key in _STRING_KEYS:
-            values[key] = rhs
-        elif key in _WORDLIST_KEYS:
-            values[key] = tuple(rhs.split())
-        elif key == "weights":
-            triples = []
-            for token in rhs.split():
-                parts = token.split(",")
-                if len(parts) != 3:
-                    raise ConfigError(
-                        f"key 'weights': expected alpha,beta,gamma triples, got {token!r}"
-                    )
-                triples.append(tuple(_parse_number("weights", p, float) for p in parts))
-            values[key] = tuple(triples)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        values[key] = _KEYS[key][0](key, rhs.strip())
     return values
 
 
-# the configuration key that sets each checked field of SystemParams,
-# TopologyConfig, DeviceParamRanges and SolveConfig
-_FIELD_KEYS = {
-    "total_bandwidth_hz": "bandwidth_mhz",
-    "channel_count": "channels",
-    "noise_psd_w_per_hz": "noise_dbm_per_hz",
-    "switched_capacitance": "kappa",
-    "local_iterations": "local_iterations",
-    "std_resolution_px": "std_resolution_px",
-    "resolution_set_px": "resolutions_px",
-    "weight_energy": "weights",
-    "weight_time": "weights",
-    "weight_accuracy": "weights",
-    "p_min_w": "p_min_dbm",
-    "p_max_w": "p_max_dbm",
-    "f_min_hz": "f_min_ghz",
-    "f_max_hz": "f_max_ghz",
-    "user_count": "users",
-    "cell_radius_km": "cell_radius_km",
-    "min_distance_km": "min_distance_km",
-    "shadow_sigma_db": "shadow_sigma_db",
-    "cycles_low": "cycles_low",
-    "cycles_high": "cycles_high",
-    "sample_count": "samples",
-    "upload_bits": "upload_kbits",
-    "outer_tolerance": "outer_tolerance",
-    "max_outer_iterations": "max_outer_iterations",
-}
-
-
-def _keyed(build, **fields):
-    """``build(**fields)``, naming the configuration keys of a failed check."""
-    try:
-        return build(**fields)
-    except ParamsError as exc:
-        keys = dict.fromkeys(_FIELD_KEYS[f] for f in exc.fields)
-        label = "key" if len(keys) == 1 else "keys"
-        raise ConfigError(f"{label} {', '.join(map(repr, keys))}: {exc}") from exc
+def _naming_keys(exc: ParamsError) -> ConfigError:
+    """The failed check ``exc`` as a ConfigError naming the keys of its fields."""
+    keys = dict.fromkeys(_FIELD_KEYS[f] for f in exc.fields)
+    label = "key" if len(keys) == 1 else "keys"
+    return ConfigError(f"{label} {', '.join(map(repr, keys))}: {exc}")
 
 
 def spec_from_values(values: dict) -> ExperimentSpec:
-    """Build a spec from parsed values; anything missing keeps its default."""
-    s1, s2, s3 = values.get("resolutions_px", (160.0, 320.0, 640.0))
-    # the weights stay at their defaults here: cell_params sets each triple,
-    # and ExperimentSpec rejects a bad one by key
-    params = _keyed(
-        SystemParams,
-        total_bandwidth_hz=values.get("bandwidth_mhz", 20.0) * 1e6,
-        channel_count=values.get("channels", 25),
-        noise_psd_w_per_hz=model.dbm_to_watts(values.get("noise_dbm_per_hz", -174.0)),
-        switched_capacitance=values.get("kappa", 1e-28),
-        local_iterations=values.get("local_iterations", 10.0),
-        std_resolution_px=values.get("std_resolution_px", 100.0),
-        resolution_set_px=(s1, s2, s3),
-        p_min_w=model.dbm_to_watts(values.get("p_min_dbm", 0.0)),
-        p_max_w=model.dbm_to_watts(values.get("p_max_dbm", 12.0)),
-        f_min_hz=values.get("f_min_ghz", 0.001) * 1e9,
-        f_max_hz=values.get("f_max_ghz", 2.0) * 1e9,
-    )
-    topology = _keyed(
-        TopologyConfig,
-        user_count=values.get("users", 50),
-        channel_count=values.get("channels", 25),
-        cell_radius_km=values.get("cell_radius_km", 0.5),
-        min_distance_km=values.get("min_distance_km", 0.01),
-        shadow_sigma_db=values.get("shadow_sigma_db", 8.0),
-    )
-    ranges = _keyed(
-        DeviceParamRanges,
-        cycles_low=values.get("cycles_low", 1e4),
-        cycles_high=values.get("cycles_high", 3e4),
-        sample_count=values.get("samples", 500.0),
-        upload_bits=values.get("upload_kbits", 28.1) * 1e3,
-    )
-    solve = _keyed(
-        SolveConfig,
-        outer_tolerance=values.get("outer_tolerance", 1e-4),
-        max_outer_iterations=values.get("max_outer_iterations", 50),
-    )
-    return ExperimentSpec(
-        params=params,
-        topology=topology,
-        ranges=ranges,
-        sweep_variable=values.get("sweep", "p_max_dbm"),
-        sweep_values=values.get("sweep_values", (6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)),
-        weights=values.get("weights", ((0.5, 0.5, 1.0),)),
-        seeds=values.get("seeds", (1,)),
-        algorithms=values.get("algorithms", ALGORITHMS),
-        pairing=values.get("pairing", "best"),
-        solve=solve,
-        jobs=values.get("jobs", 1),
-    )
+    """Build a spec from parsed values; anything missing keeps its dataclass
+    default."""
+    fields: dict = {section: {} for section in (*_SECTIONS, ExperimentSpec)}
+    for key, value in values.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        for section, field, to_si in _KEYS[key][1:]:
+            fields[section][field] = to_si(value)
+    spec = fields.pop(ExperimentSpec)
+    for section, name in _SECTIONS.items():
+        try:
+            spec[name] = section(**fields[section])
+        except ParamsError as exc:
+            raise _naming_keys(exc) from exc
+    return ExperimentSpec(**spec)
 
 
 def load_config(path: str | Path) -> ExperimentSpec:
@@ -321,12 +322,11 @@ def cell_params(
 
 
 def _swept(sweep_variable: str, sweep_value: float) -> dict:
-    """The ``SystemParams`` field a sweep point sets, in SI units."""
-    if sweep_variable == "p_max_dbm":
-        return {"p_max_w": model.dbm_to_watts(sweep_value)}
-    if sweep_variable == "f_max_ghz":
-        return {"f_max_hz": sweep_value * 1e9}
-    return {"weight_accuracy": sweep_value}
+    """The ``SystemParams`` field a sweep point sets, in SI units: the
+    field of its configuration key, or the accuracy weight for gamma."""
+    if sweep_variable == "gamma":
+        return {"weight_accuracy": sweep_value}
+    return {field: to_si(sweep_value) for _, field, to_si in _KEYS[sweep_variable][1:]}
 
 
 def _format_resolutions(resolutions) -> str:

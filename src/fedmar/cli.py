@@ -27,8 +27,6 @@ def _load_spec(args) -> ExperimentSpec:
         spec = replace(spec, seeds=(args.seed,))
     if getattr(args, "pairing", None):
         spec = replace(spec, pairing=args.pairing)
-    if getattr(args, "jobs", None) is not None:
-        spec = replace(spec, jobs=args.jobs)
     return spec
 
 
@@ -99,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the configured seeds")
         p.add_argument(
             "--pairing",
-            choices=["random", "nearest", "nearest-farthest", "best"],
+            choices=bench.PAIRING_CHOICES,
             default=pairing_default,
             help="user-pairing scheme",
         )
@@ -112,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the configured experiment sweep")
     common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, help="concurrent workers")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_base = sub.add_parser("baselines", help="run random and greedy baselines")

@@ -72,8 +72,12 @@ class SystemParams:
             raise ParamsError("switched capacitance must be positive", "switched_capacitance")
         if self.local_iterations <= 0:
             raise ParamsError("local iterations must be positive", "local_iterations")
-        if self.std_resolution_px <= 0:
-            raise ParamsError("standard resolution must be positive", "std_resolution_px")
+        if not self.std_resolution_px * self.std_resolution_px > 0:
+            raise ParamsError(
+                "standard resolution must be positive, its square too", "std_resolution_px"
+            )
+        if len(self.resolution_set_px) != 3:
+            raise ParamsError("need exactly three resolutions", "resolution_set_px")
         s1, s2, s3 = self.resolution_set_px
         if not (0 < s1 < s2 < s3):
             raise ParamsError(

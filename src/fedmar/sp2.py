@@ -43,7 +43,7 @@ class RatioProblem:
     noise-plus-interference power divided by the member's own gain."""
 
     stage: Stage
-    bandwidth_hz: float
+    bandwidth_hz: np.ndarray | float
     upload_bits: np.ndarray
     noise_floor_w: np.ndarray
     min_rate_bps: np.ndarray
@@ -134,7 +134,7 @@ def solve_sp2(
     bits = topology.upload_bits
     rate_min = min_rate(bits, deadline_s, t_cmp)
     gains = topology.gains
-    bandwidth = params.subchannel_bandwidth_hz
+    bandwidth = topology.bandwidth_hz
     noise_w = bandwidth * params.noise_psd_w_per_hz
 
     first = solve_ratio_stage(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -223,13 +224,20 @@ class TestEmission:
         assert "wall" not in rows_to_json(rows)
 
 
+# the keys that set how many CPU cycles a device round takes
+FEWEST_CYCLES_KEYS = (
+    "cycles_low", "samples", "local_iterations", "std_resolution_px", "resolutions_px"
+)
+MOST_CYCLES_KEYS = ("cycles_high",) + FEWEST_CYCLES_KEYS[1:]
+
+
 class TestCli:
     def _write_config(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
             "users = 4\nchannels = 2\nseeds = 1\n"
             "sweep_values = 10 12\nweights = 0.5,0.5,0.1\n"
-            "algorithms = proposed random\npairing = nearest\n"
+            "algorithms = proposed random\npairing = nearest\njobs = 1\n"
         )
         return path
 
@@ -295,6 +303,17 @@ class TestCli:
                 "users = 50\nshadow_sigma_db = 2000\nsweep_values = 12\nseeds = 1 2 3\n",
                 "shadow_sigma_db",
             ),
+            ("sweep = bogus\n", "sweep"),
+            ("sweep_values =\n", "sweep_values"),
+            ("sweep_values = 12 6\n", "sweep_values"),
+            ("seeds =\n", "seeds"),
+            ("weights =\n", "weights"),
+            ("algorithms = proposed magic\n", "algorithms"),
+            ("algorithms =\n", "algorithms"),
+            ("pairing = bogus\n", "pairing"),
+            ("resolutions_px = 160 320\n", "resolutions_px"),
+            ("resolutions_px = 160 320 640 1280\n", "resolutions_px"),
+            ("std_resolution_px = 1e-200\n", "std_resolution_px"),
         ],
         ids=[
             "later-triple",
@@ -306,6 +325,17 @@ class TestCli:
             "zero-upload",
             "negative-cycles",
             "huge-shadow-sigma",
+            "unknown-sweep",
+            "empty-sweep-values",
+            "decreasing-sweep-values",
+            "no-seeds",
+            "no-weights",
+            "unknown-algorithm",
+            "no-algorithms",
+            "unknown-pairing",
+            "two-resolutions",
+            "four-resolutions",
+            "tiny-std-resolution",
         ],
     )
     def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):
@@ -323,12 +353,28 @@ class TestCli:
             ("users = 10\nchannels = 4\n", ("users", "channels")),
             ("outer_tolerance = 0\n", ("outer_tolerance",)),
             ("cycles_low = 5e4\n", ("cycles_low", "cycles_high")),
+            ("users = 4\nchannels = 2\nlocal_iterations = 1e-310\n", FEWEST_CYCLES_KEYS),
+            ("users = 4\nchannels = 2\nsamples = 2.225e-309\n", FEWEST_CYCLES_KEYS),
+            ("cycles_low = 1e-310\ncycles_high = 1e-310\n", FEWEST_CYCLES_KEYS),
+            ("resolutions_px = 1e-3 2e-3 3e-3\n", FEWEST_CYCLES_KEYS),
+            ("std_resolution_px = 1e200\n", FEWEST_CYCLES_KEYS),
+            ("local_iterations = nan\n", FEWEST_CYCLES_KEYS),
+            ("local_iterations = inf\n", MOST_CYCLES_KEYS),
+            ("samples = 1e300\ncycles_high = 1e300\n", MOST_CYCLES_KEYS),
         ],
         ids=[
             "p_max-below-base-p_min",
             "users-not-twice-channels",
             "zero-tolerance",
             "cycles-low-above-high",
+            "tiny-local-iterations",
+            "tiny-samples",
+            "tiny-cycles",
+            "tiny-resolutions",
+            "huge-std-resolution",
+            "nan-local-iterations",
+            "infinite-local-iterations",
+            "round-cycles-overflow",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
@@ -343,10 +389,10 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-1", "4"])
     def test_jobs_below_one_exits_naming_the_key(self, tmp_path, capsys, jobs):
         cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + f"jobs = {jobs}\n")
         out = tmp_path / "rows.csv"
-        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
-        assert cli.main(argv) == 1
-        assert "jobs" in capsys.readouterr().err
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "key 'jobs'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_is_error(self, tmp_path):
@@ -364,6 +410,12 @@ def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
     assert all(np.isfinite(r.objective) for r in greedy)
 
 
+# all of (-10, 1e4], with extra draws among tiny and among plausible positive values
+WORKLOAD = st.one_of(
+    st.floats(-10.0, 1e4, exclude_min=True), st.floats(5e-324, 1.0), st.floats(1.0, 1e4)
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     channels=st.integers(1, 10),
@@ -373,11 +425,12 @@ def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
     alpha=st.floats(1e-6, 1.0),
     gamma=st.floats(0.0, 50.0),
     p_max_dbm=st.floats(1.0, 30.0),
-    # rejected non-positive values, or at least one sample, bit and cycle
-    samples=st.one_of(st.floats(-10.0, 0.0), st.floats(1.0, 1e4)),
     upload_kbits=st.one_of(st.floats(-10.0, 0.0), st.floats(1e-3, 1e3)),
-    cycles_low=st.one_of(st.floats(-1e3, 0.0), st.floats(1.0, 1e5)),
-    cycles_high=st.one_of(st.floats(-1e3, 0.0), st.floats(1.0, 1e5)),
+    # the keys that set a device round's CPU cycles, down to the smallest subnormal
+    samples=WORKLOAD,
+    cycles_low=WORKLOAD,
+    cycles_high=WORKLOAD,
+    local_iterations=WORKLOAD,
     seed=st.integers(0, 1000),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
@@ -388,10 +441,11 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
     alpha,
     gamma,
     p_max_dbm,
-    samples,
     upload_kbits,
+    samples,
     cycles_low,
     cycles_high,
+    local_iterations,
     seed,
 ):
     # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
@@ -408,6 +462,7 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
         "upload_kbits": upload_kbits,
         "cycles_low": cycles_low,
         "cycles_high": cycles_high,
+        "local_iterations": local_iterations,
         "seeds": (seed,),
     }
     try:
@@ -419,6 +474,14 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
     assert [r.algorithm for r in rows] == list(spec.algorithms)
     for row in rows:
         assert row.flag or np.isfinite(row.objective)
+
+
+def test_readme_table_lists_exactly_the_configuration_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Configuration keys", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    documented = [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted(bench._KEYS)
 
 
 def test_default_sweep_matches_golden_csv(tmp_path):

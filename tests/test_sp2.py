@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,22 @@ class TestSolveSp2:
             floor = (noise + p1 * gains[2 * k]) / gains[2 * k + 1]
             rate2 = channel_rate(p2, floor, params.subchannel_bandwidth_hz)
             assert rate2 == pytest.approx(direct[2 * k + 1], rel=1e-12)
+
+    def test_rates_use_the_topology_bandwidth(self):
+        # the params' subchannel bandwidth is 10 MHz, the topology's channels
+        # 0.5 and 2 MHz: each unclipped power meets its minimum rate exactly
+        # at the bandwidth the cost model prices
+        params = SystemParams(total_bandwidth_hz=20e6, channel_count=2, p_min_w=0.0)
+        narrow = topology_from_gains(params, [1e-12, 3e-12, 2e-12, 4e-12])
+        topo = replace(narrow, bandwidth_hz=np.array([0.5e6, 2e6]))
+        cpu, res, deadline = self._inputs(params, topo)
+        power, flags, _ = solve_sp2(params, topo, cpu, res, deadline)
+        t_cmp, _ = model.computation_cost(params, topo, res, cpu)
+        rate_min = min_rate(topo.upload_bits, deadline, t_cmp)
+        unclipped = (power > params.p_min_w) & (power < params.p_max_w)
+        assert unclipped.all() and not np.any(flags)
+        rates = model.uplink_rates(params, topo, power)
+        assert rates[unclipped] == pytest.approx(rate_min[unclipped], rel=1e-12)
 
     def test_symmetric_channels_get_identical_powers(self):
         params = SystemParams(channel_count=2)
