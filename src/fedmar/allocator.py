@@ -3,9 +3,12 @@
 The main solver alternates the two blocks: given powers, the frequency /
 resolution / deadline block is solved in closed form through its dual;
 given the resulting deadline, the power block is solved per channel. The
-loop stops when the stacked decision vector moves less than a scale-free
-tolerance. The resolution stays continuous while iterating and is rounded
-to the discrete set once, at exit.
+frequency block reads nothing but the powers, so the powers are the loop's
+only state: it stops when the power block hands back powers within a
+tolerance of the power box of those the frequency block was just solved
+at, since another frequency solve would then reproduce its own output.
+The resolution stays continuous while iterating and is rounded to the
+discrete set once, at exit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class SolveConfig:
     outer_tolerance: float = 1e-4
     max_outer_iterations: int = 50
     rng_seed: int = 0
-    initial: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.outer_tolerance <= 0.0:
@@ -60,8 +62,11 @@ class SolveReport:
 
     ``objective_trace`` holds the relaxed objective (continuous resolution,
     linearized accuracy) after each outer iteration; on the relaxation it
-    is non-increasing. ``feasible`` is False when the last power solve
-    could not meet some minimum rate within the power box.
+    is non-increasing. ``converged`` is True when the last power solve
+    moved no power by more than ``outer_tolerance`` of the power box; with
+    a positive time weight the first one already does, as every deadline
+    binds. ``feasible`` is False when the last power solve could not meet
+    some minimum rate within the power box.
     """
 
     allocation: Allocation
@@ -95,65 +100,31 @@ def relaxed_objective(
     )
 
 
-def _initial_point(
-    params: SystemParams, n: int, config: SolveConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if config.initial is not None:
-        point = tuple(np.array(x, dtype=float) for x in config.initial)
-        for name, x in zip(("power", "cpu", "resolution"), point):
-            if x.shape != (n,):
-                raise ValueError(
-                    f"SolveConfig.initial {name} array has length {x.size}, "
-                    f"but the topology has n_devices = {n}"
-                )
-        return point
-    return (
-        np.full(n, 0.5 * (params.p_min_w + params.p_max_w)),
-        np.full(n, 0.5 * (params.f_min_hz + params.f_max_hz)),
-        np.full(n, params.resolution_set_px[1]),
-    )
-
-
 def allocate(
     params: SystemParams, topology: PairedTopology, config: SolveConfig = SolveConfig()
 ) -> SolveReport:
-    """Alternate the two block solves until the decision vector settles."""
+    """Alternate the two block solves from the midpoint power until the
+    powers settle; frequency and resolution are the last frequency solve's."""
     started = time.perf_counter()
-    n = topology.n_devices
-    power, cpu, s_cont = _initial_point(params, n, config)
-
+    power = np.full(topology.n_devices, 0.5 * (params.p_min_w + params.p_max_w))
     p_width = params.p_max_w - params.p_min_w
-    f_width = params.f_max_hz - params.f_min_hz
-    s_width = params.resolution_set_px[2] - params.resolution_set_px[0]
 
     trace: list[float] = []
     converged = False
-    feasible = True
     for _ in range(config.max_outer_iterations):
         block1 = sp1.solve_sp1(params, topology, power)
-        power_new, infeasible_flags, _ = sp2.solve_sp2(
-            params,
-            topology,
-            block1.cpu_hz,
-            block1.resolution_cont,
-            block1.deadline_s,
-        )
-        delta = max(
-            float(np.max(np.abs(power_new - power))) / p_width,
-            float(np.max(np.abs(block1.cpu_hz - cpu))) / f_width,
-            float(np.max(np.abs(block1.resolution_cont - s_cont))) / s_width,
-        )
-        power, cpu, s_cont = power_new, block1.cpu_hz, block1.resolution_cont
+        cpu, s_cont, deadline = block1.cpu_hz, block1.resolution_cont, block1.deadline_s
+        power_new, infeasible_flags, _ = sp2.solve_sp2(params, topology, cpu, s_cont, deadline)
+        delta = float(np.max(np.abs(power_new - power))) / p_width
+        power = power_new
         trace.append(relaxed_objective(params, topology, power, cpu, s_cont))
-        feasible = not bool(np.any(infeasible_flags))
         if delta <= config.outer_tolerance:
             converged = True
             break
 
-    resolution = sp1.round_resolutions(params, s_cont)
-    return _report(
-        params, topology, started, power.copy(), cpu.copy(), resolution, trace, converged, feasible
-    )
+    resolution = block1.resolution_px
+    feasible = not bool(np.any(infeasible_flags))
+    return _report(params, topology, started, power, cpu, resolution, trace, converged, feasible)
 
 
 def _report(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -138,10 +139,11 @@ class ExperimentSpec:
         for weights in self.weights:
             for value in self.sweep_values:
                 try:
-                    cell_params(self, value, weights)
+                    params = cell_params(self, value, weights)
                 except ValueError as exc:
                     triple = ",".join(f"{w:g}" for w in weights)
                     raise ParamsError(f"triple {triple}: {exc}", "weights") from exc
+                _check_energy_price(params, self.ranges, self.topology.user_count)
 
 
 def _check_round_cycles(params: SystemParams, ranges: DeviceParamRanges) -> None:
@@ -163,6 +165,28 @@ def _check_round_cycles(params: SystemParams, ranges: DeviceParamRanges) -> None
     if not most < math.inf:
         message = f"a round at {s3:g} px takes more CPU cycles than a float holds"
         raise ParamsError(message, "cycles_high", *shared)
+
+
+def _check_energy_price(params: SystemParams, ranges: DeviceParamRanges, users: int) -> None:
+    """A cell's energy price must stay in the float range: alpha * kappa at
+    least the smallest normal float, or sp1's frequency (multiplier / (2 alpha
+    kappa))**(1/3) overflows; and every user's heaviest round at f_max
+    finitely many joules in total, or energies and objectives are infinite."""
+    alpha, kappa = params.weight_energy, params.switched_capacitance
+    if not alpha * kappa >= sys.float_info.min:
+        message = f"alpha {alpha:g} times kappa {kappa:g} is below the smallest normal float"
+        raise ParamsError(message, "switched_capacitance")
+    heaviest = SimpleNamespace(
+        cycles_per_std_sample=ranges.cycles_high, sample_count=ranges.sample_count
+    )
+    s3, f_max = params.resolution_set_px[2], params.f_max_hz
+    _, energy = model.computation_cost(params, heaviest, s3, f_max)
+    if not users * energy < math.inf:
+        message = (
+            f"{users} rounds at {s3:g} px and {f_max / 1e9:g} GHz take more joules "
+            "than a float holds"
+        )
+        raise ParamsError(message, "switched_capacitance")
 
 
 def _number(kind):

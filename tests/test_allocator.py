@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmar import allocator, model, pairing
+from fedmar import allocator, model, pairing, sp1, sp2
 from fedmar.allocator import (
     SolveConfig,
     allocate,
@@ -49,9 +49,9 @@ class TestAllocate:
         assert report.converged
 
     def test_iteration_cap_respected(self):
-        # the first iteration moves far from the midpoint start, so one
-        # iteration at the default tolerance cannot be converged yet
-        params, topo = small_instance(seed=2)
+        # with no time weight the first power solve lowers the powers of the
+        # devices with slack, so one iteration cannot be converged yet
+        params, topo = small_instance(seed=2, weight_energy=1.0, weight_time=0.0)
         report = allocate(params, topo, SolveConfig(max_outer_iterations=1))
         assert len(report.objective_trace) == 1
         assert not report.converged
@@ -93,18 +93,21 @@ class TestAllocate:
         assert got <= best + 1e-3 * abs(best)
 
     def test_close_to_best_multistart(self):
+        # a restart from other powers is one frequency solve and one power
+        # solve: the alternation stops there wherever every deadline binds
         params, topo = small_instance(seed=23)
         default = allocate(params, topo)
         rng = np.random.default_rng(99)
         finals = []
         for _ in range(10):
-            init = (
-                rng.uniform(params.p_min_w, params.p_max_w, 4),
-                rng.uniform(params.f_min_hz, params.f_max_hz, 4),
-                rng.uniform(160.0, 640.0, 4),
+            power = rng.uniform(params.p_min_w, params.p_max_w, 4)
+            block1 = sp1.solve_sp1(params, topo, power)
+            power, _, _ = sp2.solve_sp2(
+                params, topo, block1.cpu_hz, block1.resolution_cont, block1.deadline_s
             )
-            restart = allocate(params, topo, SolveConfig(initial=init))
-            finals.append(restart.objective_trace[-1])
+            finals.append(
+                relaxed_objective(params, topo, power, block1.cpu_hz, block1.resolution_cont)
+            )
         best = min(finals)
         assert default.objective_trace[-1] <= best + 1e-3 * abs(best)
 
@@ -348,20 +351,6 @@ class TestGreedyBaseline:
         assert np.array_equal(np.isinf(bound), np.isinf(minima))
 
 
-@pytest.mark.parametrize("length", [1, 2])
-def test_initial_point_of_wrong_length_names_it(length):
-    params, topo = table_instance(seed=1)
-    n = topo.n_devices
-    initial = (
-        np.full(length, params.p_min_w),
-        np.full(n, params.f_min_hz),
-        np.full(n, 320.0),
-    )
-    message = f"initial power array has length {length}, but the topology has n_devices = {n}"
-    with pytest.raises(ValueError, match=message):
-        allocate(params, topo, SolveConfig(initial=initial))
-
-
 def test_relaxed_objective_uses_linear_accuracy():
     params, topo = small_instance(seed=5)
     n = topo.n_devices
@@ -378,3 +367,67 @@ def test_relaxed_objective_uses_linear_accuracy():
         - params.weight_accuracy * float(np.sum(linear_accuracy(params, s)))
     )
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+class TestPowerFixedPoint:
+    """sp1 prices every device's deadline, so every device finishes at its
+    deadline T; sp2 at T then needs at most the powers sp1 was solved at.
+    This is the fixed point ``allocate``'s power-only stopping rule meets
+    after one iteration wherever the time weight is positive."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        channels=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.1, 0.001]),
+        gamma=st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 10.0]),
+        f_max_ghz=st.floats(0.05, 4.0),
+        power_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_solve_hands_back_the_powers_it_was_priced_at(
+        self, channels, seed, alpha, gamma, f_max_ghz, power_seed
+    ):
+        params, topo = small_instance(
+            seed,
+            users=2 * channels,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            weight_accuracy=gamma,
+            f_max_hz=f_max_ghz * 1e9,
+        )
+        rng = np.random.default_rng(power_seed)
+        power = rng.uniform(params.p_min_w, params.p_max_w, topo.n_devices)
+        block1 = sp1.solve_sp1(params, topo, power)
+        power_new, flags, _ = sp2.solve_sp2(
+            params, topo, block1.cpu_hz, block1.resolution_cont, block1.deadline_s
+        )
+        assert not flags.any()
+        # sp2 aims each upload at T - t_cmp, which cancels to a few ulps of T
+        # where computation dwarfs the upload (f at f_min when beta = 0); at
+        # spectral efficiency x = rate / B the power moves x ln2 2**x / (2**x - 1)
+        # times that relative error
+        x = model.uplink_rates(params, topo, power) / np.repeat(topo.bandwidth_hz, 2)
+        roundoff = 4.0 * np.spacing(block1.deadline_s) / block1.t_trans_s
+        tolerance = 1e-8 + x * np.log(2.0) / -np.expm1(-x * np.log(2.0)) * roundoff
+        assert np.all(power_new <= power * (1.0 + tolerance))
+        if params.weight_time > 0.0:
+            assert np.all(np.abs(power_new - power) <= tolerance * power)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([1.0, 0.9, 0.5, 0.2, 0.001]),
+        gamma=st.sampled_from([0.0, 0.05, 1.0, 10.0]),
+    )
+    def test_one_iteration_with_a_time_weight_two_without(self, seed, alpha, gamma):
+        params, topo = table_instance(
+            seed, weight_energy=alpha, weight_time=1.0 - alpha, weight_accuracy=gamma
+        )
+        report = allocate(params, topo)
+        assert report.converged and report.feasible
+        trace = report.objective_trace
+        if params.weight_time > 0.0:
+            assert len(trace) == 1
+        else:
+            assert len(trace) == 2
+            assert trace[1] <= trace[0]

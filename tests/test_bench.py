@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fedmar import bench, cli
@@ -361,6 +361,10 @@ class TestCli:
             ("local_iterations = nan\n", FEWEST_CYCLES_KEYS),
             ("local_iterations = inf\n", MOST_CYCLES_KEYS),
             ("samples = 1e300\ncycles_high = 1e300\n", MOST_CYCLES_KEYS),
+            ("kappa = 1e300\n", ("kappa",)),
+            ("kappa = 1e-320\n", ("kappa",)),
+            ("kappa = 1e-305\nweights = 0.5,0.5,1 0.001,0.999,1\n", ("kappa",)),
+            ("kappa = 1e260\nsweep = f_max_ghz\nsweep_values = 1 1e20\n", ("kappa",)),
         ],
         ids=[
             "p_max-below-base-p_min",
@@ -375,6 +379,10 @@ class TestCli:
             "nan-local-iterations",
             "infinite-local-iterations",
             "round-cycles-overflow",
+            "huge-kappa",
+            "subnormal-kappa",
+            "subnormal-alpha-times-kappa",
+            "round-energy-overflow-at-swept-f_max",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
@@ -410,9 +418,19 @@ def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
     assert all(np.isfinite(r.objective) for r in greedy)
 
 
-# all of (-10, 1e4], with extra draws among tiny and among plausible positive values
-WORKLOAD = st.one_of(
-    st.floats(-10.0, 1e4, exclude_min=True), st.floats(5e-324, 1.0), st.floats(1.0, 1e4)
+def _odds(*weighted):
+    """Draw from one of the strategies, each picked with its weight."""
+    return st.sampled_from([s for w, s in weighted for _ in range(w)]).flatmap(lambda s: s)
+
+
+def _log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+# mostly plausible positive values; one draw in eight is log-uniform below
+# one, down to the smallest subnormal, and one in eight non-positive
+WORKLOAD = _odds(
+    (6, st.floats(1.0, 1e4)), (1, _log_uniform(-323.3, 0.0)), (1, st.floats(-10.0, 0.0))
 )
 
 
@@ -421,31 +439,33 @@ WORKLOAD = st.one_of(
     channels=st.integers(1, 10),
     bandwidth_mhz=st.floats(1e-3, 100.0),
     f_min_ghz=st.floats(1e-3, 1.0),
-    f_max_ghz=st.floats(0.01, 5.0),
+    f_max_factor=st.floats(1.0, 50.0, exclude_min=True),
     alpha=st.floats(1e-6, 1.0),
     gamma=st.floats(0.0, 50.0),
     p_max_dbm=st.floats(1.0, 30.0),
-    upload_kbits=st.one_of(st.floats(-10.0, 0.0), st.floats(1e-3, 1e3)),
-    # the keys that set a device round's CPU cycles, down to the smallest subnormal
+    upload_kbits=_odds((7, st.floats(1e-3, 1e3)), (1, st.floats(-10.0, 0.0))),
+    # the keys that set a device round's CPU cycles
     samples=WORKLOAD,
     cycles_low=WORKLOAD,
-    cycles_high=WORKLOAD,
+    cycles_factor=st.floats(1.0, 100.0),
     local_iterations=WORKLOAD,
+    kappa=_log_uniform(-320.0, 300.0),
     seed=st.integers(0, 1000),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
     channels,
     bandwidth_mhz,
     f_min_ghz,
-    f_max_ghz,
+    f_max_factor,
     alpha,
     gamma,
     p_max_dbm,
     upload_kbits,
     samples,
     cycles_low,
-    cycles_high,
+    cycles_factor,
     local_iterations,
+    kappa,
     seed,
 ):
     # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
@@ -455,21 +475,24 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
         "bandwidth_mhz": bandwidth_mhz,
         "p_min_dbm": float("-inf"),
         "f_min_ghz": f_min_ghz,
-        "f_max_ghz": f_max_ghz,
+        "f_max_ghz": f_min_ghz * f_max_factor,
         "weights": ((alpha, 1.0 - alpha, gamma),),
         "sweep_values": (p_max_dbm,),
         "samples": samples,
         "upload_kbits": upload_kbits,
         "cycles_low": cycles_low,
-        "cycles_high": cycles_high,
+        "cycles_high": cycles_low * cycles_factor,
         "local_iterations": local_iterations,
+        "kappa": kappa,
         "seeds": (seed,),
     }
     try:
         spec = spec_from_values(values)
     except ConfigError as exc:
         assert "key" in str(exc)
+        event("rejected " + str(exc).split(":")[0])  # the keys it names
         return
+    event("accepted")
     rows = [r for r in run_experiment(spec) if r.seed != "mean"]
     assert [r.algorithm for r in rows] == list(spec.algorithms)
     for row in rows:
