@@ -9,6 +9,13 @@ tolerance of the power box of those the frequency block was just solved
 at, since another frequency solve would then reproduce its own output.
 The resolution stays continuous while iterating and is rounded to the
 discrete set once, at exit.
+
+With a positive time weight and no device held at f_min, the first pass
+already stops: every device finishes at the deadline, so the power block
+needs exactly the powers the frequency block was solved at. The frequency
+block's dual does not price the f_min box, though; a device lifted to
+f_min finishes early, the power block lowers its power, and the loop takes
+more passes, over which the relaxed objective can rise.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .model import (
     CostBreakdown,
     Device,
     PairedTopology,
-    ParamsError,
     SystemParams,
 )
 from .pairing import STREAM_BASELINE, PairingScheme, pair_users
@@ -41,19 +47,10 @@ GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # evaluated at a time, in two 0.5 MB cost buffers allocated once per call.
 GREEDY_CHUNK = 64
 GREEDY_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    outer_tolerance: float = 1e-4
-    max_outer_iterations: int = 50
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.outer_tolerance <= 0.0:
-            raise ParamsError("outer tolerance must be positive", "outer_tolerance")
-        if self.max_outer_iterations < 1:
-            raise ParamsError("need at least one outer iteration", "max_outer_iterations")
+# the alternation stops once no power moves by more than OUTER_TOLERANCE of
+# the power box, and after MAX_OUTER_ITERATIONS passes in any case
+OUTER_TOLERANCE = 1e-4
+MAX_OUTER_ITERATIONS = 50
 
 
 @dataclass
@@ -61,12 +58,13 @@ class SolveReport:
     """Final allocation and costs plus solve diagnostics.
 
     ``objective_trace`` holds the relaxed objective (continuous resolution,
-    linearized accuracy) after each outer iteration; on the relaxation it
-    is non-increasing. ``converged`` is True when the last power solve
-    moved no power by more than ``outer_tolerance`` of the power box; with
-    a positive time weight the first one already does, as every deadline
-    binds. ``feasible`` is False when the last power solve could not meet
-    some minimum rate within the power box.
+    linearized accuracy) after each outer iteration; it is non-increasing
+    unless some device is held at f_min. ``converged`` is True when the
+    last power solve moved no power by more than ``OUTER_TOLERANCE`` of the
+    power box; with a positive time weight and no device at f_min the
+    first one already does, as every deadline binds. ``feasible`` is False
+    when the last power solve could not meet some minimum rate within the
+    power box.
     """
 
     allocation: Allocation
@@ -100,9 +98,7 @@ def relaxed_objective(
     )
 
 
-def allocate(
-    params: SystemParams, topology: PairedTopology, config: SolveConfig = SolveConfig()
-) -> SolveReport:
+def allocate(params: SystemParams, topology: PairedTopology) -> SolveReport:
     """Alternate the two block solves from the midpoint power until the
     powers settle; frequency and resolution are the last frequency solve's."""
     started = time.perf_counter()
@@ -111,14 +107,14 @@ def allocate(
 
     trace: list[float] = []
     converged = False
-    for _ in range(config.max_outer_iterations):
+    for _ in range(MAX_OUTER_ITERATIONS):
         block1 = sp1.solve_sp1(params, topology, power)
         cpu, s_cont, deadline = block1.cpu_hz, block1.resolution_cont, block1.deadline_s
         power_new, infeasible_flags, _ = sp2.solve_sp2(params, topology, cpu, s_cont, deadline)
         delta = float(np.max(np.abs(power_new - power))) / p_width
         power = power_new
         trace.append(relaxed_objective(params, topology, power, cpu, s_cont))
-        if delta <= config.outer_tolerance:
+        if delta <= OUTER_TOLERANCE:
             converged = True
             break
 
@@ -138,11 +134,10 @@ def _report(
     converged: bool = True,
     feasible: bool = True,
 ) -> SolveReport:
-    """The report of a final allocation, costed by ``model.evaluate``, with
-    its completion time as the deadline; the wall time runs from ``started``."""
+    """The report of a final allocation, costed by ``model.evaluate``; the
+    wall time runs from ``started``."""
     allocation = Allocation(power_w=power, cpu_hz=cpu, resolution_px=resolution)
     costs = model.evaluate(params, topology, allocation)
-    allocation.deadline_s = costs.total_time_s
     return SolveReport(
         allocation=allocation,
         costs=costs,
@@ -159,14 +154,15 @@ def allocate_best_pairing(
     params: SystemParams,
     devices: Device,
     gains: np.ndarray,
-    config: SolveConfig = SolveConfig(),
+    seed: int = 0,
 ) -> SolveReport:
     """Solve under every pairing scheme and keep the lowest objective; ties
-    go to the scheme ``PairingScheme`` lists first."""
+    go to the scheme ``PairingScheme`` lists first. ``seed`` drives the
+    random pairing."""
     reports: list[SolveReport] = []
     for scheme in PairingScheme:
-        topology = pair_users(params, devices, gains, scheme, rng_seed=config.rng_seed)
-        report = allocate(params, topology, config)
+        topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
+        report = allocate(params, topology)
         report.scheme = scheme
         reports.append(report)
     best = min(reports, key=lambda r: r.costs.objective)

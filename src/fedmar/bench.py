@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from . import allocator, model
-from .allocator import SolveConfig, SolveReport
+from .allocator import SolveReport
 from .model import Device, ParamsError, SystemParams, UnreachableDeviceError
 from .pairing import (
     DeviceParamRanges,
@@ -34,25 +34,6 @@ SWEEP_VARIABLES = ("p_max_dbm", "f_max_ghz", "gamma")
 ALGORITHMS = ("proposed", "random", "greedy")
 PAIRING_CHOICES = ("random", "nearest", "nearest-farthest", "best")
 
-_CSV_FIELDS = (
-    "seed",
-    "sweep_variable",
-    "sweep_value",
-    "algorithm",
-    "pairing",
-    "alpha",
-    "beta",
-    "gamma",
-    "energy_j",
-    "time_s",
-    "accuracy",
-    "weighted_energy_time",
-    "objective",
-    "resolutions",
-    "converged",
-    "flag",
-)
-CSV_HEADER = ",".join(_CSV_FIELDS)
 # the per-row metrics that summary rows average over seeds
 _MEAN_FIELDS = ("energy_j", "time_s", "accuracy", "weighted_energy_time", "objective")
 
@@ -85,6 +66,14 @@ class ResultRow:
     wall_time_s: float = 0.0
 
 
+# result files hold every ResultRow field but wall_time_s, in field order,
+# the floats at 9 significant digits (annotations are strings here, under
+# the __future__ import)
+_CSV_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_time_s")
+_NUMERIC_FIELDS = {f.name for f in fields(ResultRow) if f.type == "float"}
+CSV_HEADER = ",".join(_CSV_FIELDS)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     params: SystemParams = SystemParams()
@@ -96,7 +85,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (1,)
     algorithms: tuple[str, ...] = ALGORITHMS
     pairing: str = "best"
-    solve: SolveConfig = SolveConfig()
 
     def __post_init__(self) -> None:
         try:
@@ -264,8 +252,6 @@ _KEYS = {
     "cell_radius_km": (_FLOAT, (TopologyConfig, "cell_radius_km", _same)),
     "min_distance_km": (_FLOAT, (TopologyConfig, "min_distance_km", _same)),
     "shadow_sigma_db": (_FLOAT, (TopologyConfig, "shadow_sigma_db", _same)),
-    "outer_tolerance": (_FLOAT, (SolveConfig, "outer_tolerance", _same)),
-    "max_outer_iterations": (_INT, (SolveConfig, "max_outer_iterations", _same)),
     "weights": (_triples, (ExperimentSpec, "weights", _same)),
     "sweep": (_string, (ExperimentSpec, "sweep_variable", _same)),
     "sweep_values": (_numbers(_FLOAT), (ExperimentSpec, "sweep_values", _same)),
@@ -282,7 +268,6 @@ _SECTIONS = {
     SystemParams: "params",
     TopologyConfig: "topology",
     DeviceParamRanges: "ranges",
-    SolveConfig: "solve",
 }
 
 
@@ -399,23 +384,17 @@ def _result_row(
     )
 
 
-def baseline_scheme(pairing: str) -> PairingScheme:
-    """The scheme of a run on one fixed topology: ``best`` falls back to nearest."""
-    return PairingScheme.NEAREST_USER if pairing == "best" else PairingScheme(pairing)
-
-
 def solve_proposed(
     spec: ExperimentSpec, params: SystemParams, devices: Device, gains, seed: int
 ) -> SolveReport:
     """The proposed solve of one sampled cell under the configured pairing:
     every scheme, keeping the best, for ``best``; the named scheme otherwise.
     The report's scheme is always set."""
-    config = replace(spec.solve, rng_seed=seed)
     if spec.pairing == "best":
-        return allocator.allocate_best_pairing(params, devices, gains, config)
+        return allocator.allocate_best_pairing(params, devices, gains, seed)
     scheme = PairingScheme(spec.pairing)
     topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
-    report = allocator.allocate(params, topology, config)
+    report = allocator.allocate(params, topology)
     report.scheme = scheme
     return report
 
@@ -445,7 +424,9 @@ def run_cell(
             reports["proposed"] = (None, spec.pairing, _flag_of(exc))
 
     if baseline_topology is None:
-        scheme = baseline_scheme(spec.pairing)
+        # without a proposed run, best pairing falls back to nearest
+        best = spec.pairing == "best"
+        scheme = PairingScheme.NEAREST_USER if best else PairingScheme(spec.pairing)
         baseline_topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
         baseline_label = scheme.value
 
@@ -499,28 +480,22 @@ def summarize(rows: list[ResultRow]) -> list[ResultRow]:
         key = (row.sweep_value, row.alpha, row.beta, row.gamma, row.algorithm)
         groups.setdefault(key, []).append(row)
     summary = []
-    for key, members in groups.items():
+    for members in groups.values():
         clean = [r for r in members if not r.flag]
         flagged = len(members) - len(clean)
-        template = members[0]
-        vals = {
+        means = {
             name: _mean([getattr(r, name) for r in clean]) if clean else float("nan")
             for name in _MEAN_FIELDS
         }
         summary.append(
-            ResultRow(
+            replace(
+                members[0],
                 seed="mean",
-                sweep_variable=template.sweep_variable,
-                sweep_value=template.sweep_value,
-                algorithm=template.algorithm,
-                pairing=template.pairing,
-                alpha=template.alpha,
-                beta=template.beta,
-                gamma=template.gamma,
                 resolutions="",
                 converged="",
                 flag=f"flagged={flagged}" if flagged else "",
-                **vals,
+                wall_time_s=0.0,
+                **means,
             )
         )
     return summary
@@ -533,57 +508,24 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Run the whole sweep; rows come back in deterministic order
     (sweep value, weight triple, seed, algorithm) with seed-mean summary
-    rows appended. CSV output is written incrementally as cells finish."""
-    cells = [
-        (value, weights, seed)
+    rows appended, and go to ``emit`` when ``out_path`` is given. An
+    unknown ``fmt`` raises before any cell runs."""
+    _renderer(fmt)
+    rows = [
+        row
         for value in spec.sweep_values
         for weights in spec.weights
         for seed in spec.seeds
+        for row in run_cell(spec, value, weights, seed)
     ]
-
-    stream: TextIO | None = None
-    if out_path is not None and fmt == "csv":
-        stream = open(out_path, "w", encoding="utf-8")
-        stream.write(CSV_HEADER + "\n")
-
-    rows: list[ResultRow] = []
-    try:
-        for cell in cells:
-            cell_rows = run_cell(spec, *cell)
-            rows.extend(cell_rows)
-            if stream is not None:
-                for row in cell_rows:
-                    stream.write(format_csv_row(row) + "\n")
-                stream.flush()
-        summary = summarize(rows)
-        rows.extend(summary)
-        if stream is not None:
-            for row in summary:
-                stream.write(format_csv_row(row) + "\n")
-    finally:
-        if stream is not None:
-            stream.close()
-
-    if out_path is not None and fmt == "json":
-        Path(out_path).write_text(rows_to_json(rows))
+    rows.extend(summarize(rows))
+    if out_path is not None:
+        emit(rows, fmt, out_path)
     return rows
 
 
 def _fmt_number(x: float) -> str:
     return f"{x:.9g}"
-
-
-_NUMERIC_FIELDS = {
-    "sweep_value",
-    "alpha",
-    "beta",
-    "gamma",
-    "energy_j",
-    "time_s",
-    "accuracy",
-    "weighted_energy_time",
-    "objective",
-}
 
 
 def format_csv_row(row: ResultRow) -> str:
@@ -623,12 +565,15 @@ def rows_from_json(text: str) -> list[ResultRow]:
     return [ResultRow(**entry) for entry in payload["rows"]]
 
 
+def _renderer(fmt: str):
+    if fmt == "csv":
+        return rows_to_csv
+    if fmt == "json":
+        return rows_to_json
+    raise ConfigError(f"unknown output format {fmt!r}")
+
+
 def emit(rows: list[ResultRow], fmt: str, path: str | Path) -> None:
     """Write rows to a file; CSV keeps the documented column order, JSON
     wraps rows in a schema-versioned envelope."""
-    if fmt == "csv":
-        Path(path).write_text(rows_to_csv(rows))
-    elif fmt == "json":
-        Path(path).write_text(rows_to_json(rows))
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    Path(path).write_text(_renderer(fmt)(rows))

@@ -11,9 +11,8 @@ import sys
 from dataclasses import replace
 
 from . import bench, pairing
-from .bench import ConfigError, ExperimentSpec
+from .bench import ExperimentSpec
 from .model import UnreachableDeviceError
-from .sp2 import DeadlineInfeasibleError
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -124,10 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnreachableDeviceError, DeadlineInfeasibleError, ValueError) as exc:
+    # ConfigError and DeadlineInfeasibleError are ValueErrors
+    except (ValueError, FileNotFoundError, UnreachableDeviceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -197,13 +197,11 @@ class Allocation:
 
     ``resolution_px`` may hold intermediate continuous values while a solver
     is iterating; final allocations use members of the discrete set.
-    ``deadline_s`` is the completion-time bound, set once known.
     """
 
     power_w: np.ndarray
     cpu_hz: np.ndarray
     resolution_px: np.ndarray
-    deadline_s: float | None = None
 
 
 @dataclass

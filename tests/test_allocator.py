@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedmar import allocator, model, pairing, sp1, sp2
 from fedmar.allocator import (
-    SolveConfig,
     allocate,
     allocate_best_pairing,
     greedy_baseline,
@@ -40,19 +39,27 @@ class TestAllocate:
             assert set(alloc.resolution_px.tolist()) <= {160.0, 320.0, 640.0}
             # every device finishes within the reported deadline
             per_device = report.costs.t_trans_s + report.costs.t_cmp_s
-            assert np.all(per_device <= alloc.deadline_s + 1e-9)
+            assert np.all(per_device <= report.costs.total_time_s + 1e-9)
 
-    def test_huge_tolerance_stops_after_one_iteration(self):
-        params, topo = small_instance(seed=1)
-        report = allocate(params, topo, SolveConfig(outer_tolerance=1e9))
-        assert len(report.objective_trace) == 1
-        assert report.converged
+    @pytest.mark.xfail(
+        strict=True,
+        reason="sp1's dual does not price the f_min box: a device lifted to f_min "
+        "finishes early, sp2 lowers its power, and the relaxed objective rises",
+    )
+    def test_monotone_trace_where_f_min_binds(self):
+        for seed in (1, 2, 3, 4, 5):
+            params, topo = table_instance(
+                seed, weight_energy=0.5, weight_time=0.5, f_min_hz=0.5e9
+            )
+            trace = np.array(allocate(params, topo).objective_trace)
+            assert np.all(np.diff(trace) <= 1e-9)
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
         # with no time weight the first power solve lowers the powers of the
         # devices with slack, so one iteration cannot be converged yet
+        monkeypatch.setattr(allocator, "MAX_OUTER_ITERATIONS", 1)
         params, topo = small_instance(seed=2, weight_energy=1.0, weight_time=0.0)
-        report = allocate(params, topo, SolveConfig(max_outer_iterations=1))
+        report = allocate(params, topo)
         assert len(report.objective_trace) == 1
         assert not report.converged
 
@@ -373,7 +380,9 @@ class TestPowerFixedPoint:
     """sp1 prices every device's deadline, so every device finishes at its
     deadline T; sp2 at T then needs at most the powers sp1 was solved at.
     This is the fixed point ``allocate``'s power-only stopping rule meets
-    after one iteration wherever the time weight is positive."""
+    after one iteration wherever the time weight is positive and no device
+    is held at f_min: sp1's dual does not price that box, so a device lifted
+    to f_min finishes before T and sp2 lowers its power."""
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -178,6 +178,20 @@ class TestRunExperiment:
         run_experiment(spec, out_path=second, fmt="csv")
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("fmt,render", [("csv", rows_to_csv), ("json", rows_to_json)])
+    def test_file_holds_exactly_the_returned_rows(self, tmp_path, fmt, render):
+        out = tmp_path / f"rows.{fmt}"
+        rows = run_experiment(tiny_spec(), out_path=out, fmt=fmt)
+        assert out.read_text() == render(rows)
+
+    def test_unknown_format_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *cell: cells.append(cell) or [])
+        out = tmp_path / "rows.xml"
+        with pytest.raises(ConfigError, match="'xml'"):
+            run_experiment(tiny_spec(), out_path=out, fmt="xml")
+        assert cells == [] and not out.exists()
+
 
 class TestEmission:
     def test_csv_header_fixed_order(self):
@@ -351,7 +365,8 @@ class TestCli:
         [
             ("p_max_dbm = -5\n", ("p_max_dbm",)),
             ("users = 10\nchannels = 4\n", ("users", "channels")),
-            ("outer_tolerance = 0\n", ("outer_tolerance",)),
+            ("outer_tolerance = 1e-4\n", ("outer_tolerance",)),
+            ("max_outer_iterations = 50\n", ("max_outer_iterations",)),
             ("cycles_low = 5e4\n", ("cycles_low", "cycles_high")),
             ("users = 4\nchannels = 2\nlocal_iterations = 1e-310\n", FEWEST_CYCLES_KEYS),
             ("users = 4\nchannels = 2\nsamples = 2.225e-309\n", FEWEST_CYCLES_KEYS),
@@ -369,7 +384,8 @@ class TestCli:
         ids=[
             "p_max-below-base-p_min",
             "users-not-twice-channels",
-            "zero-tolerance",
+            "unknown-key-outer_tolerance",
+            "unknown-key-max_outer_iterations",
             "cycles-low-above-high",
             "tiny-local-iterations",
             "tiny-samples",
