@@ -20,7 +20,6 @@ more passes, over which the relaxed objective can rise.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -74,7 +73,6 @@ class SolveReport:
     objective_trace: list[float]
     converged: bool
     feasible: bool
-    wall_time_s: float
     scheme_objectives: dict[str, float] = field(default_factory=dict)
 
 
@@ -101,7 +99,6 @@ def relaxed_objective(
 def allocate(params: SystemParams, topology: PairedTopology) -> SolveReport:
     """Alternate the two block solves from the midpoint power until the
     powers settle; frequency and resolution are the last frequency solve's."""
-    started = time.perf_counter()
     power = np.full(topology.n_devices, 0.5 * (params.p_min_w + params.p_max_w))
     p_width = params.p_max_w - params.p_min_w
 
@@ -120,13 +117,12 @@ def allocate(params: SystemParams, topology: PairedTopology) -> SolveReport:
 
     resolution = block1.resolution_px
     feasible = not bool(np.any(infeasible_flags))
-    return _report(params, topology, started, power, cpu, resolution, trace, converged, feasible)
+    return _report(params, topology, power, cpu, resolution, trace, converged, feasible)
 
 
 def _report(
     params: SystemParams,
     topology: PairedTopology,
-    started: float,
     power: np.ndarray,
     cpu: np.ndarray,
     resolution: np.ndarray,
@@ -134,8 +130,7 @@ def _report(
     converged: bool = True,
     feasible: bool = True,
 ) -> SolveReport:
-    """The report of a final allocation, costed by ``model.evaluate``; the
-    wall time runs from ``started``."""
+    """The report of a final allocation, costed by ``model.evaluate``."""
     allocation = Allocation(power_w=power, cpu_hz=cpu, resolution_px=resolution)
     costs = model.evaluate(params, topology, allocation)
     return SolveReport(
@@ -146,7 +141,6 @@ def _report(
         objective_trace=[] if trace is None else trace,
         converged=converged,
         feasible=feasible,
-        wall_time_s=time.perf_counter() - started,
     )
 
 
@@ -176,12 +170,11 @@ def random_baseline(
     params: SystemParams, topology: PairedTopology, seed: int
 ) -> SolveReport:
     """Uniform powers and frequencies, lowest resolution everywhere."""
-    started = time.perf_counter()
     rng = np.random.default_rng([STREAM_BASELINE, seed])
     n = topology.n_devices
     power = rng.uniform(params.p_min_w, params.p_max_w, n)
     cpu = rng.uniform(params.f_min_hz, params.f_max_hz, n)
-    return _report(params, topology, started, power, cpu, np.full(n, params.resolution_set_px[0]))
+    return _report(params, topology, power, cpu, np.full(n, params.resolution_set_px[0]))
 
 
 def _grid(low: float, high: float) -> np.ndarray:
@@ -257,7 +250,6 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     # axes: (channel, p_a, p_b); rate_a varies with p_a only, (channel, p_a, 1)
     rate_a, rate_b = model._pair_rates(
         params,
-        topology.bandwidth_hz[lo:hi, None, None],
         gains[a, None, None],
         gains[b, None, None],
         p_grid[:, None],
@@ -313,7 +305,6 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     nearly every pair; the narrow ones of a 10,000-device cell keep under a
     tenth.
     """
-    started = time.perf_counter()
     steps = GRID_STEPS
     pairs = steps * steps  # power pairs per channel, q = p_a * steps + p_b
     p_grid = _grid(params.p_min_w, params.p_max_w)
@@ -345,5 +336,5 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     cpu = np.empty(n)
     cpu[0::2], cpu[1::2] = f_grid[fa], f_grid[fb]
     power[0::2], power[1::2] = p_grid[pa], p_grid[pb]
-    return _report(params, topology, started, power, cpu, np.full(n, params.resolution_set_px[0]))
+    return _report(params, topology, power, cpu, np.full(n, params.resolution_set_px[0]))
 

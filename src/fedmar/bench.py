@@ -44,8 +44,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ResultRow:
-    """One experiment outcome. ``wall_time_s`` is informational only and is
-    never written to result files, which must be byte-reproducible."""
+    """One experiment outcome, one line of a result file."""
 
     seed: int | str
     sweep_variable: str
@@ -63,13 +62,12 @@ class ResultRow:
     resolutions: str
     converged: str
     flag: str
-    wall_time_s: float = 0.0
 
 
-# result files hold every ResultRow field but wall_time_s, in field order,
-# the floats at 9 significant digits (annotations are strings here, under
-# the __future__ import)
-_CSV_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_time_s")
+# result files hold every ResultRow field, in field order, the floats at 9
+# significant digits (annotations are strings here, under the __future__
+# import)
+_CSV_FIELDS = tuple(f.name for f in fields(ResultRow))
 _NUMERIC_FIELDS = {f.name for f in fields(ResultRow) if f.type == "float"}
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
@@ -113,6 +111,12 @@ class ExperimentSpec:
                 raise ParamsError(f"unknown algorithm {algo!r}", "algorithms")
         if self.pairing not in PAIRING_CHOICES:
             raise ParamsError(f"unknown pairing {self.pairing!r}", "pairing")
+        if self.params.channel_count != self.topology.channel_count:
+            raise ParamsError(
+                f"{self.params.channel_count} channels in the cost model but "
+                f"{self.topology.channel_count} in the topology",
+                "channel_count",
+            )
         _check_round_cycles(self.params, self.ranges)
         # every cell's parameters must be buildable before the sweep starts;
         # the base parameters are valid, so the sweep values are checked
@@ -368,7 +372,6 @@ def _result_row(
             "resolutions": _format_resolutions(report.allocation.resolution_px),
             "converged": "yes" if report.converged else "no",
             "flag": "" if report.feasible else "rate-infeasible",
-            "wall_time_s": report.wall_time_s,
         }
     return ResultRow(
         seed=seed,
@@ -494,7 +497,6 @@ def summarize(rows: list[ResultRow]) -> list[ResultRow]:
                 resolutions="",
                 converged="",
                 flag=f"flagged={flagged}" if flagged else "",
-                wall_time_s=0.0,
                 **means,
             )
         )

@@ -135,7 +135,9 @@ class PairedTopology:
     2k+1 its high-gain member. The high-gain member is decoded first at the
     base station, so the low-gain member's signal acts as interference on
     it; the low-gain member is decoded after cancellation and sees a clean
-    channel. ``bandwidth_hz`` has one entry per channel.
+    channel. Every channel has the bandwidth
+    ``SystemParams.subchannel_bandwidth_hz``, so a topology holds only what
+    pairing decides.
     """
 
     id: np.ndarray
@@ -144,7 +146,6 @@ class PairedTopology:
     sample_count: np.ndarray
     upload_bits: np.ndarray
     gains: np.ndarray
-    bandwidth_hz: np.ndarray
 
     def __post_init__(self) -> None:
         for name in _TOPOLOGY_ARRAYS:
@@ -154,13 +155,8 @@ class PairedTopology:
         n = self.id.size
         if n == 0 or n % 2 != 0:
             raise ValueError("topology needs two devices per channel and at least one channel")
-        per_device = _TOPOLOGY_ARRAYS[:-1]  # all but bandwidth_hz
-        if any(getattr(self, name).shape != (n,) for name in per_device):
+        if any(getattr(self, name).shape != (n,) for name in _TOPOLOGY_ARRAYS):
             raise ValueError("need one value per device in every device array")
-        if self.bandwidth_hz.shape != (n // 2,):
-            raise ValueError("need one bandwidth per channel")
-        if not np.all(self.bandwidth_hz > 0):
-            raise ValueError("subchannel bandwidth must be positive")
         g = self.gains
         if not np.all(np.isfinite(g) & (g > 0)):
             raise ValueError("channel gains must be finite and positive (linear scale)")
@@ -173,7 +169,7 @@ class PairedTopology:
 
     @property
     def n_channels(self) -> int:
-        return self.bandwidth_hz.size
+        return self.n_devices // 2
 
     def devices(self) -> list[Device]:
         """One scalar ``Device`` per member, channel-major."""
@@ -225,15 +221,17 @@ class CostBreakdown:
     objective: float
 
 
-def _pair_rates(params: SystemParams, bandwidth_hz, gain_low, gain_high, power_low, power_high):
+def _pair_rates(params: SystemParams, gain_low, gain_high, power_low, power_high):
     """Shannon rates (low, high) of NOMA pair members under successive
-    decoding. Each broadcasts over its own inputs only: the low-gain rate
-    over bandwidth, gain_low and power_low, the high-gain rate over all.
+    decoding, each over the subchannel bandwidth. Each broadcasts over its
+    own inputs only: the low-gain rate over gain_low and power_low, the
+    high-gain rate over all four.
 
     The low-gain member transmits interference-free; the high-gain member is
     decoded first and sees the low-gain member's received power as extra
     noise. Zero transmit power yields rate 0, which is a valid value.
     """
+    bandwidth_hz = params.subchannel_bandwidth_hz
     noise_w = bandwidth_hz * params.noise_psd_w_per_hz
     received_low = power_low * gain_low
     snr_high = power_high * gain_high / (noise_w + received_low)
@@ -249,7 +247,7 @@ def uplink_rates(
     """Rates for every device, channel-major order."""
     p = np.asarray(power_w, dtype=float)
     g = topology.gains
-    rates = _pair_rates(params, topology.bandwidth_hz, g[0::2], g[1::2], p[0::2], p[1::2])
+    rates = _pair_rates(params, g[0::2], g[1::2], p[0::2], p[1::2])
     return np.stack(rates, axis=-1).ravel()
 
 

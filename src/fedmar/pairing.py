@@ -150,13 +150,14 @@ def pair_users(
     it. Random draws a uniform perfect matching; nearest sorts by distance
     and pairs consecutive devices; nearest-farthest pairs the sorted list
     from both ends inward. Distance ties sort by device id. Pair members are
-    then ordered by ascending gain, equal gains by device id.
+    then ordered by ascending gain, equal gains by device id. The device
+    count must fill the ``params.channel_count`` subchannels exactly.
     """
     ids = np.asarray(devices.id)
     gains = np.asarray(gains, dtype=float)
     n = ids.size
-    if n % 2 != 0:
-        raise ValueError("cannot pair an odd number of devices")
+    if n != 2 * params.channel_count:
+        raise ValueError(f"{n} devices do not fill {params.channel_count} channels two each")
     if gains.shape != (n,):
         raise ValueError("need one gain per device")
 
@@ -176,5 +177,4 @@ def pair_users(
     return PairedTopology(
         **{f.name: np.asarray(getattr(devices, f.name))[order] for f in fields(Device)},
         gains=gains[order],
-        bandwidth_hz=np.full(n // 2, params.subchannel_bandwidth_hz),
     )

@@ -156,25 +156,15 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     budget. The result depends on the problem, not on a tolerance or on the
     iteration path. When the budget lands inside an infinite jump (a flat
     dual term), the jumping devices take the rest of it; their primal
-    recovery does not depend on the split. Where the map is zero everywhere
-    (zero accuracy weight, no breakpoints) the dual is linear and the budget
-    goes to the devices with the largest t_up.
+    recovery does not depend on the split.
     """
     t_up = np.asarray(coeffs.t_up, dtype=float)
     if t_up.size == 0:
         raise ValueError("need at least one device")
     if beta < 0.0:
         raise ValueError("time weight must be non-negative")
-    lam = np.zeros(t_up.size)
     if beta == 0.0:
-        return lam
-    pinned_somewhere = np.any(coeffs.s1_below > 0.0) or np.any(coeffs.s3_above < math.inf)
-    if not pinned_somewhere and np.all(coeffs.curvature == 0.0):
-        top = float(np.max(t_up))
-        ties = t_up >= top - 1e-12 * max(abs(top), 1.0)
-        lam[ties] = beta / int(np.count_nonzero(ties))
-        return lam
-
+        return np.zeros(t_up.size)
     (_, total_lo, lam_lo), (_, total_hi, lam_hi) = _budget_crossing(coeffs, beta)
     if total_lo >= _JUMP:
         jumpers = lam_lo >= _JUMP
@@ -311,9 +301,13 @@ def deadline_of(
     cpu_hz: np.ndarray,
     resolution: np.ndarray,
 ) -> float:
-    """Tight deadline: the largest transmission-plus-computation time."""
+    """Tight deadline: the largest transmission-plus-computation time, and
+    at least the float above the largest computation time. An upload below
+    half an ulp of its computation time rounds away in the sum; the floor
+    keeps every device's slack for it positive, and T an upper bound on the
+    exact completion time."""
     t_cmp, _ = model.computation_cost(params, topology, resolution, cpu_hz)
-    return float(np.max(t_trans_s + t_cmp))
+    return max(float(np.max(t_trans_s + t_cmp)), float(np.nextafter(np.max(t_cmp), np.inf)))
 
 
 def solve_sp1(

@@ -134,7 +134,7 @@ def solve_sp2(
     bits = topology.upload_bits
     rate_min = min_rate(bits, deadline_s, t_cmp)
     gains = topology.gains
-    bandwidth = topology.bandwidth_hz
+    bandwidth = params.subchannel_bandwidth_hz
     noise_w = bandwidth * params.noise_psd_w_per_hz
 
     first = solve_ratio_stage(

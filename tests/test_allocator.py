@@ -65,7 +65,7 @@ class TestAllocate:
 
     def test_gamma_zero_symmetric_pair_floors_resolution(self):
         params = SystemParams(channel_count=1, weight_accuracy=0.0)
-        topo = topology_from_gains(params, [1e-11, 1e-11])
+        topo = topology_from_gains([1e-11, 1e-11])
         report = allocate(params, topo)
         assert np.all(report.allocation.resolution_px == 160.0)
         # grid oracle over shared (f, p) at the floored resolution: by
@@ -173,7 +173,7 @@ class TestGreedyBaseline:
 
     def test_single_channel_matches_nested_loop_search(self):
         params = SystemParams(channel_count=1, weight_energy=0.6, weight_time=0.4)
-        topo = topology_from_gains(params, [3e-12, 5e-11], cycles=[1.3e4, 2.4e4])
+        topo = topology_from_gains([3e-12, 5e-11], cycles=[1.3e4, 2.4e4])
         report = greedy_baseline(params, topo)
 
         # independent re-implementation: plain nested loops over the grids
@@ -314,7 +314,7 @@ class TestGreedyBaseline:
         for k in range(channels):
             gains[2 * k : 2 * k + 2] = rng.uniform(1e-12, 1e-9)
             cycles[2 * k : 2 * k + 2] = rng.uniform(1e4, 3e4)
-        topo = topology_from_gains(params, gains, cycles=cycles, bits=bits)
+        topo = topology_from_gains(gains, cycles=cycles, bits=bits)
         power, cpu = reference_greedy_choice(params, topo)
         report = greedy_baseline(params, topo)
         assert np.array_equal(report.allocation.power_w, power)
@@ -415,7 +415,7 @@ class TestPowerFixedPoint:
         # where computation dwarfs the upload (f at f_min when beta = 0); at
         # spectral efficiency x = rate / B the power moves x ln2 2**x / (2**x - 1)
         # times that relative error
-        x = model.uplink_rates(params, topo, power) / np.repeat(topo.bandwidth_hz, 2)
+        x = model.uplink_rates(params, topo, power) / params.subchannel_bandwidth_hz
         roundoff = 4.0 * np.spacing(block1.deadline_s) / block1.t_trans_s
         tolerance = 1e-8 + x * np.log(2.0) / -np.expm1(-x * np.log(2.0)) * roundoff
         assert np.all(power_new <= power * (1.0 + tolerance))

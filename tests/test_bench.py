@@ -119,6 +119,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             tiny_spec(algorithms=("proposed", "magic"))
 
+    def test_channel_count_mismatch_names_the_key(self):
+        # the cost model would price 25 paired channels at 4 MHz each
+        with pytest.raises(ConfigError, match="'channels'"):
+            ExperimentSpec(params=bench.SystemParams(channel_count=5))
+
 
 class TestCellParams:
     def test_p_max_sweep_sets_power_ceiling(self):
@@ -233,7 +238,6 @@ class TestEmission:
 
     def test_wall_time_never_emitted(self):
         rows = run_experiment(tiny_spec())
-        assert all(r.wall_time_s >= 0.0 for r in rows)
         assert "wall" not in rows_to_csv(rows)
         assert "wall" not in rows_to_json(rows)
 
@@ -432,6 +436,19 @@ def test_zero_power_floor_gives_unflagged_greedy_rows(weights):
     assert len(greedy) == 4  # two sweep points, each with its seed mean
     assert all(r.flag == "" for r in greedy)
     assert all(np.isfinite(r.objective) for r in greedy)
+
+
+def test_upload_below_computation_roundoff_gives_unflagged_row():
+    # a 1e-17-bit upload takes less than half an ulp of the 1.27 s
+    # computation, so the completion time rounds onto the computation time
+    spec = spec_from_values(
+        parse_config_text("users = 4\nchannels = 2\nupload_kbits = 1e-20\nsweep_values = 12\n")
+    )
+    rows = bench.run_cell(spec, 12.0, spec.weights[0], 1)
+    assert [(r.algorithm, r.flag) for r in rows] == [
+        ("proposed", ""), ("random", ""), ("greedy", "")
+    ]
+    assert all(np.isfinite(r.objective) for r in rows)
 
 
 def _odds(*weighted):

@@ -66,7 +66,6 @@ def _topology_arrays(**change):
         "sample_count": np.full(4, 500.0),
         "upload_bits": np.full(4, 28.1e3),
         "gains": np.array([1e-10, 2e-10, 1e-10, 2e-10]),
-        "bandwidth_hz": np.full(2, 0.8e6),
     }
     arrays.update(change)
     return arrays
@@ -89,8 +88,6 @@ class TestPairedTopology:
             ({"id": np.arange(3)}, "two devices per channel"),
             ({"id": np.arange(0)}, "two devices per channel"),
             ({"upload_bits": np.full(2, 28.1e3)}, "one value per device"),
-            ({"bandwidth_hz": np.full(4, 0.8e6)}, "one bandwidth per channel"),
-            ({"bandwidth_hz": np.array([0.8e6, 0.0])}, "bandwidth must be positive"),
             ({"gains": np.array([0.0, 2e-10, 1e-10, 2e-10])}, "finite and positive"),
             ({"gains": np.array([1e-10, 2e-10, 1e-10, np.inf])}, "finite and positive"),
             ({"gains": np.array([1e-10, np.nan, 1e-10, 2e-10])}, "finite and positive"),
@@ -100,8 +97,6 @@ class TestPairedTopology:
             "odd-count",
             "empty",
             "short-array",
-            "bandwidth-per-device",
-            "zero-bandwidth",
             "zero-gain",
             "infinite-gain",
             "nan-gain",
@@ -116,7 +111,7 @@ class TestPairedTopology:
 class TestUplinkRate:
     def setup_method(self):
         self.params = SystemParams()
-        self.topo = topology_from_gains(self.params, [1e-10, 2e-10])
+        self.topo = topology_from_gains([1e-10, 2e-10])
 
     def rates(self, powers):
         return uplink_rates(self.params, self.topo, np.array(powers))
@@ -135,7 +130,7 @@ class TestUplinkRate:
         p = (0.5, 0.01)
         rate = self.rates(p)[1]
         g1, g2 = self.topo.gains
-        approx = self.topo.bandwidth_hz[0] * math.log2(1 + p[1] * g2 / (p[0] * g1))
+        approx = self.params.subchannel_bandwidth_hz * math.log2(1 + p[1] * g2 / (p[0] * g1))
         assert rate == pytest.approx(approx, rel=1e-3)
 
     def test_monotone_in_own_power(self):
@@ -179,7 +174,7 @@ class TestTransmissionCost:
             transmission_cost(make_device(3), 0.0, 0.01)
 
     def test_topology_zero_rate_names_the_device(self):
-        topo = topology_from_gains(SystemParams(channel_count=2), [1e-10, 2e-10, 1e-10, 2e-10])
+        topo = topology_from_gains([1e-10, 2e-10, 1e-10, 2e-10])
         rates = np.array([1e6, 2e6, 0.0, 1e6])
         with pytest.raises(UnreachableDeviceError, match=r"^device 2 has zero uplink rate"):
             transmission_cost(topo, rates, np.full(4, 5e-3))
@@ -238,7 +233,7 @@ class TestAccuracy:
 class TestEvaluate:
     def test_symmetric_pair(self):
         params = SystemParams()
-        topo = topology_from_gains(params, [1e-10, 1e-10])
+        topo = topology_from_gains([1e-10, 1e-10])
         n = topo.n_devices
         alloc = Allocation(
             power_w=np.full(n, 5e-3),
@@ -253,7 +248,7 @@ class TestEvaluate:
 
     def test_gamma_zero_objective_is_energy_time_only(self):
         params = SystemParams(weight_accuracy=0.0)
-        topo = topology_from_gains(params, [1e-10, 2e-10])
+        topo = topology_from_gains([1e-10, 2e-10])
         n = topo.n_devices
         for s in (160.0, 640.0):
             alloc = Allocation(
@@ -325,7 +320,7 @@ class TestEvaluate:
 
     def test_unreachable_device_surfaces(self):
         params = SystemParams(p_min_w=0.0)
-        topo = topology_from_gains(params, [1e-10, 2e-10])
+        topo = topology_from_gains([1e-10, 2e-10])
         alloc = Allocation(
             power_w=np.array([0.0, 5e-3]),
             cpu_hz=np.full(2, 1e9),
@@ -336,7 +331,7 @@ class TestEvaluate:
 
     def test_zero_power_names_the_unreachable_device(self):
         params = SystemParams(channel_count=2, p_min_w=0.0)
-        topo = topology_from_gains(params, [1e-10, 2e-10, 1e-10, 2e-10], ids=[17, 4, 9, 30])
+        topo = topology_from_gains([1e-10, 2e-10, 1e-10, 2e-10], ids=[17, 4, 9, 30])
         alloc = Allocation(
             power_w=np.array([5e-3, 5e-3, 5e-3, 0.0]),
             cpu_hz=np.full(4, 1e9),
@@ -362,7 +357,6 @@ def cells_and_allocations(draw):
         np.array(draw(st.lists(st.floats(-13.0, -8.0), min_size=n, max_size=n))).reshape(-1, 2)
     ).ravel()
     topo = topology_from_gains(
-        params,
         10.0**gains,
         cycles=draw(st.lists(st.floats(1e4, 3e4), min_size=n, max_size=n)),
     )

@@ -116,6 +116,11 @@ class TestPairUsers:
         b = pair_users(self.params, devices, gains, PairingScheme.RANDOM, rng_seed=9)
         assert np.array_equal(a.id, b.id)
 
+    def test_rejects_device_count_other_than_two_per_channel(self):
+        devices = make_devices([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        with pytest.raises(ValueError, match="6 devices do not fill 2 channels"):
+            pair_users(self.params, devices, np.full(6, 1e-10), PairingScheme.NEAREST_USER)
+
     def test_rejects_odd_count(self):
         devices = make_devices([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):

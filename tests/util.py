@@ -49,7 +49,7 @@ def scalar_devices(devices: Device) -> list[Device]:
 
 
 def topology_from_gains(
-    params: SystemParams, gains, cycles=None, distances=None, ids=None, bits=28.1e3
+    gains, cycles=None, distances=None, ids=None, bits=28.1e3
 ) -> PairedTopology:
     """Consecutive devices form a pair; each gain pair must be ascending.
     Ids default to the channel-major index."""
@@ -61,7 +61,6 @@ def topology_from_gains(
         sample_count=np.full(n, 500.0),
         upload_bits=np.full(n, bits),
         gains=np.array(gains, dtype=float),
-        bandwidth_hz=np.full(n // 2, params.subchannel_bandwidth_hz),
     )
 
 
@@ -161,7 +160,6 @@ def reference_pair_users(
         for name in ("id", "distance_km", "upload_bits", "cycles_per_std_sample", "sample_count")
     }
     columns["gains"] = np.array([gain for _, gain in members])
-    columns["bandwidth_hz"] = np.array([params.subchannel_bandwidth_hz] * (n // 2))
     return columns
 
 
@@ -171,8 +169,8 @@ def reference_costs(params: SystemParams, topo: PairedTopology, power_w, cpu_hz,
     time, upload energy, computation time, computation energy and accuracy
     per device, channel-major, plus the objective."""
     per_device = []
-    for k in range(len(topo.bandwidth_hz)):
-        bandwidth = float(topo.bandwidth_hz[k])
+    bandwidth = params.total_bandwidth_hz / params.channel_count
+    for k in range(topo.n_devices // 2):
         noise = bandwidth * params.noise_psd_w_per_hz
         interference = 0.0
         for i in (2 * k, 2 * k + 1):
@@ -242,10 +240,10 @@ def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
     n = topology.n_devices
     power = np.empty(n)
     cpu = np.empty(n)
+    bandwidth = params.total_bandwidth_hz / params.channel_count
+    noise = bandwidth * params.noise_psd_w_per_hz
     for k in range(n // 2):
         a, b = 2 * k, 2 * k + 1
-        bandwidth = topology.bandwidth_hz[k]
-        noise = bandwidth * params.noise_psd_w_per_hz
         # axes: (p_a, p_b); the high-gain member b hears member a as noise
         received_a = p_grid[:, None] * gains[a]
         rate_a = bandwidth * np.log2(1.0 + received_a / noise)
@@ -287,12 +285,12 @@ def reference_pair_minima(params: SystemParams, topology: PairedTopology):
     # grid axis first: (f, device)
     t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
 
-    minima = np.empty((len(topology.bandwidth_hz), 121))
-    for k, bandwidth in enumerate(topology.bandwidth_hz):
+    minima = np.empty((topology.n_devices // 2, 121))
+    for k in range(topology.n_devices // 2):
         a, b = 2 * k, 2 * k + 1
         # axes: (p_a, p_b)
         rates = np.stack(np.broadcast_arrays(*model._pair_rates(
-            params, bandwidth, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
+            params, gains[a], gains[b], p_grid[:, None], p_grid[None, :]
         )))
         reachable = (rates[0] > 0.0) & (rates[1] > 0.0)
         with np.errstate(divide="ignore"):
