@@ -262,6 +262,20 @@ class TestDeadline:
         costs = model.evaluate(params, topo, model.Allocation(p, cpu, res))
         assert deadline == pytest.approx(costs.total_time_s, rel=1e-12)
 
+    def test_upload_below_roundoff_leaves_positive_slack(self):
+        # a 1e-17 s upload rounds away against a ~1 s computation time, so
+        # the deadline is the float above it rather than the computation time
+        params = SystemParams(channel_count=1)
+        topo = topology_from_gains([1e-10, 2e-10])
+        cpu = np.full(2, 1e9)
+        res = np.full(2, 320.0)
+        t_cmp, _ = model.computation_cost(params, topo, res, cpu)
+        t_trans = np.full(2, 1e-17)
+        assert np.max(t_trans + t_cmp) == np.max(t_cmp)
+        deadline = deadline_of(params, topo, t_trans, cpu, res)
+        assert deadline == np.nextafter(np.max(t_cmp), np.inf)
+        assert np.all(deadline - t_cmp > 0.0)
+
 
 class TestKktConsistency:
     def test_stationarity_by_finite_differences(self):
