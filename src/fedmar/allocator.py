@@ -36,14 +36,12 @@ from .model import (
 from .pairing import STREAM_BASELINE, PairingScheme, pair_users
 
 GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
-# greedy_baseline prunes its grid search with a lower bound per channel and
-# power pair: the cost with every f-dependent term at its grid minimum, which
-# holds in floating point because round-to-nearest +, * alpha and max are
-# monotone. Pairs whose bound is <= an incumbent (ties survive) get the exact
-# (f_a, f_b) grid, and the first grid point in (f_a, f_b, p_a, p_b) order at
-# the channel minimum wins. GREEDY_CHUNK channels are bounded at a time
-# (about 0.25 MB of per-pair arrays) and GREEDY_BLOCK surviving pairs are
-# evaluated at a time, in two 0.5 MB cost buffers allocated once per call.
+# greedy_baseline prunes its grid search with two lower bounds per channel,
+# one per power pair and one per frequency point; see its docstring.
+# GREEDY_CHUNK channels are bounded at a time (about 0.25 MB of per-pair
+# arrays), and GREEDY_BLOCK surviving power pairs or frequency points are
+# evaluated at a time over the whole other axis, in three 0.5 MB cost buffers
+# allocated once per call (the power-pair pass uses two).
 GREEDY_CHUNK = 64
 GREEDY_BLOCK = 512
 # the alternation stops once no power moves by more than OUTER_TOLERANCE of
@@ -201,7 +199,7 @@ def _grid_reduce(reduce, pairs, terms, buffers):
         e_cmp_a, e_cmp_b = np.take(e_cmp, channel[block], axis=2)
         time_a, time_b = np.take(t_cmp, channel[block], axis=2)
         size = len(e_tr_a)
-        cost, span = buffers[:, : GRID_STEPS * GRID_STEPS * size].reshape(
+        cost, span = buffers[:2, : GRID_STEPS * GRID_STEPS * size].reshape(
             2, GRID_STEPS, GRID_STEPS, size
         )
         # energy sums in the order ((e_cmp_a + e_cmp_b) + e_tr_a) + e_tr_b
@@ -222,6 +220,69 @@ def _grid_reduce(reduce, pairs, terms, buffers):
             np.copyto(cost, np.inf, where=lost)
         parts.append(reduce(cost.reshape(-1, size), axis=0))
     return np.concatenate(parts)
+
+
+def _frequency_bound(terms):
+    """Lower bound of the greedy cost at each frequency point f = f_a * 11 +
+    f_b of one chunk's channels, axes (channel, f): every power-dependent
+    term at its minimum over the channel's reachable power pairs, or at 0
+    where none is reachable (the full search then costs +inf, and 0 keeps
+    the bound finite where +inf would give 0 * inf = NaN)."""
+    alpha, beta, e_cmp, t_cmp, upload, unreachable = terms
+    c = e_cmp.shape[2]
+    # axes: (term, channel, 1, 1)
+    low = np.min(
+        upload.reshape(4, c, -1), axis=2, where=~unreachable.reshape(c, -1), initial=np.inf
+    )
+    low[low == np.inf] = 0.0
+    e_tr_a, e_tr_b, t_tr_a, t_tr_b = low[..., None, None]
+    # axes: (channel, f_a, f_b), in the cost's own order
+    (e_a, e_b), (t_a, t_b) = e_cmp.transpose(0, 2, 1), t_cmp.transpose(0, 2, 1)
+    bound = e_a[:, :, None] + e_b[:, None, :]
+    bound += e_tr_a
+    bound += e_tr_b
+    bound *= alpha
+    bound += np.maximum(beta * (t_a[:, :, None] + t_tr_a), beta * (t_b[:, None, :] + t_tr_b))
+    return bound.reshape(c, -1)
+
+
+def _frequency_reduce(points, terms, buffers):
+    """Minimum and first arg-min of the exact greedy cost over the full
+    power grid at each flat ``channel * 121 + f`` frequency point of one
+    chunk, at most GREEDY_BLOCK points per pass; ``terms`` as
+    ``_grid_reduce`` takes them. Costs lie (point, q), so the power pairs
+    run along the contiguous last axis."""
+    alpha, beta, e_cmp, t_cmp, upload, unreachable = terms
+    pairs = GRID_STEPS * GRID_STEPS
+    c = e_cmp.shape[2]
+    e_tr_a, e_tr_b, t_tr_a, t_tr_b = upload.reshape(4, c, pairs)
+    unreachable = unreachable.reshape(c, pairs)
+    lows, firsts = [], []
+    for lo in range(0, len(points), GREEDY_BLOCK):
+        channel, f = np.divmod(points[lo : lo + GREEDY_BLOCK], pairs)
+        fa, fb = np.divmod(f, GRID_STEPS)
+        size = len(channel)
+        cost, time_a, time_b = buffers[:, : pairs * size].reshape(3, size, pairs)
+        # the cost's own operations; a + b == b + a in floating point
+        np.take(e_tr_a, channel, axis=0, out=cost)
+        cost += (e_cmp[0, fa, channel] + e_cmp[1, fb, channel])[:, None]
+        np.take(e_tr_b, channel, axis=0, out=time_a)
+        cost += time_a
+        cost *= alpha
+        np.take(t_tr_a, channel, axis=0, out=time_a)
+        time_a += t_cmp[0, fa, channel][:, None]
+        time_a *= beta
+        np.take(t_tr_b, channel, axis=0, out=time_b)
+        time_b += t_cmp[1, fb, channel][:, None]
+        time_b *= beta
+        cost += np.maximum(time_a, time_b, out=time_a)
+        lost = unreachable[channel]
+        if lost.any():
+            np.copyto(cost, np.inf, where=lost)
+        first = cost.argmin(axis=1)
+        lows.append(cost[np.arange(size), first])
+        firsts.append(first)
+    return np.concatenate(lows), np.concatenate(firsts)
 
 
 def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int):
@@ -276,6 +337,12 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     return bound, (alpha, beta, e_cmp, t_cmp, upload.reshape(4, -1), unreachable.ravel())
 
 
+def _channel_min(channel, values, c):
+    """Minimum of ``values`` per channel, rows channel-major, every channel
+    of the chunk present."""
+    return np.minimum.reduceat(values, np.searchsorted(channel, np.arange(c)))
+
+
 def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveReport:
     """Exhaustive per-channel grid search at the lowest resolution.
 
@@ -286,30 +353,39 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     combination in (f_a, f_b, p_a, p_b) order. Aggregate energy sums over
     channels; the reported completion time is the max across channels.
 
-    The search is exact but pruned. For each channel and power pair
-    q = p_a * 11 + p_b the lower bound
+    The search is exact but pruned by two lower bounds. For each channel
+    and power pair q = p_a * 11 + p_b the power bound
 
         LB = alpha * (((min e_cmp_a + min e_cmp_b) + e_tr_a) + e_tr_b)
              + max(beta * (min t_cmp_a + t_tr_a), beta * (min t_cmp_b + t_tr_b))
 
     takes every f-dependent term at its minimum over that member's f grid.
-    It bounds every grid cost at the pair in floating point, not only in
-    exact arithmetic: the cost is the same expression over the actual terms,
-    and round-to-nearest +, * alpha (alpha >= 0) and max are each monotone
-    in every operand. The exact (f_a, f_b) grid at each channel's
-    arg-min-LB pair gives an incumbent I, and only pairs with LB <= I are
-    evaluated exactly; any other pair costs more than I everywhere, and
-    ``<=`` keeps a pair that only ties the minimum. The pick is the first
-    grid point in (f_a, f_b, p_a, p_b) order that reaches the channel
-    minimum, the same as a full search. Wide subchannels (50 devices) keep
-    nearly every pair; the narrow ones of a 10,000-device cell keep under a
-    tenth.
+    For each frequency point f = f_a * 11 + f_b the frequency bound is the
+    same expression with the f-dependent terms exact and every
+    power-dependent one (e_tr_a, e_tr_b, t_tr_a, t_tr_b) at its minimum over
+    the channel's reachable power pairs. Each bounds every grid cost at its
+    pair or point in floating point, not only in exact arithmetic: the cost
+    is the same expression over the actual terms, and round-to-nearest +,
+    * alpha (alpha >= 0) and max are each monotone in every operand.
+
+    The exact (f_a, f_b) grid at each channel's arg-min-LB pair gives an
+    incumbent I. Only pairs with LB <= I are evaluated exactly, each over
+    the whole (f_a, f_b) grid; any other pair costs more than I everywhere,
+    and ``<=`` keeps a pair that only ties the minimum. Where the power
+    bound keeps most of a chunk's pairs, as on the wide subchannels of a
+    50-device cell, the frequency bound is computed too, and if it keeps
+    fewer frequency points than the power bound kept pairs, those points are
+    evaluated instead, each over the whole power grid (1 to 3 of 121 per
+    channel on paper cells). The narrow subchannels of a 10,000-device cell
+    keep under a tenth of the pairs and never pay for the frequency bound.
+    Either way the pick is the first grid point in (f_a, f_b, p_a, p_b)
+    order that reaches the channel minimum, the same as a full search.
     """
     steps = GRID_STEPS
     pairs = steps * steps  # power pairs per channel, q = p_a * steps + p_b
     p_grid = _grid(params.p_min_w, params.p_max_w)
     f_grid = _grid(params.f_min_hz, params.f_max_hz)
-    buffers = np.empty((2, pairs * GREEDY_BLOCK))
+    buffers = np.empty((3, pairs * GREEDY_BLOCK))
 
     n_channels = topology.n_channels
     choice = np.empty(n_channels, dtype=np.intp)
@@ -321,14 +397,23 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
         ceiling = _grid_reduce(np.minimum.reduce, incumbent, terms, buffers)
         # channel-major, and every channel keeps at least its incumbent
         survivors = np.flatnonzero(bound <= ceiling[:, None])
+        if 2 * len(survivors) > bound.size:
+            # most pairs alive: the frequency axis may prune better; every
+            # channel keeps at least the point its ceiling was found at
+            points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
+            if len(points) < len(survivors):
+                lowest, first = _frequency_reduce(points, terms, buffers)
+                channel = points // pairs
+                winners = lowest == _channel_min(channel, lowest, c)[channel]
+                flat = points[winners] % pairs * pairs + first[winners]
+                choice[lo:hi] = _channel_min(channel[winners], flat, c)
+                continue
         lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
         channel = survivors // pairs
-        best = np.minimum.reduceat(lowest, np.searchsorted(channel, np.arange(c)))
-        winners = survivors[lowest == best[channel]]
+        winners = survivors[lowest == _channel_min(channel, lowest, c)[channel]]
         first = _grid_reduce(np.argmin, winners, terms, buffers)
         flat = first * pairs + winners % pairs  # index into (f_a, f_b, p_a, p_b)
-        starts = np.searchsorted(winners // pairs, np.arange(c))
-        choice[lo:hi] = np.minimum.reduceat(flat, starts)
+        choice[lo:hi] = _channel_min(winners // pairs, flat, c)
 
     fa, fb, pa, pb = np.unravel_index(choice, (steps, steps, steps, steps))
     n = topology.n_devices

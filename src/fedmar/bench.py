@@ -99,6 +99,9 @@ class ExperimentSpec:
             raise ParamsError("sweep values must be strictly increasing", "sweep_values")
         if not self.seeds:
             raise ParamsError("need at least one seed", "seeds")
+        if min(self.seeds) < 0:
+            # numpy seeds its streams from non-negative integers only
+            raise ParamsError("seeds must be non-negative", "seeds")
         if not self.weights:
             raise ParamsError("need at least one weight triple", "weights")
         if any(alpha <= 0.0 for alpha, _, _ in self.weights):

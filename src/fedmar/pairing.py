@@ -76,11 +76,19 @@ class TopologyConfig:
             )
         if self.shadow_sigma_db < 0:
             raise ParamsError("shadow sigma must be non-negative", "shadow_sigma_db")
-        # the strongest and weakest gains a +-10 sigma shadow draw can give
+        # the gains at both distances without shadowing, then the strongest
+        # and weakest a +-10 sigma shadow draw can give
         with np.errstate(over="ignore", under="ignore"):
-            extremes = channel_gain(
+            path, extremes = channel_gain(
                 np.array([self.min_distance_km, self.cell_radius_km]),
-                np.array([-10.0, 10.0]) * self.shadow_sigma_db,
+                np.array([[0.0, 0.0], [-10.0, 10.0]]) * self.shadow_sigma_db,
+            )
+        if not np.all((path > 0.0) & (path < math.inf)):
+            raise ParamsError(
+                "the path loss at min_distance_km or cell_radius_km takes the channel "
+                "gain out of the float range",
+                "min_distance_km",
+                "cell_radius_km",
             )
         if not np.all((extremes > 0.0) & (extremes < math.inf)):
             raise ParamsError(

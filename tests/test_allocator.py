@@ -11,12 +11,13 @@ from fedmar.allocator import (
     random_baseline,
     relaxed_objective,
 )
-from fedmar.model import SystemParams
+from fedmar.model import SystemParams, UnreachableDeviceError
 from fedmar.pairing import PairingScheme, channel_gain
 from util import (
     make_devices,
     reference_greedy_choice,
     reference_pair_minima,
+    reference_point_minima,
     small_instance,
     table_instance,
     topology_from_gains,
@@ -162,6 +163,24 @@ class TestRandomBaseline:
         assert np.all(a.allocation.cpu_hz >= params.f_min_hz)
         assert np.all(a.allocation.cpu_hz <= params.f_max_hz)
         assert np.all(a.allocation.resolution_px == 160.0)
+
+
+@st.composite
+def bound_cells(draw):
+    """Small cells for the greedy bounds: 1 kHz to 50 MHz channels, a zero
+    or positive power floor, and energy weights down to 0."""
+    channels = draw(st.integers(1, 8))
+    alpha = draw(st.sampled_from([1.0, 0.999, 0.5, 0.001, 0.0]))
+    return small_instance(
+        draw(st.integers(0, 10_000)),
+        users=2 * channels,
+        weight_energy=alpha,
+        weight_time=1.0 - alpha,
+        p_min_w=0.0 if draw(st.booleans()) else model.dbm_to_watts(0.0),
+        p_max_w=model.dbm_to_watts(draw(st.floats(0.5, 30.0))),
+        f_max_hz=draw(st.floats(0.01, 4.0)) * 1e9,
+        total_bandwidth_hz=draw(st.floats(1.0, 50_000.0)) * 1e3 * channels,
+    )
 
 
 class TestGreedyBaseline:
@@ -330,32 +349,94 @@ class TestGreedyBaseline:
         assert np.array_equal(report.allocation.cpu_hz, cpu)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        channels=st.integers(1, 8),
-        seed=st.integers(0, 10_000),
-        alpha=st.sampled_from([1.0, 0.999, 0.5, 0.001, 0.0]),
-        p_max_dbm=st.floats(0.5, 30.0),
-        f_max_ghz=st.floats(0.01, 4.0),
-        channel_khz=st.floats(1.0, 50_000.0),
-        zero_power_floor=st.booleans(),
-    )
-    def test_lower_bound_never_exceeds_exact_grid_minimum(
-        self, channels, seed, alpha, p_max_dbm, f_max_ghz, channel_khz, zero_power_floor
-    ):
-        params, topo = small_instance(
-            seed,
-            users=2 * channels,
-            weight_energy=alpha,
-            weight_time=1.0 - alpha,
-            p_min_w=0.0 if zero_power_floor else model.dbm_to_watts(0.0),
-            p_max_w=model.dbm_to_watts(p_max_dbm),
-            f_max_hz=f_max_ghz * 1e9,
-            total_bandwidth_hz=channel_khz * 1e3 * channels,
-        )
-        bound, _ = allocator._pair_terms(params, topo, 0, channels)
+    @given(cell=bound_cells())
+    def test_lower_bound_never_exceeds_exact_grid_minimum(self, cell):
+        params, topo = cell
+        bound, _ = allocator._pair_terms(params, topo, 0, topo.n_channels)
         minima = reference_pair_minima(params, topo)
         assert np.all(bound <= minima)
         assert np.array_equal(np.isinf(bound), np.isinf(minima))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=bound_cells())
+    def test_frequency_bound_never_exceeds_exact_cost(self, cell):
+        params, topo = cell
+        _, terms = allocator._pair_terms(params, topo, 0, topo.n_channels)
+        bound = allocator._frequency_bound(terms)
+        # the least exact cost over the reachable power pairs at each
+        # (f_a, f_b), +inf where there is none
+        assert np.all(np.isfinite(bound))
+        assert np.all(bound <= reference_point_minima(params, topo))
+
+
+class TestGreedyFrequencyAxis:
+    """On wide subchannels the power bound keeps nearly every pair, and the
+    kernel evaluates the few frequency points the frequency bound keeps."""
+
+    @pytest.fixture
+    def frequency_chunks(self, monkeypatch):
+        calls = []
+        kernel = allocator._frequency_reduce
+
+        def counted(points, terms, buffers):
+            calls.append(len(points))
+            return kernel(points, terms, buffers)
+
+        monkeypatch.setattr(allocator, "_frequency_reduce", counted)
+        return calls
+
+    @pytest.mark.parametrize("p_max_dbm", [6.0, 12.0])
+    @pytest.mark.parametrize(
+        "alpha,beta,along_frequency",
+        # at 1/0 and 0.001/0.999 the power bound keeps 1 and about 12 of 121
+        # pairs per channel, and the chunk stays on the power axis
+        [(0.5, 0.5, True), (0.9, 0.1, True), (1.0, 0.0, False), (0.001, 0.999, False)],
+    )
+    @pytest.mark.parametrize("scheme", list(PairingScheme))
+    def test_matches_reference_on_paper_cells(
+        self, frequency_chunks, scheme, alpha, beta, along_frequency, p_max_dbm
+    ):
+        params = SystemParams(
+            weight_energy=alpha, weight_time=beta, p_max_w=model.dbm_to_watts(p_max_dbm)
+        )
+        devices, gains = pairing.sample_topology(pairing.TopologyConfig(rng_seed=11))
+        topo = pairing.pair_users(params, devices, gains, scheme, rng_seed=11)
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+        assert bool(frequency_chunks) == along_frequency
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_time_only_ties_match_reference(self, frequency_chunks, seed):
+        # with no energy weight, the frequency of a channel's faster member
+        # moves no cost until it becomes the slower one, so many (f_a, f_b)
+        # points tie at the minimum; a negligible upload ties all 121 power
+        # pairs too, which sends the chunk along the frequency axis
+        params, topo = table_instance(seed=seed, weight_energy=0.0, weight_time=1.0)
+        topo = topology_from_gains(topo.gains, cycles=topo.cycles_per_std_sample, bits=1e-20)
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+        assert frequency_chunks
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_channel_with_no_reachable_pair_keeps_its_candidates(self, frequency_chunks, alpha):
+        # with +inf transmission minima, the frequency bound of the dead
+        # channel would be 0 * inf = NaN at alpha = 0 or 1 and drop all its
+        # points; they must stay, and evaluate must then refuse the pick, as
+        # the full search does. An upload too small to move any sum ties
+        # all 121 power pairs, so the chunk goes along the frequency axis at
+        # every alpha.
+        params, topo = table_instance(seed=4, weight_energy=alpha, weight_time=1.0 - alpha)
+        dead = 7
+        gains = topo.gains.copy()
+        gains[2 * dead : 2 * dead + 2] = 1e-30
+        topo = topology_from_gains(gains, cycles=topo.cycles_per_std_sample, bits=1e-20)
+        with pytest.raises(UnreachableDeviceError, match=rf"^device {2 * dead} has zero uplink rate"):
+            greedy_baseline(params, topo)
+        assert frequency_chunks
 
 
 def test_relaxed_objective_uses_linear_accuracy():

@@ -384,6 +384,11 @@ class TestCli:
             ("kappa = 1e-320\n", ("kappa",)),
             ("kappa = 1e-305\nweights = 0.5,0.5,1 0.001,0.999,1\n", ("kappa",)),
             ("kappa = 1e260\nsweep = f_max_ghz\nsweep_values = 1 1e20\n", ("kappa",)),
+            ("seeds = 1 -1\n", ("seeds",)),
+            (
+                "min_distance_km = 1e-300\nshadow_sigma_db = 0\n",
+                ("min_distance_km", "cell_radius_km"),
+            ),
         ],
         ids=[
             "p_max-below-base-p_min",
@@ -403,6 +408,8 @@ class TestCli:
             "subnormal-kappa",
             "subnormal-alpha-times-kappa",
             "round-energy-overflow-at-swept-f_max",
+            "negative-seed",
+            "unshadowed-gain-overflow",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
@@ -413,6 +420,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(f"'{key}'" in err for key in keys)
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_naming_the_key(self, capsys):
+        assert cli.main(["solve", "--seed", "-5"]) == 1
+        assert "key 'seeds'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "4"])
     def test_jobs_below_one_exits_naming_the_key(self, tmp_path, capsys, jobs):
@@ -483,7 +494,7 @@ WORKLOAD = _odds(
     cycles_factor=st.floats(1.0, 100.0),
     local_iterations=WORKLOAD,
     kappa=_log_uniform(-320.0, 300.0),
-    seed=st.integers(0, 1000),
+    seed=_odds((7, st.integers(0, 1000)), (1, st.integers(-1000, -1))),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
     channels,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedmar.model import SystemParams
+from fedmar.model import ParamsError, SystemParams
 from fedmar.pairing import (
     DeviceParamRanges,
     PairingScheme,
@@ -53,6 +53,13 @@ class TestGenerateTopology:
         with pytest.raises(ValueError, match="shadow sigma too large"):
             TopologyConfig(shadow_sigma_db=2000.0)
         TopologyConfig(shadow_sigma_db=20.0)
+
+    def test_unshadowed_gain_overflow_blames_the_distances(self):
+        # 1e-300 km gives a path gain of 10**1115, with no shadow draw at all
+        with pytest.raises(ParamsError) as info:
+            TopologyConfig(min_distance_km=1e-300, shadow_sigma_db=0.0)
+        assert info.value.fields == ("min_distance_km", "cell_radius_km")
+        assert "sigma" not in str(info.value)
 
     @pytest.mark.parametrize(
         "kw",

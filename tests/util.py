@@ -273,10 +273,10 @@ def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
     return power, cpu
 
 
-def reference_pair_minima(params: SystemParams, topology: PairedTopology):
-    """Exact greedy cost minimum over the (f_a, f_b) grid at every power
-    pair, one channel at a time in the kernel's floating-point operations;
-    +inf where either member's rate is zero. Axes: (channel, p_a * 11 + p_b)."""
+def _reference_cost_grids(params: SystemParams, topology: PairedTopology):
+    """Each channel's exact greedy cost on the full grid, in the kernel's
+    floating-point operations, with axes (f_a, f_b, p_a, p_b), and whether
+    each power pair leaves both members a positive rate, axes (p_a, p_b)."""
     p_grid = params.p_min_w + 0.1 * np.arange(11) * (params.p_max_w - params.p_min_w)
     f_grid = params.f_min_hz + 0.1 * np.arange(11) * (params.f_max_hz - params.f_min_hz)
     s_low = params.resolution_set_px[0]
@@ -285,7 +285,6 @@ def reference_pair_minima(params: SystemParams, topology: PairedTopology):
     # grid axis first: (f, device)
     t_cmp, e_cmp = model.computation_cost(params, topology, s_low, f_grid[:, None])
 
-    minima = np.empty((topology.n_devices // 2, 121))
     for k in range(topology.n_devices // 2):
         a, b = 2 * k, 2 * k + 1
         # axes: (p_a, p_b)
@@ -310,9 +309,27 @@ def reference_pair_minima(params: SystemParams, topology: PairedTopology):
             t_cmp[:, a, None, None, None] + t_tr_a[None, None, :, None],
             t_cmp[None, :, b, None, None] + t_tr_b[None, None, :, :],
         )
-        cost = alpha * energy + beta * chan_time
-        minima[k] = np.where(reachable, cost.min(axis=(0, 1)), np.inf).ravel()
-    return minima
+        yield alpha * energy + beta * chan_time, reachable
+
+
+def reference_pair_minima(params: SystemParams, topology: PairedTopology):
+    """Exact greedy cost minimum over the (f_a, f_b) grid at every power
+    pair, one channel at a time in the kernel's floating-point operations;
+    +inf where either member's rate is zero. Axes: (channel, p_a * 11 + p_b)."""
+    return np.array([
+        np.where(reachable, cost.min(axis=(0, 1)), np.inf).ravel()
+        for cost, reachable in _reference_cost_grids(params, topology)
+    ])
+
+
+def reference_point_minima(params: SystemParams, topology: PairedTopology):
+    """Exact greedy cost minimum over the power pairs that leave both
+    members a positive rate, at every (f_a, f_b) grid point; +inf where no
+    pair does. Axes: (channel, f_a * 11 + f_b)."""
+    return np.array([
+        np.where(reachable, cost, np.inf).min(axis=(2, 3)).ravel()
+        for cost, reachable in _reference_cost_grids(params, topology)
+    ])
 
 
 def project_budget(v: np.ndarray, total: float) -> np.ndarray:
