@@ -36,14 +36,13 @@ from .model import (
 from .pairing import STREAM_BASELINE, PairingScheme, pair_users
 
 GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
-# greedy_baseline prunes its grid search with two lower bounds per channel,
-# one per power pair and one per frequency point; see its docstring.
-# GREEDY_CHUNK channels are bounded at a time (about 0.25 MB of per-pair
-# arrays), and GREEDY_BLOCK surviving power pairs or frequency points are
-# evaluated at a time over the whole other axis, in three 0.5 MB cost buffers
-# allocated once per call (the power-pair pass uses two).
-GREEDY_CHUNK = 64
-GREEDY_BLOCK = 512
+# greedy_baseline searches GREEDY_CHUNK channels at a time; at its peak a
+# chunk holds five (channel, q) float arrays, about 1.2 MB at 256 channels.
+# GREEDY_BLOCK power pairs or frequency points are evaluated at a time over
+# the whole other axis, in three 0.37 MB cost buffers allocated once per call
+# (the power-pair passes use two).
+GREEDY_CHUNK = 256
+GREEDY_BLOCK = 384
 # the alternation stops once no power moves by more than OUTER_TOLERANCE of
 # the power box, and after MAX_OUTER_ITERATIONS passes in any case
 OUTER_TOLERANCE = 1e-4
@@ -222,6 +221,35 @@ def _grid_reduce(reduce, pairs, terms, buffers):
     return np.concatenate(parts)
 
 
+def _pair_bound(pairs, terms, buffers):
+    """The pair bound LB2 (see ``greedy_baseline``) at each flat ``channel *
+    121 + q`` power pair of one chunk; ``terms`` as ``_grid_reduce`` takes
+    them. Bounds lie (f_b, pair), GRID_STEPS * GREEDY_BLOCK pairs per pass,
+    which fills as much of a buffer as a ``_grid_reduce`` pass."""
+    alpha, beta, e_cmp, t_cmp, upload, _ = terms
+    e_low, t_low = e_cmp[0].min(axis=0), t_cmp[0].min(axis=0)
+    parts = []
+    for lo in range(0, len(pairs), GRID_STEPS * GREEDY_BLOCK):
+        block = pairs[lo : lo + GRID_STEPS * GREEDY_BLOCK]
+        channel = block // (GRID_STEPS * GRID_STEPS)
+        e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, block, axis=1)
+        bound, span = buffers[:2, : GRID_STEPS * len(block)].reshape(2, GRID_STEPS, -1)
+        # the cost's own operations; a + b == b + a in floating point
+        np.take(e_cmp[1], channel, axis=1, out=bound)
+        bound += e_low[channel]
+        bound += e_tr_a
+        bound += e_tr_b
+        bound *= alpha
+        np.take(t_cmp[1], channel, axis=1, out=span)
+        span += t_tr_b
+        span *= beta
+        t_tr_a += t_low[channel]
+        t_tr_a *= beta
+        bound += np.maximum(span, t_tr_a, out=span)
+        parts.append(bound.min(axis=0))
+    return np.concatenate(parts)
+
+
 def _frequency_bound(terms):
     """Lower bound of the greedy cost at each frequency point f = f_a * 11 +
     f_b of one chunk's channels, axes (channel, f): every power-dependent
@@ -306,33 +334,38 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     # axes: (member, f, channel)
     t_cmp = np.ascontiguousarray(t_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
     e_cmp = np.ascontiguousarray(e_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
-    t_low, e_low = t_cmp.min(axis=1)[..., None], e_cmp.min(axis=1)[..., None]
+    t_low, e_low = t_cmp.min(axis=1), e_cmp.min(axis=1)
 
     # axes: (channel, p_a, p_b); rate_a varies with p_a only, (channel, p_a, 1)
     rate_a, rate_b = model._pair_rates(
-        params,
-        gains[a, None, None],
-        gains[b, None, None],
-        p_grid[:, None],
-        p_grid[None, :],
+        params, gains[a, None, None], gains[b, None, None], p_grid[:, None], p_grid
     )
-    # axes: (term, channel, p_a, p_b), terms e_tr_a, e_tr_b, t_tr_a, t_tr_b;
-    # bits / rate, with a finite 0 standing in where the rate is zero
-    upload = np.zeros((4, c, steps, steps))
-    np.divide(bits[a, None, None], rate_a, out=upload[2], where=rate_a > 0.0)
-    np.divide(bits[b, None, None], rate_b, out=upload[3], where=rate_b > 0.0)
-    np.multiply(p_grid[:, None], upload[2], out=upload[0])
-    np.multiply(p_grid, upload[3], out=upload[1])
     unreachable = ((rate_a <= 0.0) | (rate_b <= 0.0)).reshape(c, -1)
-    # axes: (term, channel, q)
-    upload = upload.reshape(4, c, -1)
-    e_tr_a, e_tr_b, t_tr_a, t_tr_b = upload
+    # bits / rate, with a finite 0 standing in where the rate is zero; member
+    # a's terms depend on p_a only, so they are computed per p_a
+    t_tr_a = np.divide(bits[a, None, None], rate_a, out=np.zeros_like(rate_a), where=rate_a > 0.0)
+    e_tr_a = p_grid[:, None] * t_tr_a
+    # axes: (term, channel, p_a, p_b), terms e_tr_a, e_tr_b, t_tr_a, t_tr_b
+    upload = np.empty((4, c, steps, steps))
+    positive = rate_b > 0.0
+    if positive.all():  # a plain divide is the faster
+        np.divide(bits[b, None, None], rate_b, out=upload[3])
+    else:
+        upload[3] = 0.0
+        np.divide(bits[b, None, None], rate_b, out=upload[3], where=positive)
+    del rate_b, positive
+    np.multiply(p_grid, upload[3], out=upload[1])
 
     # every f-dependent term at its grid minimum, in the cost's own order
-    bound = (e_low[0] + e_low[1]) + e_tr_a
-    bound += e_tr_b
+    bound = ((e_low[0] + e_low[1])[:, None, None] + e_tr_a) + upload[1]
     bound *= alpha
-    bound += np.maximum(beta * (t_low[0] + t_tr_a), beta * (t_low[1] + t_tr_b))
+    span = t_low[1, :, None, None] + upload[3]
+    span *= beta
+    bound += np.maximum(span, beta * (t_low[0, :, None, None] + t_tr_a), out=span)
+    del span
+    # spread over p_b only now, once the bound's temporaries are freed
+    upload[0], upload[2] = e_tr_a, t_tr_a
+    bound = bound.reshape(c, -1)
     bound[unreachable] = np.inf
     return bound, (alpha, beta, e_cmp, t_cmp, upload.reshape(4, -1), unreachable.ravel())
 
@@ -341,6 +374,37 @@ def _channel_min(channel, values, c):
     """Minimum of ``values`` per channel, rows channel-major, every channel
     of the chunk present."""
     return np.minimum.reduceat(values, np.searchsorted(channel, np.arange(c)))
+
+
+def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: int, buffers):
+    """The pick of each of channels lo..hi-1 as a flat index into its
+    (f_a, f_b, p_a, p_b) grid; see ``greedy_baseline``. The chunk's arrays
+    are freed on return, before the next chunk builds its own."""
+    pairs = GRID_STEPS * GRID_STEPS  # power pairs per channel, q = p_a * 11 + p_b
+    c = hi - lo
+    bound, terms = _pair_terms(params, topology, lo, hi)
+    incumbent = np.arange(c) * pairs + bound.argmin(axis=1)
+    ceiling = _grid_reduce(np.minimum.reduce, incumbent, terms, buffers)
+    # channel-major, and every channel keeps at least its incumbent
+    survivors = np.flatnonzero(bound <= ceiling[:, None])
+    if 2 * len(survivors) > bound.size:
+        # most pairs alive: the frequency axis may prune better; every
+        # channel keeps at least the point its ceiling was found at
+        points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
+        if len(points) < len(survivors):
+            lowest, first = _frequency_reduce(points, terms, buffers)
+            channel = points // pairs
+            winners = lowest == _channel_min(channel, lowest, c)[channel]
+            flat = points[winners] % pairs * pairs + first[winners]
+            return _channel_min(channel[winners], flat, c)
+    # the second bound keeps the incumbent too, as it is exact in f_b
+    survivors = survivors[_pair_bound(survivors, terms, buffers) <= ceiling[survivors // pairs]]
+    lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
+    channel = survivors // pairs
+    winners = survivors[lowest == _channel_min(channel, lowest, c)[channel]]
+    first = _grid_reduce(np.argmin, winners, terms, buffers)
+    flat = first * pairs + winners % pairs  # index into (f_a, f_b, p_a, p_b)
+    return _channel_min(winners // pairs, flat, c)
 
 
 def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveReport:
@@ -353,68 +417,43 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     combination in (f_a, f_b, p_a, p_b) order. Aggregate energy sums over
     channels; the reported completion time is the max across channels.
 
-    The search is exact but pruned by two lower bounds. For each channel
-    and power pair q = p_a * 11 + p_b the power bound
+    The search is exact but pruned by three lower bounds, each the cost
+    expression over smaller terms. For each channel and power pair
+    q = p_a * 11 + p_b the power bound
 
         LB = alpha * (((min e_cmp_a + min e_cmp_b) + e_tr_a) + e_tr_b)
              + max(beta * (min t_cmp_a + t_tr_a), beta * (min t_cmp_b + t_tr_b))
 
-    takes every f-dependent term at its minimum over that member's f grid.
-    For each frequency point f = f_a * 11 + f_b the frequency bound is the
-    same expression with the f-dependent terms exact and every
-    power-dependent one (e_tr_a, e_tr_b, t_tr_a, t_tr_b) at its minimum over
-    the channel's reachable power pairs. Each bounds every grid cost at its
-    pair or point in floating point, not only in exact arithmetic: the cost
-    is the same expression over the actual terms, and round-to-nearest +,
-    * alpha (alpha >= 0) and max are each monotone in every operand.
+    takes every f-dependent term at its minimum over that member's f grid;
+    the pair bound LB2 is the least over f_b of LB with member b's terms
+    exact at f_b (11 evaluations against 121 for the exact grid). For each
+    frequency point f = f_a * 11 + f_b the frequency bound takes the
+    f-dependent terms exact and every power-dependent one at its minimum
+    over the channel's reachable power pairs. Each holds in floating point,
+    not only in exact arithmetic: round-to-nearest +, * alpha (alpha >= 0)
+    and max are each monotone in every operand.
 
     The exact (f_a, f_b) grid at each channel's arg-min-LB pair gives an
-    incumbent I. Only pairs with LB <= I are evaluated exactly, each over
-    the whole (f_a, f_b) grid; any other pair costs more than I everywhere,
-    and ``<=`` keeps a pair that only ties the minimum. Where the power
-    bound keeps most of a chunk's pairs, as on the wide subchannels of a
-    50-device cell, the frequency bound is computed too, and if it keeps
-    fewer frequency points than the power bound kept pairs, those points are
-    evaluated instead, each over the whole power grid (1 to 3 of 121 per
-    channel on paper cells). The narrow subchannels of a 10,000-device cell
-    keep under a tenth of the pairs and never pay for the frequency bound.
-    Either way the pick is the first grid point in (f_a, f_b, p_a, p_b)
-    order that reaches the channel minimum, the same as a full search.
+    incumbent I. Only pairs with LB <= I and LB2 <= I are evaluated exactly,
+    each over the whole (f_a, f_b) grid; ``<=`` keeps a pair that only ties
+    the minimum. On a 10,000-device cell's narrow subchannels, LB keeps
+    about 9 of 121 pairs per channel and LB2 about half of those. Where LB
+    keeps most of a chunk's pairs, as on a 50-device cell, the frequency
+    bound comes first: if it keeps fewer points than LB kept pairs, those
+    points are evaluated over the whole power grid instead (1 to 3 of 121
+    per channel on paper cells). Either way the pick is the first grid
+    point in (f_a, f_b, p_a, p_b) order that reaches the channel minimum,
+    the same as a full search. Channels go GREEDY_CHUNK at a time.
     """
     steps = GRID_STEPS
-    pairs = steps * steps  # power pairs per channel, q = p_a * steps + p_b
     p_grid = _grid(params.p_min_w, params.p_max_w)
     f_grid = _grid(params.f_min_hz, params.f_max_hz)
-    buffers = np.empty((3, pairs * GREEDY_BLOCK))
-
+    buffers = np.empty((3, steps * steps * GREEDY_BLOCK))
     n_channels = topology.n_channels
-    choice = np.empty(n_channels, dtype=np.intp)
-    for lo in range(0, n_channels, GREEDY_CHUNK):
-        hi = min(lo + GREEDY_CHUNK, n_channels)
-        c = hi - lo
-        bound, terms = _pair_terms(params, topology, lo, hi)
-        incumbent = np.arange(c) * pairs + bound.argmin(axis=1)
-        ceiling = _grid_reduce(np.minimum.reduce, incumbent, terms, buffers)
-        # channel-major, and every channel keeps at least its incumbent
-        survivors = np.flatnonzero(bound <= ceiling[:, None])
-        if 2 * len(survivors) > bound.size:
-            # most pairs alive: the frequency axis may prune better; every
-            # channel keeps at least the point its ceiling was found at
-            points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
-            if len(points) < len(survivors):
-                lowest, first = _frequency_reduce(points, terms, buffers)
-                channel = points // pairs
-                winners = lowest == _channel_min(channel, lowest, c)[channel]
-                flat = points[winners] % pairs * pairs + first[winners]
-                choice[lo:hi] = _channel_min(channel[winners], flat, c)
-                continue
-        lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
-        channel = survivors // pairs
-        winners = survivors[lowest == _channel_min(channel, lowest, c)[channel]]
-        first = _grid_reduce(np.argmin, winners, terms, buffers)
-        flat = first * pairs + winners % pairs  # index into (f_a, f_b, p_a, p_b)
-        choice[lo:hi] = _channel_min(winners // pairs, flat, c)
-
+    choice = np.concatenate([
+        _greedy_chunk(params, topology, lo, min(lo + GREEDY_CHUNK, n_channels), buffers)
+        for lo in range(0, n_channels, GREEDY_CHUNK)
+    ])
     fa, fb, pa, pb = np.unravel_index(choice, (steps, steps, steps, steps))
     n = topology.n_devices
     power = np.empty(n)

@@ -183,6 +183,16 @@ def bound_cells(draw):
     )
 
 
+def _greedy_at_chunk(chunk, params, topo):
+    """``greedy_baseline`` with GREEDY_CHUNK set to ``chunk`` (None keeps
+    the shipped value); a context, not the monkeypatch fixture, since
+    hypothesis runs many examples per test."""
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(allocator, "GREEDY_CHUNK", chunk)
+        return greedy_baseline(params, topo)
+
+
 class TestGreedyBaseline:
     def test_grid_endpoints(self):
         grid = allocator._grid(1e-3, 0.0158)
@@ -258,10 +268,12 @@ class TestGreedyBaseline:
         f_max_ghz=st.floats(0.01, 4.0),
         bandwidth_mhz=st.floats(0.5, 50.0),
     )
+    @pytest.mark.parametrize("chunk", [4, None])
     def test_chunked_kernel_matches_per_channel_reference(
-        self, channels, seed, alpha, p_max_dbm, f_max_ghz, bandwidth_mhz
+        self, chunk, channels, seed, alpha, p_max_dbm, f_max_ghz, bandwidth_mhz
     ):
-        # channel counts around and across the chunk size exercise partial chunks
+        # at 4 channels a chunk, up to 13 channels make full and partial
+        # chunks; None keeps the shipped chunk size
         params, topo = small_instance(
             seed,
             users=2 * channels,
@@ -272,7 +284,7 @@ class TestGreedyBaseline:
             total_bandwidth_hz=bandwidth_mhz * 1e6,
         )
         power, cpu = reference_greedy_choice(params, topo)
-        report = greedy_baseline(params, topo)
+        report = _greedy_at_chunk(chunk, params, topo)
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
 
@@ -295,11 +307,13 @@ class TestGreedyBaseline:
         f_max_ghz=st.floats(0.01, 4.0),
         channel_khz=st.floats(1.0, 20.0),
     )
+    @pytest.mark.parametrize("chunk", [32, None])
     def test_pruned_kernel_matches_reference_on_narrow_channels(
-        self, channels, seed, alpha, p_max_dbm, f_max_ghz, channel_khz
+        self, chunk, channels, seed, alpha, p_max_dbm, f_max_ghz, channel_khz
     ):
         # a few kHz per channel, like a 10,000-device cell, where most power
-        # pairs are pruned; up to 140 channels crosses two chunk boundaries
+        # pairs are pruned; at 32 channels a chunk, up to 140 channels make
+        # four full chunks and a partial one; None keeps the shipped size
         params, topo = small_instance(
             seed,
             users=2 * channels,
@@ -310,7 +324,7 @@ class TestGreedyBaseline:
             total_bandwidth_hz=channel_khz * 1e3 * channels,
         )
         power, cpu = reference_greedy_choice(params, topo)
-        report = greedy_baseline(params, topo)
+        report = _greedy_at_chunk(chunk, params, topo)
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
 
@@ -348,6 +362,30 @@ class TestGreedyBaseline:
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
 
+    def test_pair_bound_prunes_on_4000_device_cell_with_zero_power_floor(self, monkeypatch):
+        # 10 kHz subchannels, where the power bound keeps about 20 of 121
+        # pairs per channel and the pair bound under half of those; p_min = 0
+        # leaves each channel's zero-power pairs +inf
+        params, topo = small_instance(seed=5, users=4000, p_min_w=0.0)
+        calls = []
+        for name in ("_pair_bound", "_grid_reduce"):
+            kernel = getattr(allocator, name)
+
+            def counted(*args, name=name, kernel=kernel):
+                calls.append((name, len(args[-3])))
+                return kernel(*args)
+
+            monkeypatch.setattr(allocator, name, counted)
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+        # per chunk: incumbents, second bound, its survivors, winners
+        checked = [n for name, n in calls if name == "_pair_bound"]
+        kept = [calls[i + 1][1] for i, call in enumerate(calls) if call[0] == "_pair_bound"]
+        assert len(checked) == -(-topo.n_channels // allocator.GREEDY_CHUNK)
+        assert sum(kept) < 0.6 * sum(checked)
+
     @settings(max_examples=60, deadline=None)
     @given(cell=bound_cells())
     def test_lower_bound_never_exceeds_exact_grid_minimum(self, cell):
@@ -356,6 +394,21 @@ class TestGreedyBaseline:
         minima = reference_pair_minima(params, topo)
         assert np.all(bound <= minima)
         assert np.array_equal(np.isinf(bound), np.isinf(minima))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=bound_cells())
+    def test_pair_bound_never_exceeds_exact_grid_minimum(self, cell):
+        params, topo = cell
+        power_bound, terms = allocator._pair_terms(params, topo, 0, topo.n_channels)
+        pairs = np.arange(power_bound.size)
+        buffers = np.empty((3, 121 * allocator.GREEDY_BLOCK))
+        bound = allocator._pair_bound(pairs, terms, buffers).reshape(power_bound.shape)
+        minima = reference_pair_minima(params, topo)
+        assert not np.any(np.isnan(bound))
+        reachable = np.isfinite(minima)
+        assert np.all(bound[reachable] <= minima[reachable])
+        # f_b exact, so never weaker than the power bound
+        assert np.all(bound[reachable] >= power_bound[reachable])
 
     @settings(max_examples=60, deadline=None)
     @given(cell=bound_cells())

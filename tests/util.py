@@ -249,8 +249,11 @@ def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
         rate_a = bandwidth * np.log2(1.0 + received_a / noise)
         rate_b = bandwidth * np.log2(1.0 + p_grid[None, :] * gains[b] / (noise + received_a))
         rates = np.stack(np.broadcast_arrays(rate_a, rate_b))
+        # a pair leaving either member zero rate (zero power) costs +inf;
+        # its upload terms get a finite 0 so that 0 * inf makes no NaN
+        reachable = (rates[0] > 0.0) & (rates[1] > 0.0)
         with np.errstate(divide="ignore"):
-            t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, np.inf)
+            t_tr = np.where(rates > 0.0, bits[a:b + 1, None, None] / rates, 0.0)
         t_tr_a, t_tr_b = t_tr[0, :, 0], t_tr[1]
         e_tr_a = p_grid * t_tr_a
         e_tr_b = p_grid[None, :] * t_tr_b
@@ -266,7 +269,7 @@ def reference_greedy_choice(params: SystemParams, topology: PairedTopology):
             t_cmp[:, a, None, None, None] + t_tr_a[None, None, :, None],
             t_cmp[None, :, b, None, None] + t_tr_b[None, None, :, :],
         )
-        cost = alpha * energy + beta * chan_time
+        cost = np.where(reachable, alpha * energy + beta * chan_time, np.inf)
         fa, fb, pa, pb = np.unravel_index(int(np.argmin(cost)), cost.shape)
         cpu[a], cpu[b] = f_grid[fa], f_grid[fb]
         power[a], power[b] = p_grid[pa], p_grid[pb]
