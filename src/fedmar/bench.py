@@ -19,7 +19,7 @@ from typing import Iterable
 
 from . import allocator, model
 from .allocator import SolveReport
-from .model import Device, ParamsError, SystemParams, UnreachableDeviceError
+from .model import ParamsError, SystemParams, UnreachableDeviceError
 from .pairing import (
     DeviceParamRanges,
     PairingScheme,
@@ -346,7 +346,9 @@ def _swept(sweep_variable: str, sweep_value: float) -> dict:
 
 
 def _format_resolutions(resolutions) -> str:
-    return "|".join(f"{r:g}" for r in resolutions)
+    values = resolutions.tolist()
+    text = {r: f"{r:g}" for r in set(values)}  # a handful of distinct levels
+    return "|".join([text[r] for r in values])
 
 
 def _result_row(
@@ -390,17 +392,35 @@ def _result_row(
     )
 
 
-def solve_proposed(
-    spec: ExperimentSpec, params: SystemParams, devices: Device, gains, seed: int
-) -> SolveReport:
-    """The proposed solve of one sampled cell under the configured pairing:
+# (key, devices, gains, {scheme: topology}) of the last seed: callers wrap
+# run_cell(spec, sweep value, weights, seed), so no topology can be handed to
+# it. ``run_experiment`` drops this one-entry memo on return.
+_last_seed: tuple | None = None
+
+
+def _paired(spec: ExperimentSpec, params: SystemParams, seed: int, scheme: PairingScheme):
+    global _last_seed
+    key = (spec.topology, spec.ranges, seed)
+    if _last_seed is None or _last_seed[0] != key:
+        _last_seed = None  # never hold two seeds' arrays at once
+        devices, gains = sample_topology(replace(spec.topology, rng_seed=seed), spec.ranges)
+        _last_seed = (key, devices, gains, {})
+    _, devices, gains, pairings = _last_seed
+    if scheme not in pairings:
+        pairings[scheme] = pair_users(params, devices, gains, scheme, rng_seed=seed)
+    return pairings[scheme]
+
+
+def solve_proposed(spec: ExperimentSpec, params: SystemParams, seed: int) -> SolveReport:
+    """The proposed solve of one seed's cell under the configured pairing:
     every scheme, keeping the best, for ``best``; the named scheme otherwise.
     The report's scheme is always set."""
     if spec.pairing == "best":
-        return allocator.allocate_best_pairing(params, devices, gains, seed)
+        return allocator.allocate_best_pairing(
+            params, {scheme: _paired(spec, params, seed, scheme) for scheme in PairingScheme}
+        )
     scheme = PairingScheme(spec.pairing)
-    topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
-    report = allocator.allocate(params, topology)
+    report = allocator.allocate(params, _paired(spec, params, seed, scheme))
     report.scheme = scheme
     return report
 
@@ -412,16 +432,13 @@ def run_cell(
     cell. Baselines reuse the pairing chosen for the proposed run so all
     algorithms see the same channel structure."""
     params = cell_params(spec, sweep_value, weights)
-    topo_config = replace(spec.topology, rng_seed=seed)
-    devices, gains = sample_topology(topo_config, spec.ranges)
-
     reports: dict[str, tuple[SolveReport | None, str, str]] = {}
     baseline_topology = None
     baseline_label = spec.pairing
 
     if "proposed" in spec.algorithms:
         try:
-            report = solve_proposed(spec, params, devices, gains, seed)
+            report = solve_proposed(spec, params, seed)
             label = report.scheme.value
             reports["proposed"] = (report, label, "")
             baseline_topology = report.topology
@@ -433,7 +450,7 @@ def run_cell(
         # without a proposed run, best pairing falls back to nearest
         best = spec.pairing == "best"
         scheme = PairingScheme.NEAREST_USER if best else PairingScheme(spec.pairing)
-        baseline_topology = pair_users(params, devices, gains, scheme, rng_seed=seed)
+        baseline_topology = _paired(spec, params, seed, scheme)
         baseline_label = scheme.value
 
     for algo in ("random", "greedy"):
@@ -514,15 +531,19 @@ def run_experiment(
     """Run the whole sweep; rows come back in deterministic order
     (sweep value, weight triple, seed, algorithm) with seed-mean summary
     rows appended, and go to ``emit`` when ``out_path`` is given. An
-    unknown ``fmt`` raises before any cell runs."""
+    unknown ``fmt`` raises before any cell runs. Cells run seed by seed,
+    so one seed's topology serves all its cells."""
+    global _last_seed
     _renderer(fmt)
-    rows = [
-        row
-        for value in spec.sweep_values
-        for weights in spec.weights
-        for seed in spec.seeds
-        for row in run_cell(spec, value, weights, seed)
-    ]
+    cells: dict[tuple[int, int, int], list[ResultRow]] = {}
+    try:
+        for k, seed in enumerate(spec.seeds):
+            for i, value in enumerate(spec.sweep_values):
+                for j, weights in enumerate(spec.weights):
+                    cells[i, j, k] = run_cell(spec, value, weights, seed)
+    finally:
+        _last_seed = None
+    rows = [row for cell in sorted(cells) for row in cells[cell]]
     rows.extend(summarize(rows))
     if out_path is not None:
         emit(rows, fmt, out_path)

@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import bench, pairing
+from . import bench
 from .bench import ExperimentSpec
 from .model import UnreachableDeviceError
 
@@ -34,10 +34,8 @@ def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     seed = spec.seeds[0]
     params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
-    topo_config = replace(spec.topology, rng_seed=seed)
-    devices, gains = pairing.sample_topology(topo_config, spec.ranges)
     started = time.perf_counter()
-    report = bench.solve_proposed(spec, params, devices, gains, seed)
+    report = bench.solve_proposed(spec, params, seed)
     wall_time = time.perf_counter() - started
 
     c = report.costs

@@ -26,14 +26,16 @@ D, computed once per solve by ``dual_coefficients``:
 
 Each branch is a power law in D, so the total multiplier and its slope
 come from one pass. A safeguarded Newton iteration on log total against
-log price offset finds the two adjacent floats where the float total
-crosses the budget, typically in about 8 evaluations, and one primal
-recovery follows. The resolution is rounded to the discrete set only when
+log price offset, started where an equal split of the budget puts the
+median device, finds the two adjacent floats where the float total crosses
+the budget, typically in about 6 evaluations, and one primal recovery
+follows. The resolution is rounded to the discrete set only when
 asked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -103,7 +105,11 @@ class Sp1Solution:
 
 def accuracy_slope(params: SystemParams) -> float:
     """Slope of the accuracy line through the lowest and highest resolutions."""
-    s1, _, s3 = params.resolution_set_px
+    return _slope_between(*params.resolution_set_px[::2])
+
+
+@functools.lru_cache(maxsize=8)  # a sweep uses one resolution set
+def _slope_between(s1: float, s3: float) -> float:
     return (model.accuracy_of(s3) - model.accuracy_of(s1)) / (s3 - s1)
 
 
@@ -173,19 +179,40 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     return lam_lo if total_lo - beta < beta - total_hi else lam_hi
 
 
+def _start_offset(coeffs: DualCoefficients, beta: float, gaps: np.ndarray) -> float:
+    """Where an equal split of the budget puts the median device: each
+    device's map inverted at lam = beta / n on the branch it takes there
+    (free or at f_max, or pinned below ``s1_below`` or above ``s3_above``),
+    as a price offset. 1.0 when that is no offset in [_MIN_OFFSET, inf)."""
+    lam = np.float64(beta) / gaps.size
+    if lam > coeffs.lam_f_max:
+        d = (coeffs.f_max_scale / (lam + coeffs.lam_f_max / 2)) ** 2
+    else:
+        d = 2.0 * np.asarray(coeffs.curvature, dtype=float) / 3.0 / lam ** (5.0 / 3.0)
+    root = lam ** (1.0 / 3.0)
+    d = np.where(d < coeffs.s1_below, np.minimum(coeffs.pin_s1 / root, coeffs.s1_below), d)
+    d = np.where(d > coeffs.s3_above, np.maximum(coeffs.pin_s3 / root, coeffs.s3_above), d)
+    middle = gaps.size // 2
+    offset = float(np.partition(d - gaps, middle)[middle])
+    return offset if _MIN_OFFSET <= offset < math.inf else 1.0
+
+
+# the start may divide by zero or overflow, and a pin cubed past the float range is flat
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _budget_crossing(coeffs: DualCoefficients, beta: float):
     """The adjacent floats lo < hi of the price offset above max(t_up) with
     total(lo) > beta >= total(hi), as (offset, total, multipliers) each.
 
     Every branch of the multiplier map is a power law in D, so one pass
     gives the total and its slope, and a Newton step on log total against
-    log offset aims at the crossing. Every evaluation narrows the bracket;
-    a step that leaves it, or does not halve the step before it, bisects
-    it on the float grid instead. Raises when no offset down to
+    log offset aims at the crossing from ``_start_offset``. Every evaluation
+    narrows the bracket; a step that leaves it, or does not halve the step
+    before it, bisects it on the float grid instead. The pair is unique, so
+    it does not depend on the start. Raises when no offset down to
     ``_MIN_OFFSET`` makes the total reach the budget.
     """
     t_up = np.asarray(coeffs.t_up, dtype=float)
-    gaps = np.max(t_up) - t_up
+    gaps = t_up.max() - t_up
     scale = (2.0 * np.asarray(coeffs.curvature, dtype=float) / 3.0) ** 0.6
 
     def lam_of(offset: float):
@@ -205,29 +232,30 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
             # only pinned devices cube their pin; a cube past the float range is flat
             pin = np.where(low, coeffs.pin_s1, coeffs.pin_s3)
             fix = np.divide(pin, d, out=np.zeros_like(d), where=pinned)
-            with np.errstate(over="ignore"):
-                fix = fix * fix * fix
+            fix = fix * fix * fix
             flat = (fix > coeffs.lam_f_max) | (fix == math.inf)
             fix[flat] = _JUMP
             lam = np.where(pinned, fix, lam)
             rate = np.where(pinned, np.where(flat, 0.0, -3.0 * fix), rate)
-        return lam, float(np.sum(lam)), float(np.sum(rate / d))
+        return lam, float(lam.sum()), float((rate / d).sum())
 
     # Until both ends are known, a step goes at most a factor e**reach, and
     # reach doubles. A step shorter than `gallop` ulps, or away from the
     # crossing, moves `gallop` ulps toward it instead, and `gallop` doubles
-    # while that repeats. `last` is the previous step, in ulps.
+    # while that repeats. `last` is the previous step, in ulps; `here`,
+    # `lo_at` and `hi_at` are the offset's and the ends' places on the grid.
     lo = hi = None
-    offset, reach, gallop, last = 1.0, math.log(4.0), 1, math.inf
+    offset = _start_offset(coeffs, beta, gaps)
+    here, reach, gallop, last = _ulps(offset), math.log(4.0), 1, math.inf
     while True:
         lam, total, slope = lam_of(offset)
         above = total > beta
         if above:
-            lo = (offset, total, lam)
+            lo, lo_at = (offset, total, lam), here
         else:
-            hi = (offset, total, lam)
+            hi, hi_at = (offset, total, lam), here
         bracketed = lo is not None and hi is not None
-        if bracketed and _ulps(hi[0]) - _ulps(lo[0]) == 1:
+        if bracketed and hi_at - lo_at == 1:
             return lo, hi
         if lo is None and offset <= _MIN_OFFSET:
             raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
@@ -240,7 +268,6 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
         if not bracketed:
             reach = min(2.0 * reach, 700.0)  # e**700 stays finite
 
-        here = _ulps(offset)
         target = None
         if not math.isnan(step):
             target = _ulps(max(offset * math.exp(step), _MIN_OFFSET))
@@ -252,12 +279,12 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
                 gallop = 1
                 if bracketed and toward > 4 and 2 * toward > last:
                     target = None  # a kink or noise: bisect
-        if bracketed and (target is None or not _ulps(lo[0]) < target < _ulps(hi[0])):
-            target = (_ulps(lo[0]) + _ulps(hi[0])) // 2
+        if bracketed and (target is None or not lo_at < target < hi_at):
+            target = (lo_at + hi_at) // 2
             last = math.inf
         else:
             last = abs(target - here)
-        offset = _from_ulps(target)
+        here, offset = target, _from_ulps(target)
 
 
 def recover_primal(multiplier, params: SystemParams, devices):

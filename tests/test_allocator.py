@@ -120,12 +120,16 @@ class TestAllocate:
         assert default.objective_trace[-1] <= best + 1e-3 * abs(best)
 
 
+def every_pairing(params, devices, gains):
+    return {s: pairing.pair_users(params, devices, gains, s) for s in PairingScheme}
+
+
 class TestBestPairing:
     def test_identical_devices_tie_to_first_scheme(self):
         params = SystemParams(channel_count=2)
         devices = make_devices([0.2] * 4)
         gains = np.full(4, 1e-11)
-        report = allocate_best_pairing(params, devices, gains)
+        report = allocate_best_pairing(params, every_pairing(params, devices, gains))
         assert report.scheme == PairingScheme.RANDOM
         values = list(report.scheme_objectives.values())
         assert max(values) - min(values) <= 1e-12 * abs(values[0])
@@ -135,7 +139,7 @@ class TestBestPairing:
         distances = [0.01, 0.012, 0.4, 0.42]
         devices = make_devices(distances)
         gains = channel_gain(devices.distance_km, 0.0)
-        report = allocate_best_pairing(params, devices, gains)
+        report = allocate_best_pairing(params, every_pairing(params, devices, gains))
         objs = report.scheme_objectives
         assert len(objs) == 3
         assert objs["nearest-farthest"] <= min(objs.values()) + 1e-15
@@ -144,7 +148,7 @@ class TestBestPairing:
         params, _ = small_instance(seed=4)
         config = pairing.TopologyConfig(user_count=4, channel_count=2, rng_seed=4)
         devices, gains = pairing.sample_topology(config)
-        report = allocate_best_pairing(params, devices, gains)
+        report = allocate_best_pairing(params, every_pairing(params, devices, gains))
         assert set(report.scheme_objectives) == {"random", "nearest", "nearest-farthest"}
         assert report.costs.objective == min(report.scheme_objectives.values())
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fedmar import bench, cli
+from fedmar import allocator, bench, cli
 from fedmar.bench import (
     CSV_HEADER,
     ConfigError,
@@ -23,7 +23,7 @@ from fedmar.bench import (
     summarize,
 )
 from fedmar.model import dbm_to_watts
-from fedmar.pairing import TopologyConfig
+from fedmar.pairing import PairingScheme, TopologyConfig
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -196,6 +196,83 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="'xml'"):
             run_experiment(tiny_spec(), out_path=out, fmt="xml")
         assert cells == [] and not out.exists()
+
+
+class TestSeedReuse:
+    """Cells run seed by seed, and each seed's devices, gains and pairings
+    serve all of its cells."""
+
+    def best_sweep(self) -> ExperimentSpec:
+        return tiny_spec(seeds=(1, 2), algorithms=bench.ALGORITHMS, pairing="best")
+
+    def test_run_cell_and_allocate_keep_their_call_contract(self, monkeypatch):
+        # callers such as perfbench wrap bench.run_cell as wrapper(spec,
+        # sweep_value, weights, seed) to time cells, and allocator.allocate to
+        # check each scheme's report; so the sweep calls both through their
+        # module globals, run_cell with exactly these four positional arguments
+        run_cell, allocate = bench.run_cell, allocator.allocate
+        cells, solves = [], []
+
+        def recording_cell(*args, **kwargs):
+            cells.append((args, kwargs))
+            solves.append(0)
+            return run_cell(*args, **kwargs)
+
+        def recording_allocate(*args, **kwargs):
+            solves[-1] += 1
+            return allocate(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_cell", recording_cell)
+        monkeypatch.setattr(allocator, "allocate", recording_allocate)
+        spec = self.best_sweep()
+        run_experiment(spec)
+        assert all(len(args) == 4 and not kwargs for args, kwargs in cells)
+        assert sorted((args[1], args[3]) for args, _ in cells) == [
+            (10.0, 1), (10.0, 2), (12.0, 1), (12.0, 2)
+        ]
+        assert solves == [3] * 4
+
+    def test_each_seed_is_sampled_once_and_paired_once_per_scheme(self, monkeypatch):
+        sample, pair = bench.sample_topology, bench.pair_users
+        sampled, paired = [], []
+
+        def recording_sample(config, ranges):
+            sampled.append(config.rng_seed)
+            return sample(config, ranges)
+
+        def recording_pair(params, devices, gains, scheme, rng_seed):
+            paired.append((rng_seed, scheme))
+            return pair(params, devices, gains, scheme, rng_seed=rng_seed)
+
+        monkeypatch.setattr(bench, "sample_topology", recording_sample)
+        monkeypatch.setattr(bench, "pair_users", recording_pair)
+        run_experiment(self.best_sweep())
+        assert sampled == [1, 2]
+        assert sorted(paired, key=str) == sorted(
+            ((seed, scheme) for seed in (1, 2) for scheme in PairingScheme), key=str
+        )
+        assert bench._last_seed is None  # released on return
+
+    def test_direct_cells_give_the_rows_of_a_fresh_cache(self, monkeypatch):
+        small = tiny_spec(algorithms=bench.ALGORITHMS, pairing="best")
+        large = tiny_spec(
+            topology=TopologyConfig(user_count=6, channel_count=3),
+            params=bench.SystemParams(channel_count=3),
+            algorithms=bench.ALGORITHMS,
+            pairing="best",
+        )
+        order = [(small, 2), (small, 1), (small, 2), (large, 2), (small, 2)]
+
+        def cell(spec, seed):
+            return rows_to_csv(bench.run_cell(spec, 12.0, spec.weights[0], seed))
+
+        fresh = []
+        for spec, seed in order:
+            monkeypatch.setattr(bench, "_last_seed", None)
+            fresh.append(cell(spec, seed))
+        monkeypatch.setattr(bench, "_last_seed", None)
+        assert [cell(spec, seed) for spec, seed in order] == fresh
+        assert fresh[0] != fresh[1] and fresh[0] != fresh[3]
 
 
 class TestEmission:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmar import model, sp1
+from fedmar import bench, model, sp1
 from fedmar.model import SystemParams
 from fedmar.sp1 import (
     DualCoefficients,
@@ -38,6 +38,10 @@ from util import (
 )
 
 CBRT_MIX = 2 ** (-2 / 3) + 2 ** (1 / 3)
+
+
+def one_in_eight(rare, usual):
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else usual)
 
 
 def assert_crossing_matches_reference(coeffs, beta):
@@ -125,12 +129,45 @@ class TestSolveDual:
         users=st.integers(1, 10).map(lambda k: 2 * k),
         seed=st.integers(0, 10_000),
         alpha=st.floats(0.01, 0.99),
-        gamma=st.floats(0.0, 20.0),
+        gamma=one_in_eight(st.just(0.0), st.floats(0.0, 20.0)),
         f_max_ghz=st.floats(0.05, 2.0),
+        budget=one_in_eight(st.floats(1e-6, 1e-3), st.none()),
     )
-    def test_cell_crossing_matches_reference(self, users, seed, alpha, gamma, f_max_ghz):
-        # f_max and gamma span the free, f_max, pinned and flat branches
-        assert_crossing_matches_reference(*random_cell_dual(seed, users, alpha, gamma, f_max_ghz))
+    def test_cell_crossing_matches_reference(self, users, seed, alpha, gamma, f_max_ghz, budget):
+        # f_max and gamma span the free, f_max, pinned and flat branches; a zero
+        # gamma pins every device, and a tiny budget starts the search far out
+        coeffs, beta = random_cell_dual(seed, users, alpha, gamma, f_max_ghz)
+        assert_crossing_matches_reference(coeffs, beta if budget is None else budget)
+
+    def test_search_starts_at_offset_one_without_a_median_offset(self):
+        # an equal split puts two of three devices below max(t_up): their
+        # offsets, and so the median's, are negative
+        coeffs = DualCoefficients(
+            curvature=np.full(3, 1e-4), t_up=np.array([0.0, 0.0, 10.0])
+        )
+        gaps = np.max(coeffs.t_up) - coeffs.t_up
+        assert sp1._start_offset(coeffs, 0.5, gaps) == 1.0
+        assert_crossing_matches_reference(coeffs, 0.5)
+
+    def test_default_sweep_takes_few_price_evaluations(self, monkeypatch):
+        # from offset 1 the search took 7.9 evaluations a call on this sweep;
+        # every evaluation after a call's first follows one _from_ulps
+        counts = []
+        crossing, from_ulps = sp1._budget_crossing, sp1._from_ulps
+
+        def counted_crossing(coeffs, beta):
+            counts.append(1)
+            return crossing(coeffs, beta)
+
+        def counted_from_ulps(k):
+            counts[-1] += 1
+            return from_ulps(k)
+
+        monkeypatch.setattr(sp1, "_budget_crossing", counted_crossing)
+        monkeypatch.setattr(sp1, "_from_ulps", counted_from_ulps)
+        bench.run_experiment(bench.ExperimentSpec())
+        assert len(counts) == 21  # 7 sweep values x 3 pairing schemes
+        assert sum(counts) / len(counts) <= 6.0
 
     def test_budget_inside_a_flat_term_matches_reference(self):
         params, topo = small_instance(seed=1, users=4, f_max_hz=0.1e9)
