@@ -146,18 +146,16 @@ def _report(
 def allocate_best_pairing(
     params: SystemParams, topologies: Mapping[PairingScheme, PairedTopology]
 ) -> SolveReport:
-    """Solve one cell under every pairing scheme, ``topologies`` holding its
-    topology per scheme, and keep the lowest objective; ties go to the
-    scheme ``PairingScheme`` lists first."""
+    """Solve one cell under every pairing scheme of ``topologies``, which
+    maps each scheme to its topology, and keep the lowest objective; ties go
+    to the scheme listed first."""
     reports: list[SolveReport] = []
-    for scheme in PairingScheme:
-        report = allocate(params, topologies[scheme])
+    for scheme, topology in topologies.items():
+        report = allocate(params, topology)
         report.scheme = scheme
         reports.append(report)
     best = min(reports, key=lambda r: r.costs.objective)
-    best.scheme_objectives = {
-        r.scheme.value: r.costs.objective for r in reports if r.scheme is not None
-    }
+    best.scheme_objectives = {r.scheme.value: r.costs.objective for r in reports}
     return best
 
 

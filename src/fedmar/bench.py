@@ -27,7 +27,6 @@ from .pairing import (
     pair_users,
     sample_topology,
 )
-from .sp2 import DeadlineInfeasibleError
 
 JSON_SCHEMA = "fedmar-results/1"
 SWEEP_VARIABLES = ("p_max_dbm", "f_max_ghz", "gamma")
@@ -360,14 +359,13 @@ def _result_row(
     params: SystemParams,
     algorithm: str,
     pairing_label: str,
-    flag: str = "",
 ) -> ResultRow:
-    """One run's row. A run that raised has no report: its metrics are NaN
-    and ``flag`` names the failure. A solved run is flagged only when it
-    is rate-infeasible."""
+    """One run's row. A run without a report found some device unreachable:
+    its metrics are NaN. A solved run is flagged only when it is
+    rate-infeasible."""
     if report is None:
         metrics = (float("nan"),) * len(_MEAN_FIELDS)
-        outcome = {"resolutions": "", "converged": "no", "flag": flag}
+        outcome = {"resolutions": "", "converged": "no", "flag": "unreachable"}
     else:
         c = report.costs
         metrics = (
@@ -415,14 +413,18 @@ def solve_proposed(spec: ExperimentSpec, params: SystemParams, seed: int) -> Sol
     """The proposed solve of one seed's cell under the configured pairing:
     every scheme, keeping the best, for ``best``; the named scheme otherwise.
     The report's scheme is always set."""
-    if spec.pairing == "best":
-        return allocator.allocate_best_pairing(
-            params, {scheme: _paired(spec, params, seed, scheme) for scheme in PairingScheme}
-        )
-    scheme = PairingScheme(spec.pairing)
-    report = allocator.allocate(params, _paired(spec, params, seed, scheme))
-    report.scheme = scheme
-    return report
+    schemes = PairingScheme if spec.pairing == "best" else (PairingScheme(spec.pairing),)
+    return allocator.allocate_best_pairing(
+        params, {scheme: _paired(spec, params, seed, scheme) for scheme in schemes}
+    )
+
+
+def _solved(solve, *args) -> SolveReport | None:
+    """``solve(*args)``, or None when some device has zero uplink rate."""
+    try:
+        return solve(*args)
+    except UnreachableDeviceError:
+        return None
 
 
 def run_cell(
@@ -430,65 +432,37 @@ def run_cell(
 ) -> list[ResultRow]:
     """Run every requested algorithm on one (sweep value, weights, seed)
     cell. Baselines reuse the pairing chosen for the proposed run so all
-    algorithms see the same channel structure."""
+    algorithms see the same channel structure; without a proposed report,
+    best pairing falls back to nearest."""
     params = cell_params(spec, sweep_value, weights)
-    reports: dict[str, tuple[SolveReport | None, str, str]] = {}
-    baseline_topology = None
-    baseline_label = spec.pairing
-
+    reports: dict[str, SolveReport | None] = {}
     if "proposed" in spec.algorithms:
-        try:
-            report = solve_proposed(spec, params, seed)
-            label = report.scheme.value
-            reports["proposed"] = (report, label, "")
-            baseline_topology = report.topology
-            baseline_label = label
-        except (UnreachableDeviceError, DeadlineInfeasibleError) as exc:
-            reports["proposed"] = (None, spec.pairing, _flag_of(exc))
-
-    if baseline_topology is None:
-        # without a proposed run, best pairing falls back to nearest
+        reports["proposed"] = _solved(solve_proposed, spec, params, seed)
+    if (proposed := reports.get("proposed")) is not None:
+        scheme, topology = proposed.scheme, proposed.topology
+    else:
         best = spec.pairing == "best"
         scheme = PairingScheme.NEAREST_USER if best else PairingScheme(spec.pairing)
-        baseline_topology = _paired(spec, params, seed, scheme)
-        baseline_label = scheme.value
-
-    for algo in ("random", "greedy"):
-        if algo not in spec.algorithms:
-            continue
-        try:
-            if algo == "random":
-                report = allocator.random_baseline(params, baseline_topology, seed)
-            else:
-                report = allocator.greedy_baseline(params, baseline_topology)
-            reports[algo] = (report, baseline_label, "")
-        except (UnreachableDeviceError, DeadlineInfeasibleError) as exc:
-            reports[algo] = (None, baseline_label, _flag_of(exc))
-
-    rows = []
-    for algo in spec.algorithms:
-        if algo not in reports:
-            continue
-        report, label, flag = reports[algo]
-        rows.append(
-            _result_row(
-                report,
-                seed=seed,
-                spec=spec,
-                sweep_value=sweep_value,
-                params=params,
-                algorithm=algo,
-                pairing_label=label,
-                flag=flag,
-            )
+        topology = _paired(spec, params, seed, scheme)
+    if "random" in spec.algorithms:
+        reports["random"] = _solved(allocator.random_baseline, params, topology, seed)
+    if "greedy" in spec.algorithms:
+        reports["greedy"] = _solved(allocator.greedy_baseline, params, topology)
+    return [
+        _result_row(
+            reports[algo],
+            seed=seed,
+            spec=spec,
+            sweep_value=sweep_value,
+            params=params,
+            algorithm=algo,
+            # a failed proposed solve chose no scheme
+            pairing_label=(
+                spec.pairing if algo == "proposed" and proposed is None else scheme.value
+            ),
         )
-    return rows
-
-
-def _flag_of(exc: Exception) -> str:
-    if isinstance(exc, UnreachableDeviceError):
-        return "unreachable"
-    return "deadline-infeasible"
+        for algo in spec.algorithms
+    ]
 
 
 def _mean(values: list[float]) -> float:

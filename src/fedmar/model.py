@@ -9,6 +9,7 @@ functions are pure, so concurrent evaluation needs no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,12 +63,12 @@ class SystemParams:
     f_max_hz: float = 2e9
 
     def __post_init__(self) -> None:
-        if self.total_bandwidth_hz <= 0:
-            raise ParamsError("bandwidth must be positive", "total_bandwidth_hz")
+        if not 0.0 < self.total_bandwidth_hz < math.inf:
+            raise ParamsError("bandwidth must be positive and finite", "total_bandwidth_hz")
         if self.channel_count <= 0:
             raise ParamsError("channel count must be positive", "channel_count")
-        if self.noise_psd_w_per_hz <= 0:
-            raise ParamsError("noise PSD must be positive", "noise_psd_w_per_hz")
+        if not 0.0 < self.noise_psd_w_per_hz < math.inf:
+            raise ParamsError("noise PSD must be positive and finite", "noise_psd_w_per_hz")
         if self.switched_capacitance <= 0:
             raise ParamsError("switched capacitance must be positive", "switched_capacitance")
         if self.local_iterations <= 0:
@@ -92,15 +93,15 @@ class SystemParams:
             raise ParamsError(
                 "energy and time weights must sum to 1", "weight_energy", "weight_time"
             )
-        if g < 0.0:
-            raise ParamsError("accuracy weight must be non-negative", "weight_accuracy")
-        if not (0.0 <= self.p_min_w < self.p_max_w):
+        if not 0.0 <= g < math.inf:
+            raise ParamsError("accuracy weight must be non-negative and finite", "weight_accuracy")
+        if not (0.0 <= self.p_min_w < self.p_max_w < math.inf):
             raise ParamsError(
-                "power bounds must satisfy 0 <= p_min < p_max", "p_min_w", "p_max_w"
+                "power bounds must satisfy 0 <= p_min < p_max < inf", "p_min_w", "p_max_w"
             )
-        if not (0.0 < self.f_min_hz < self.f_max_hz):
+        if not (0.0 < self.f_min_hz < self.f_max_hz < math.inf):
             raise ParamsError(
-                "frequency bounds must satisfy 0 < f_min < f_max", "f_min_hz", "f_max_hz"
+                "frequency bounds must satisfy 0 < f_min < f_max < inf", "f_min_hz", "f_max_hz"
             )
 
     @property

@@ -1,5 +1,9 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +413,13 @@ class TestCli:
             ("resolutions_px = 160 320\n", "resolutions_px"),
             ("resolutions_px = 160 320 640 1280\n", "resolutions_px"),
             ("std_resolution_px = 1e-200\n", "std_resolution_px"),
+            ("bandwidth_mhz = nan\n", "bandwidth_mhz"),
+            ("bandwidth_mhz = inf\n", "bandwidth_mhz"),
+            ("noise_dbm_per_hz = nan\n", "noise_dbm_per_hz"),
+            ("weights = 0.5,0.5,nan\n", "weights"),
+            ("weights = 0.5,0.5,inf\n", "weights"),
+            ("sweep = gamma\nsweep_values = nan\n", "sweep_values"),
+            ("sweep_values = 6 inf\n", "sweep_values"),
         ],
         ids=[
             "later-triple",
@@ -431,6 +442,13 @@ class TestCli:
             "two-resolutions",
             "four-resolutions",
             "tiny-std-resolution",
+            "nan-bandwidth",
+            "infinite-bandwidth",
+            "nan-noise",
+            "nan-gamma",
+            "infinite-gamma",
+            "nan-gamma-sweep",
+            "infinite-p_max-sweep",
         ],
     )
     def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):
@@ -462,6 +480,8 @@ class TestCli:
             ("kappa = 1e-305\nweights = 0.5,0.5,1 0.001,0.999,1\n", ("kappa",)),
             ("kappa = 1e260\nsweep = f_max_ghz\nsweep_values = 1 1e20\n", ("kappa",)),
             ("seeds = 1 -1\n", ("seeds",)),
+            ("p_max_dbm = inf\nsweep = f_max_ghz\n", ("p_min_dbm", "p_max_dbm")),
+            ("f_max_ghz = inf\n", ("f_min_ghz", "f_max_ghz")),
             (
                 "min_distance_km = 1e-300\nshadow_sigma_db = 0\n",
                 ("min_distance_km", "cell_radius_km"),
@@ -486,6 +506,8 @@ class TestCli:
             "subnormal-alpha-times-kappa",
             "round-energy-overflow-at-swept-f_max",
             "negative-seed",
+            "infinite-base-p_max",
+            "infinite-f_max",
             "unshadowed-gain-overflow",
         ],
     )
@@ -511,8 +533,51 @@ class TestCli:
         assert "key 'jobs'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solve_flags_an_unreachable_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(UNREACHABLE)
+        out = tmp_path / "solve.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 2
+        assert "pairing best  flag unreachable" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1:] == [
+            "2,p_max_dbm,6,proposed,best,0.5,0.5,1,nan,nan,nan,nan,nan,,no,unreachable"
+        ]
+
     def test_missing_config_is_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+# every gain at 900 km and beyond leaves a zero uplink rate
+UNREACHABLE = "cell_radius_km = 1e6\nmin_distance_km = 9e5\n"
+
+
+@pytest.mark.parametrize(
+    "extra,labels",
+    [
+        ("", {"proposed": "best", "random": "nearest", "greedy": "nearest"}),
+        (
+            "pairing = nearest\nalgorithms = random greedy\n",
+            {"random": "nearest", "greedy": "nearest"},
+        ),
+    ],
+    ids=["best", "nearest-baselines"],
+)
+def test_unreachable_cell_yields_flagged_rows(tmp_path, extra, labels):
+    # a failed proposed row keeps the configured pairing; the baselines fall
+    # back to the pairing they ran on
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(UNREACHABLE + extra)
+    spec = load_config(cfg)
+    rows = bench.run_cell(spec, spec.sweep_values[0], spec.weights[0], 1)
+    assert [(r.algorithm, r.pairing) for r in rows] == list(labels.items())
+    for row in rows:
+        assert all(np.isnan(getattr(row, name)) for name in bench._MEAN_FIELDS)
+        assert (row.flag, row.converged) == ("unreachable", "no")
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    summary = [line.split(",") for line in out.read_text().splitlines() if line.startswith("mean,")]
+    assert len(summary) == len(spec.sweep_values) * len(labels)
+    assert all(s[4] == labels[s[3]] and s[-1] == "flagged=1" for s in summary)
 
 
 @pytest.mark.parametrize("weights", ["0.5,0.5,1", "1,0,1"])
@@ -555,15 +620,20 @@ WORKLOAD = _odds(
 )
 
 
+def _sometimes_non_finite(finite):
+    """``finite`` seven draws in eight, else NaN or an infinity."""
+    return _odds((7, finite), (1, st.sampled_from([math.nan, math.inf, -math.inf])))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     channels=st.integers(1, 10),
-    bandwidth_mhz=st.floats(1e-3, 100.0),
+    bandwidth_mhz=_sometimes_non_finite(st.floats(1e-3, 100.0)),
     f_min_ghz=st.floats(1e-3, 1.0),
     f_max_factor=st.floats(1.0, 50.0, exclude_min=True),
     alpha=st.floats(1e-6, 1.0),
-    gamma=st.floats(0.0, 50.0),
-    p_max_dbm=st.floats(1.0, 30.0),
+    gamma=_sometimes_non_finite(st.floats(0.0, 50.0)),
+    p_max_dbm=_sometimes_non_finite(st.floats(1.0, 30.0)),
     upload_kbits=_odds((7, st.floats(1e-3, 1e3)), (1, st.floats(-10.0, 0.0))),
     # the keys that set a device round's CPU cycles
     samples=WORKLOAD,
@@ -633,6 +703,23 @@ def test_default_sweep_matches_golden_csv(tmp_path):
     # a change that moves any emitted digit must regenerate it on purpose
     out = tmp_path / "default.csv"
     assert cli.main(["sweep", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "default_sweep.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_default_sweep_matches_golden_csv_with_simd_dispatch_off(tmp_path):
+    # numpy's AVX-512 and AVX2 kernels switched off, so a layout that reaches
+    # another SIMD path cannot move an emitted digit unnoticed
+    out = tmp_path / "default.csv"
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+        PYTHONPATH=os.pathsep.join(filter(None, paths)),
+    )
+    command = [sys.executable, "-m", "fedmar.cli", "sweep", "--out", str(out)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
     golden = Path(__file__).parent / "data" / "default_sweep.csv"
     assert out.read_bytes() == golden.read_bytes()
 
