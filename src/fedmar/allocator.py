@@ -10,6 +10,13 @@ at, since another frequency solve would then reproduce its own output.
 The resolution stays continuous while iterating and is rounded to the
 discrete set once, at exit.
 
+A pass costs each term once where it can. The frequency block takes the
+upload rates at its powers and the computation time and energy of its
+solution; its deadline and the pass's relaxed objective both read them.
+The power block, which takes frequencies and resolutions, costs the
+computation time for itself, and the relaxed objective takes the rates at
+the new powers.
+
 With a positive time weight and no device held at f_min, the first pass
 already stops: every device finishes at the deadline, so the power block
 needs exactly the powers the frequency block was solved at. The frequency
@@ -79,18 +86,20 @@ def relaxed_objective(
     params: SystemParams,
     topology: PairedTopology,
     power_w: np.ndarray,
-    cpu_hz: np.ndarray,
     resolution: np.ndarray,
+    t_cmp_s: np.ndarray,
+    e_cmp_j: np.ndarray,
 ) -> float:
     """Objective of the continuous relaxation: true energies and times, but
-    accuracy taken on the linearized fit the block solver optimizes."""
+    accuracy taken on the linearized fit the block solver optimizes. The
+    computation time and energy are those of ``resolution`` at the device
+    frequencies, as ``model.computation_cost`` gives them."""
     rates = model.uplink_rates(params, topology, power_w)
     t_tr, e_tr = model.transmission_cost(topology, rates, power_w)
-    t_c, e_c = model.computation_cost(params, topology, resolution, cpu_hz)
-    acc = float(np.sum(sp1.linear_accuracy(params, np.asarray(resolution))))
+    acc = float(sp1.linear_accuracy(params, np.asarray(resolution)).sum())
     return (
-        params.weight_energy * float(np.sum(e_tr + e_c))
-        + params.weight_time * float(np.max(t_tr + t_c))
+        params.weight_energy * float((e_tr + e_cmp_j).sum())
+        + params.weight_time * float((t_tr + t_cmp_s).max())
         - params.weight_accuracy * acc
     )
 
@@ -107,15 +116,17 @@ def allocate(params: SystemParams, topology: PairedTopology) -> SolveReport:
         block1 = sp1.solve_sp1(params, topology, power)
         cpu, s_cont, deadline = block1.cpu_hz, block1.resolution_cont, block1.deadline_s
         power_new, infeasible_flags, _ = sp2.solve_sp2(params, topology, cpu, s_cont, deadline)
-        delta = float(np.max(np.abs(power_new - power))) / p_width
+        delta = float(np.abs(power_new - power).max()) / p_width
         power = power_new
-        trace.append(relaxed_objective(params, topology, power, cpu, s_cont))
+        trace.append(
+            relaxed_objective(params, topology, power, s_cont, block1.t_cmp_s, block1.e_cmp_j)
+        )
         if delta <= OUTER_TOLERANCE:
             converged = True
             break
 
     resolution = block1.resolution_px
-    feasible = not bool(np.any(infeasible_flags))
+    feasible = not infeasible_flags.any()
     return _report(params, topology, power, cpu, resolution, trace, converged, feasible)
 
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from . import bench
 from .bench import ExperimentSpec
+from .model import UnreachableDeviceError
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -34,7 +35,11 @@ def _cmd_solve(args) -> int:
     seed = spec.seeds[0]
     params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
     started = time.perf_counter()
-    report = bench._solved(bench.solve_proposed, spec, params, seed)
+    try:
+        report = bench.solve_proposed(spec, params, seed)
+    except UnreachableDeviceError as exc:  # flagged below; the message names the device
+        report = None
+        print(exc, file=sys.stderr)
     wall_time = time.perf_counter() - started
     row = bench._result_row(
         report,

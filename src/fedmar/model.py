@@ -248,16 +248,17 @@ def uplink_rates(
     """Rates for every device, channel-major order."""
     p = np.asarray(power_w, dtype=float)
     g = topology.gains
-    rates = _pair_rates(params, g[0::2], g[1::2], p[0::2], p[1::2])
-    return np.stack(rates, axis=-1).ravel()
+    rates = np.empty(g.shape)
+    rates[0::2], rates[1::2] = _pair_rates(params, g[0::2], g[1::2], p[0::2], p[1::2])
+    return rates
 
 
 def transmission_cost(devices, rate_bps, power_w):
     """Upload time and energy, t = bits/rate and e = p * t, of one
     ``Device`` or of every device of a ``PairedTopology``."""
-    zero = np.asarray(rate_bps) <= 0.0
-    if zero.any():
-        i = int(np.argmax(zero))
+    rate = np.asarray(rate_bps)
+    if rate.min() <= 0.0:
+        i = int(np.argmax(rate <= 0.0))
         raise UnreachableDeviceError(
             f"device {np.ravel(devices.id)[i]} has zero uplink rate but "
             f"{np.ravel(devices.upload_bits)[i]:g} bits to send"
@@ -285,7 +286,7 @@ def computation_cost(params: SystemParams, devices, resolution_px, cpu_hz):
     standard sample, so a frame at the standard resolution costs exactly
     kappa * iterations * cycles * samples * f**2 joules.
     """
-    if (np.asarray(cpu_hz) < params.f_min_hz * (1.0 - 1e-12)).any():
+    if np.asarray(cpu_hz).min() < params.f_min_hz * (1.0 - 1e-12):
         raise ValueError(
             f"cpu frequency {np.min(cpu_hz):g} Hz below the minimum {params.f_min_hz:g} Hz"
         )
@@ -298,22 +299,23 @@ def computation_cost(params: SystemParams, devices, resolution_px, cpu_hz):
 def accuracy_of(resolution_px):
     """Analytic detector accuracy for a square training resolution."""
     s = np.asarray(resolution_px)
-    if (s <= 0).any():
+    if s.min() <= 0:
         raise ValueError("resolution must be positive")
     return 1.0 - ACCURACY_SCALE * np.exp(-ACCURACY_DECAY * s)
 
 
 def _check_bounds(params: SystemParams, allocation: Allocation, n: int) -> None:
+    """Raises unless every value lies in its box; a NaN lies in none."""
     tol = 1e-9
     p, f, s = allocation.power_w, allocation.cpu_hz, allocation.resolution_px
     if len(p) != n or len(f) != n or len(s) != n:
         raise ValueError("allocation length does not match topology")
-    if np.any(p < params.p_min_w * (1 - tol) - tol) or np.any(p > params.p_max_w * (1 + tol)):
+    if not (params.p_min_w * (1 - tol) - tol <= p.min() and p.max() <= params.p_max_w * (1 + tol)):
         raise ValueError("transmit power outside its bounds")
-    if np.any(f < params.f_min_hz * (1 - tol)) or np.any(f > params.f_max_hz * (1 + tol)):
+    if not (params.f_min_hz * (1 - tol) <= f.min() and f.max() <= params.f_max_hz * (1 + tol)):
         raise ValueError("cpu frequency outside its bounds")
     s1, _, s3 = params.resolution_set_px
-    if np.any(s < s1 * (1 - tol)) or np.any(s > s3 * (1 + tol)):
+    if not (s1 * (1 - tol) <= s.min() and s.max() <= s3 * (1 + tol)):
         raise ValueError("resolution outside [s1, s3]")
 
 
@@ -336,9 +338,9 @@ def evaluate(
     )
     acc = accuracy_of(allocation.resolution_px)
 
-    total_energy = float(np.sum(e_trans + e_cmp))
-    total_time = float(np.max(t_trans + t_cmp))
-    total_accuracy = float(np.sum(acc))
+    total_energy = float((e_trans + e_cmp).sum())
+    total_time = float((t_trans + t_cmp).max())
+    total_accuracy = float(acc.sum())
     weighted = params.weight_energy * total_energy + params.weight_time * total_time
     objective = weighted - params.weight_accuracy * total_accuracy
     return CostBreakdown(

@@ -19,6 +19,7 @@ its powers set the noise floors of stage two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,10 +55,10 @@ class RatioProblem:
     def __post_init__(self) -> None:
         if self.weight_energy <= 0.0:
             raise ValueError("the power solve requires a positive energy weight")
-        if np.any(np.asarray(self.noise_floor_w) <= 0.0):
+        if not np.asarray(self.noise_floor_w).min() > 0.0:
             raise ValueError("noise floors must be positive")
         r = np.asarray(self.min_rate_bps)
-        if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+        if not (0.0 < r.min() and r.max() < math.inf):
             raise ValueError("minimum rates must be positive and finite")
 
 
@@ -78,7 +79,7 @@ def min_rate(upload_bits, deadline_s: float, t_cmp_s):
     after local computation. Bits and computation times may be scalars or
     per-device arrays."""
     slack = deadline_s - np.asarray(t_cmp_s)
-    if np.any(slack <= 0.0):
+    if slack.min() <= 0.0:
         raise DeadlineInfeasibleError(
             f"deadline {deadline_s:g} s does not cover computation time "
             f"{np.max(t_cmp_s):g} s"
@@ -104,7 +105,7 @@ def solve_ratio_stage(problem: RatioProblem) -> RatioSolution:
     flagged rate-infeasible.
     """
     need = required_power(problem.noise_floor_w, problem.min_rate_bps, problem.bandwidth_hz)
-    power = np.clip(need, problem.p_min_w, problem.p_max_w)
+    power = np.minimum(np.maximum(need, problem.p_min_w), problem.p_max_w)
     rate = channel_rate(power, problem.noise_floor_w, problem.bandwidth_hz)
     return RatioSolution(
         power_w=power,

@@ -91,13 +91,9 @@ class TestAllocate:
             total_t = np.maximum(t_tr[0] + t_cmp[0], t_tr[1] + t_cmp[1])
             value = params.weight_energy * energy + params.weight_time * total_t
             best = min(best, float(np.min(value)))
-        got = relaxed_objective(
-            params,
-            topo,
-            report.allocation.power_w,
-            report.allocation.cpu_hz,
-            report.allocation.resolution_px,
-        )
+        a = report.allocation
+        t_cmp, e_cmp = model.computation_cost(params, topo, a.resolution_px, a.cpu_hz)
+        got = relaxed_objective(params, topo, a.power_w, a.resolution_px, t_cmp, e_cmp)
         assert got <= best + 1e-3 * abs(best)
 
     def test_close_to_best_multistart(self):
@@ -114,7 +110,9 @@ class TestAllocate:
                 params, topo, block1.cpu_hz, block1.resolution_cont, block1.deadline_s
             )
             finals.append(
-                relaxed_objective(params, topo, power, block1.cpu_hz, block1.resolution_cont)
+                relaxed_objective(
+                    params, topo, power, block1.resolution_cont, block1.t_cmp_s, block1.e_cmp_j
+                )
             )
         best = min(finals)
         assert default.objective_trace[-1] <= best + 1e-3 * abs(best)
@@ -504,7 +502,7 @@ def test_relaxed_objective_uses_linear_accuracy():
     s = np.full(n, 400.0)
     from fedmar.sp1 import linear_accuracy
 
-    value = relaxed_objective(params, topo, p, f, s)
+    value = relaxed_objective(params, topo, p, s, *model.computation_cost(params, topo, s, f))
     costs = model.evaluate(params, topo, model.Allocation(p, f, s))
     expected = (
         params.weight_energy * costs.total_energy_j
@@ -512,6 +510,31 @@ def test_relaxed_objective_uses_linear_accuracy():
         - params.weight_accuracy * float(np.sum(linear_accuracy(params, s)))
     )
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_one_pass_takes_each_cost_term_once(monkeypatch):
+    # sp1 costs its powers' uploads and its own computation once and hands
+    # the computation costs on to the relaxed objective; sp2 keeps its
+    # signature and costs the computation itself; the report costs the
+    # rounded allocation in model.evaluate
+    params, topo = table_instance(seed=3)
+    calls = []
+    for name in ("uplink_rates", "computation_cost"):
+        original = getattr(model, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counted)
+    report = allocate(params, topo)
+    assert params.weight_time > 0 and len(report.objective_trace) == 1
+    assert calls == [
+        "uplink_rates", "computation_cost",  # sp1
+        "computation_cost",  # sp2
+        "uplink_rates",  # relaxed objective at sp2's powers
+        "uplink_rates", "computation_cost",  # model.evaluate
+    ]
 
 
 class TestPowerFixedPoint:

@@ -538,7 +538,11 @@ class TestCli:
         cfg.write_text(UNREACHABLE)
         out = tmp_path / "solve.csv"
         assert cli.main(["solve", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 2
-        assert "pairing best  flag unreachable" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "pairing best  flag unreachable" in captured.out
+        assert re.fullmatch(
+            r"device \d+ has zero uplink rate but 28100 bits to send\n", captured.err
+        )
         assert out.read_text().splitlines()[1:] == [
             "2,p_max_dbm,6,proposed,best,0.5,0.5,1,nan,nan,nan,nan,nan,,no,unreachable"
         ]
@@ -604,78 +608,68 @@ def test_upload_below_computation_roundoff_gives_unflagged_row():
     assert all(np.isfinite(r.objective) for r in rows)
 
 
-def _odds(*weighted):
-    """Draw from one of the strategies, each picked with its weight."""
-    return st.sampled_from([s for w, s in weighted for _ in range(w)]).flatmap(lambda s: s)
-
-
 def _log_uniform(low_exp, high_exp):
     return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
 
 
-# mostly plausible positive values; one draw in eight is log-uniform below
-# one, down to the smallest subnormal, and one in eight non-positive
-WORKLOAD = _odds(
-    (6, st.floats(1.0, 1e4)), (1, _log_uniform(-323.3, 0.0)), (1, st.floats(-10.0, 0.0))
-)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# a device round's CPU cycles: plausible counts, or ones log-uniform below
+# one, down to the smallest subnormal, or non-positive
+_WORKLOAD = (st.floats(1.0, 1e4), st.one_of(_log_uniform(-323.3, 0.0), st.floats(-10.0, 0.0)))
+
+# keys a draw may break: a strategy of plausible values the config accepts,
+# then one of the values that may break it (kappa over the whole float range)
+_BREAKABLE = {
+    "bandwidth_mhz": (st.floats(1e-3, 100.0), _NON_FINITE),
+    "gamma": (st.floats(0.0, 50.0), _NON_FINITE),
+    "p_max_dbm": (st.floats(1.0, 30.0), _NON_FINITE),
+    "upload_kbits": (st.floats(1e-3, 1e3), st.floats(-10.0, 0.0)),
+    "samples": _WORKLOAD,
+    "cycles_low": _WORKLOAD,
+    "local_iterations": _WORKLOAD,
+    "kappa": (_log_uniform(-30.0, -26.0), _log_uniform(-320.0, 300.0)),
+    "seed": (st.integers(0, 1000), st.integers(-1000, -1)),
+}
 
 
-def _sometimes_non_finite(finite):
-    """``finite`` seven draws in eight, else NaN or an infinity."""
-    return _odds((7, finite), (1, st.sampled_from([math.nan, math.inf, -math.inf])))
+@st.composite
+def _breakable_values(draw):
+    """A value for every key of ``_BREAKABLE``, at most one of them from
+    the values that may break it; two draws in three break none."""
+    broken = draw(st.sampled_from([None] * 2 * len(_BREAKABLE) + list(_BREAKABLE)))
+    event(f"may break {broken}")
+    return {key: draw(kinds[key == broken]) for key, kinds in _BREAKABLE.items()}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     channels=st.integers(1, 10),
-    bandwidth_mhz=_sometimes_non_finite(st.floats(1e-3, 100.0)),
     f_min_ghz=st.floats(1e-3, 1.0),
     f_max_factor=st.floats(1.0, 50.0, exclude_min=True),
     alpha=st.floats(1e-6, 1.0),
-    gamma=_sometimes_non_finite(st.floats(0.0, 50.0)),
-    p_max_dbm=_sometimes_non_finite(st.floats(1.0, 30.0)),
-    upload_kbits=_odds((7, st.floats(1e-3, 1e3)), (1, st.floats(-10.0, 0.0))),
-    # the keys that set a device round's CPU cycles
-    samples=WORKLOAD,
-    cycles_low=WORKLOAD,
     cycles_factor=st.floats(1.0, 100.0),
-    local_iterations=WORKLOAD,
-    kappa=_log_uniform(-320.0, 300.0),
-    seed=_odds((7, st.integers(0, 1000)), (1, st.integers(-1000, -1))),
+    drawn=_breakable_values(),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
-    channels,
-    bandwidth_mhz,
-    f_min_ghz,
-    f_max_factor,
-    alpha,
-    gamma,
-    p_max_dbm,
-    upload_kbits,
-    samples,
-    cycles_low,
-    cycles_factor,
-    local_iterations,
-    kappa,
-    seed,
+    channels, f_min_ghz, f_max_factor, alpha, cycles_factor, drawn
 ):
     # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
     values = {
         "channels": channels,
         "users": 2 * channels,
-        "bandwidth_mhz": bandwidth_mhz,
+        "bandwidth_mhz": drawn["bandwidth_mhz"],
         "p_min_dbm": float("-inf"),
         "f_min_ghz": f_min_ghz,
         "f_max_ghz": f_min_ghz * f_max_factor,
-        "weights": ((alpha, 1.0 - alpha, gamma),),
-        "sweep_values": (p_max_dbm,),
-        "samples": samples,
-        "upload_kbits": upload_kbits,
-        "cycles_low": cycles_low,
-        "cycles_high": cycles_low * cycles_factor,
-        "local_iterations": local_iterations,
-        "kappa": kappa,
-        "seeds": (seed,),
+        "weights": ((alpha, 1.0 - alpha, drawn["gamma"]),),
+        "sweep_values": (drawn["p_max_dbm"],),
+        "samples": drawn["samples"],
+        "upload_kbits": drawn["upload_kbits"],
+        "cycles_low": drawn["cycles_low"],
+        "cycles_high": drawn["cycles_low"] * cycles_factor,
+        "local_iterations": drawn["local_iterations"],
+        "kappa": drawn["kappa"],
+        "seeds": (drawn["seed"],),
     }
     try:
         spec = spec_from_values(values)

@@ -318,6 +318,20 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, topo, alloc)
 
+    @pytest.mark.parametrize("field", ["power_w", "cpu_hz", "resolution_px"])
+    def test_nan_allocation_rejected(self, field):
+        # a NaN is neither below nor above a bound, so each check must fail on it
+        params, topo = table_instance(seed=1)
+        n = topo.n_devices
+        alloc = Allocation(
+            power_w=np.full(n, 0.5 * (params.p_min_w + params.p_max_w)),
+            cpu_hz=np.full(n, 1e9),
+            resolution_px=np.full(n, 320.0),
+        )
+        getattr(alloc, field)[17] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(params, topo, alloc)
+
     def test_unreachable_device_surfaces(self):
         params = SystemParams(p_min_w=0.0)
         topo = topology_from_gains([1e-10, 2e-10])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmar import bench, model, sp1
+from fedmar import bench, model, pairing, sp1
 from fedmar.model import SystemParams
 from fedmar.sp1 import (
     DualCoefficients,
@@ -178,6 +178,57 @@ class TestSolveDual:
         assert total_lo >= sp1._JUMP
         assert_crossing_matches_reference(coeffs, params.weight_time)
 
+    @pytest.mark.parametrize("side", ["s3", "s1", "both"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_device_pinned_matches_reference(self, side, seed):
+        # every device is pinned at every offset, so each price evaluation
+        # takes the pinned branch alone
+        rng = np.random.default_rng(seed)
+        n = 7
+        at_s1 = {"s3": np.zeros(n, bool), "s1": np.ones(n, bool), "both": rng.random(n) < 0.5}[side]
+        coeffs = DualCoefficients(
+            curvature=rng.uniform(1e-5, 1e-3, n),
+            t_up=rng.uniform(1e-3, 8e-2, n),
+            s1_below=np.where(at_s1, np.inf, 0.0),
+            s3_above=np.where(at_s1, np.inf, 0.0),
+            pin_s1=rng.uniform(1e-3, 1e-2, n),
+            pin_s3=rng.uniform(1e-2, 1e-1, n),
+        )
+        assert_crossing_matches_reference(coeffs, rng.uniform(0.1, 0.9))
+
+    @pytest.mark.parametrize("free", [False, True], ids=["all-pinned", "one-free"])
+    def test_flat_pin_matches_reference(self, free):
+        # device 0's cube passes lam_f_max while the others are still far
+        # below the budget, so the budget lands inside its infinite jump;
+        # device 3 is pinned at s1, or never pinned
+        coeffs = DualCoefficients(
+            curvature=np.full(4, 1e-4),
+            t_up=np.array([0.05, 0.01, 0.03, 0.02]),
+            lam_f_max=0.1,
+            s1_below=np.array([0.0, np.inf, 0.0, 0.0 if free else np.inf]),
+            s3_above=np.array([0.0, np.inf, 0.0, np.inf]),
+            pin_s1=np.full(4, 1e-3),
+            pin_s3=np.array([1.0, 1e-3, 1e-3, 1e-3]),
+        )
+        (_, total_lo, lam_lo), _ = sp1._budget_crossing(coeffs, 0.5)
+        assert total_lo >= sp1._JUMP and lam_lo[0] == sp1._JUMP
+        assert_crossing_matches_reference(coeffs, 0.5)
+
+    @pytest.mark.parametrize("p_max_dbm", [6.0, 12.0])
+    @pytest.mark.parametrize("seed", [3, 41, 2024])
+    def test_default_cells_match_reference(self, seed, p_max_dbm):
+        # 50-device cells as a sweep samples and pairs them, at the powers
+        # the alternation starts from
+        params = SystemParams(p_max_w=model.dbm_to_watts(p_max_dbm))
+        devices, gains = pairing.sample_topology(pairing.TopologyConfig(rng_seed=seed))
+        for scheme in pairing.PairingScheme:
+            topo = pairing.pair_users(params, devices, gains, scheme, rng_seed=seed)
+            powers = np.full(topo.n_devices, 0.5 * (params.p_min_w + params.p_max_w))
+            rates = model.uplink_rates(params, topo, powers)
+            t_trans, _ = model.transmission_cost(topo, rates, powers)
+            coeffs = dual_coefficients(params, topo, t_trans)
+            assert_crossing_matches_reference(coeffs, params.weight_time)
+
     @pytest.mark.parametrize(
         "pin_s3", [np.array([0.0, 1e-3]), 1e-3], ids=["array-pin", "scalar-pin"]
     )
@@ -278,7 +329,7 @@ class TestDeadline:
         t_trans = np.array([0.02, 0.03])
         cpu = np.array([1e9, 1e9])
         res = np.array([320.0, 320.0])
-        deadline = deadline_of(params, topo, t_trans, cpu, res)
+        deadline = deadline_of(t_trans, model.computation_cost(params, topo, res, cpu)[0])
         t_cmp = [
             model.computation_cost(params, dev, 320.0, 1e9)[0] for dev in topo.devices()
         ]
@@ -295,7 +346,7 @@ class TestDeadline:
         t_trans = np.array(
             [dev.upload_bits / rates[i] for i, dev in enumerate(topo.devices())]
         )
-        deadline = deadline_of(params, topo, t_trans, cpu, res)
+        deadline = deadline_of(t_trans, model.computation_cost(params, topo, res, cpu)[0])
         costs = model.evaluate(params, topo, model.Allocation(p, cpu, res))
         assert deadline == pytest.approx(costs.total_time_s, rel=1e-12)
 
@@ -309,7 +360,7 @@ class TestDeadline:
         t_cmp, _ = model.computation_cost(params, topo, res, cpu)
         t_trans = np.full(2, 1e-17)
         assert np.max(t_trans + t_cmp) == np.max(t_cmp)
-        deadline = deadline_of(params, topo, t_trans, cpu, res)
+        deadline = deadline_of(t_trans, t_cmp)
         assert deadline == np.nextafter(np.max(t_cmp), np.inf)
         assert np.all(deadline - t_cmp > 0.0)
 
