@@ -247,7 +247,7 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
             fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
             fix = fix * fix * fix
             steep = -3.0 * fix
-            top = fix.max() if pins == d.size else fix.max(where=pinned, initial=0.0)
+            top = fix.max(where=pinned, initial=0.0)
             if not (top <= coeffs.lam_f_max and top < math.inf):
                 flat = (fix > coeffs.lam_f_max) | (fix == math.inf)
                 fix[flat] = _JUMP

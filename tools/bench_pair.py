@@ -9,7 +9,11 @@ change checkout that ran the same seeds, this writes one file per side:
   every run's CSV digest, and for each end-to-end metric of
   ``BENCHMARK.json`` its median, its quartiles (inclusive method) and every
   run's value, all from the untraced runs (``--trace 0``);
-- the per-layer metrics of one traced run (``--trace 1``) per workload.
+- the per-layer metrics of the traced run (``--trace 1``) of seed
+  ``TRACED_SEED`` per workload.
+
+Untraced runs are made with ``--seconds`` set to the ``run_seconds`` of
+``BENCHMARK.json``; a record whose timed rounds took less stops the script.
 
 It then prints, per workload and metric, both medians, their ratio and
 the number of pairs the change won, pairs matched by seed. Every record of
@@ -18,19 +22,20 @@ tree stop the script instead of entering the summary.
 
     python3 tools/bench_pair.py --name lean_pass \\
         --parent ../parent --change . \\
-        --workload paper-sweep=901-910 --workload large-cell=911-920 \\
-        --traced-seed 1 --run-seconds 45 --note "Runs alternated, parent first in odd pairs."
+        --workload paper-sweep=901-910 --workload large-cell=911-920
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TRACED_SEED = 1
 
 
 def _seeds(text: str) -> list[int]:
@@ -65,14 +70,18 @@ def _summary(values: list[float], unit: str) -> dict:
 
 
 def side_summary(
-    checkout: Path, side: str, workloads: dict[str, list[int]], traced_seed: int,
-    run_seconds: float, metrics: list[str], description: str,
+    checkout: Path, side: str, workloads: dict[str, list[int]], run_seconds: float,
+    metrics: list[str], description: str,
 ) -> dict:
     meta = None
     summary: dict = {}
     for workload, seeds in workloads.items():
         runs = [_record(checkout, workload, seed, 0) for seed in seeds]
-        traced = _record(checkout, workload, traced_seed, 1)
+        for record in runs:
+            wall_s = float(re.search(r" in ([0-9.]+) s ", record["notes"]["cells_per_s"])[1])
+            if wall_s < run_seconds:
+                sys.exit(f"error: {record['meta']} ran {wall_s:g} s, under {run_seconds:g} s")
+        traced = _record(checkout, workload, TRACED_SEED, 1)
         for record in [*runs, traced]:
             fields = {k: record["meta"][k] for k in ("git_sha", "src_sha256")}
             if meta is None:
@@ -96,7 +105,7 @@ def side_summary(
                 for name in metrics
             },
             "per_layer": {
-                "seed": traced_seed,
+                "seed": TRACED_SEED,
                 "failed": traced["failed"],
                 "metrics": traced["metrics"],
             },
@@ -142,9 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", action="append", required=True, metavar="NAME=SEEDS",
         help="a workload and its untraced seeds, e.g. paper-sweep=901-910; repeatable",
     )
-    parser.add_argument("--traced-seed", type=int, default=1)
-    parser.add_argument("--run-seconds", type=float, default=45.0)
-    parser.add_argument("--note", default="", help="appended to the description")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write the pair to")
     args = parser.parse_args(argv)
 
@@ -154,21 +160,19 @@ def main(argv: list[str] | None = None) -> int:
         workloads[name] = _seeds(seeds)
         if len(workloads[name]) < 2:
             parser.error(f"{name}: quartiles need at least two seeds")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = benchmark["end_to_end"]
     metrics = [m["name"] for m in declared]
-    seconds = f"{args.run_seconds:g}"
+    run_seconds = benchmark["run_seconds"]
     description = (
-        f"perfbench/run.py end-to-end metrics over untraced runs (--trace 0, {seconds} s "
+        f"perfbench/run.py end-to-end metrics over untraced runs (--trace 0, {run_seconds:g} s "
         "each, one per seed), given as the median and quartiles (inclusive method) with "
         "every run's value, plus the per-layer metrics of one traced run (--trace 1, "
-        f"seed {args.traced_seed}). "
+        f"seed {TRACED_SEED}). "
         + " ".join(f"{w} seeds {', '.join(map(str, s))}." for w, s in workloads.items())
-        + (f" {args.note}" if args.note else "")
     )
     sides = {
-        side: side_summary(
-            checkout, side, workloads, args.traced_seed, args.run_seconds, metrics, description
-        )
+        side: side_summary(checkout, side, workloads, run_seconds, metrics, description)
         for side, checkout in (("parent", args.parent), ("change", args.change))
     }
     for side, summary in sides.items():
