@@ -48,8 +48,10 @@ GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # greedy_baseline searches GREEDY_CHUNK channels at a time; at its peak a
 # chunk holds five (channel, q) float arrays, about 1.2 MB at 256 channels.
 # GREEDY_BLOCK power pairs or frequency points are evaluated at a time over
-# the whole other axis, in three 0.37 MB cost buffers allocated once per call
-# (the power-pair passes use two).
+# the whole other axis, in three 0.37 MB cost buffers allocated once per call;
+# np.take fills them with mode="clip", which, unlike the default mode, writes
+# an out in place. The pair-bound pass sizes its block from the buffers: over
+# its 11-point f_b grid it takes 11 * GREEDY_BLOCK pairs.
 GREEDY_CHUNK = 256
 GREEDY_BLOCK = 384
 # the alternation stops once no power moves by more than OUTER_TOLERANCE of
@@ -186,28 +188,30 @@ def _grid(low: float, high: float) -> np.ndarray:
 
 
 def _grid_reduce(reduce, pairs, terms, buffers):
-    """``reduce(costs, axis=0)`` of the exact greedy cost over the full
-    (f_a, f_b) grid at each flat ``channel * 121 + q`` power pair of one
-    chunk, at most GREEDY_BLOCK pairs per pass.
+    """``reduce(costs, axis=0)`` of the greedy cost over the (f_a, f_b) grid
+    of ``terms`` at each flat ``channel * 121 + q`` power pair of one chunk,
+    as many pairs per pass as the buffers hold at that grid's size.
 
-    ``terms`` is (alpha, beta, e_cmp, t_cmp, upload, unreachable) of the
-    chunk: e_cmp and t_cmp with axes (member, f, channel); upload with axes
-    (term, channel * 121 + q), terms (e_tr_a, e_tr_b, t_tr_a, t_tr_b). Costs
-    lie (f_a, f_b, pair), so the pairs run along the long contiguous last axis.
+    ``terms`` is (alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable) of
+    the chunk: each member's compute energy and time with axes (f, channel),
+    over the whole f grid for the exact cost; upload with axes (term,
+    channel * 121 + q), terms (e_tr_a, e_tr_b, t_tr_a, t_tr_b). Costs lie
+    (f_a, f_b, pair), so the pairs run along the long contiguous last axis.
     """
-    alpha, beta, e_cmp, t_cmp, upload, unreachable = terms
+    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+    grid = len(e_a) * len(e_b)
+    step = buffers.shape[1] // grid
     channel = pairs // (GRID_STEPS * GRID_STEPS)
     parts = []
-    for lo in range(0, len(pairs), GREEDY_BLOCK):
-        block = slice(lo, lo + GREEDY_BLOCK)
-        # take, unlike fancy indexing, returns C-contiguous rows
+    for lo in range(0, len(pairs), step):
+        block = slice(lo, lo + step)
+        cols = channel[block]
+        cost, span, rows = buffers[:, : grid * len(cols)].reshape(3, len(e_a), len(e_b), -1)
+        # take gives C-contiguous rows, unlike fancy indexing; member b's fill spare buffers
         e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, pairs[block], axis=1)
-        e_cmp_a, e_cmp_b = np.take(e_cmp, channel[block], axis=2)
-        time_a, time_b = np.take(t_cmp, channel[block], axis=2)
-        size = len(e_tr_a)
-        cost, span = buffers[:2, : GRID_STEPS * GRID_STEPS * size].reshape(
-            2, GRID_STEPS, GRID_STEPS, size
-        )
+        e_cmp_b = np.take(e_b, cols, axis=1, out=span[0], mode="clip")
+        time_b = np.take(t_b, cols, axis=1, out=rows[0], mode="clip")
+        e_cmp_a, time_a = np.take(e_a, cols, axis=1), np.take(t_a, cols, axis=1)
         # energy sums in the order ((e_cmp_a + e_cmp_b) + e_tr_a) + e_tr_b
         np.copyto(cost, e_cmp_a[:, None])
         cost += e_cmp_b  # one long inner loop over (f_b, pair), unlike a 2-D broadcast
@@ -224,37 +228,21 @@ def _grid_reduce(reduce, pairs, terms, buffers):
         lost = unreachable[pairs[block]]
         if lost.any():
             np.copyto(cost, np.inf, where=lost)
-        parts.append(reduce(cost.reshape(-1, size), axis=0))
+        parts.append(reduce(cost.reshape(grid, -1), axis=0))
     return np.concatenate(parts)
 
 
-def _pair_bound(pairs, terms, buffers):
-    """The pair bound LB2 (see ``greedy_baseline``) at each flat ``channel *
-    121 + q`` power pair of one chunk; ``terms`` as ``_grid_reduce`` takes
-    them. Bounds lie (f_b, pair), GRID_STEPS * GREEDY_BLOCK pairs per pass,
-    which fills as much of a buffer as a ``_grid_reduce`` pass."""
-    alpha, beta, e_cmp, t_cmp, upload, _ = terms
-    e_low, t_low = e_cmp[0].min(axis=0), t_cmp[0].min(axis=0)
-    parts = []
-    for lo in range(0, len(pairs), GRID_STEPS * GREEDY_BLOCK):
-        block = pairs[lo : lo + GRID_STEPS * GREEDY_BLOCK]
-        channel = block // (GRID_STEPS * GRID_STEPS)
-        e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, block, axis=1)
-        bound, span = buffers[:2, : GRID_STEPS * len(block)].reshape(2, GRID_STEPS, -1)
-        # the cost's own operations; a + b == b + a in floating point
-        np.take(e_cmp[1], channel, axis=1, out=bound)
-        bound += e_low[channel]
-        bound += e_tr_a
-        bound += e_tr_b
-        bound *= alpha
-        np.take(t_cmp[1], channel, axis=1, out=span)
-        span += t_tr_b
-        span *= beta
-        t_tr_a += t_low[channel]
-        t_tr_a *= beta
-        bound += np.maximum(span, t_tr_a, out=span)
-        parts.append(bound.min(axis=0))
-    return np.concatenate(parts)
+def _bound(alpha, beta, e_a, e_b, t_a, t_b, e_tr_a, e_tr_b, t_tr_a, t_tr_b):
+    """``alpha * (((e_a + e_b) + e_tr_a) + e_tr_b) + max(beta * (t_a +
+    t_tr_a), beta * (t_b + t_tr_b))`` over operands that broadcast
+    together, in the exact kernels' float operations; member b's time is
+    summed straight into the one full-shape buffer the max is taken in."""
+    cost = ((e_a + e_b) + e_tr_a) + e_tr_b
+    cost *= alpha
+    span = np.add(t_b, t_tr_b, out=np.empty_like(cost))
+    span *= beta
+    cost += np.maximum(span, beta * (t_a + t_tr_a), out=span)
+    return cost
 
 
 def _frequency_bound(terms):
@@ -263,22 +251,15 @@ def _frequency_bound(terms):
     term at its minimum over the channel's reachable power pairs, or at 0
     where none is reachable (the full search then costs +inf, and 0 keeps
     the bound finite where +inf would give 0 * inf = NaN)."""
-    alpha, beta, e_cmp, t_cmp, upload, unreachable = terms
-    c = e_cmp.shape[2]
-    # axes: (term, channel, 1, 1)
-    low = np.min(
-        upload.reshape(4, c, -1), axis=2, where=~unreachable.reshape(c, -1), initial=np.inf
-    )
+    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+    c = e_a.shape[1]
+    # axes: (term, channel)
+    reachable = ~unreachable.reshape(c, -1)
+    low = np.min(upload.reshape(4, c, -1), axis=2, where=reachable, initial=np.inf)
     low[low == np.inf] = 0.0
-    e_tr_a, e_tr_b, t_tr_a, t_tr_b = low[..., None, None]
-    # axes: (channel, f_a, f_b), in the cost's own order
-    (e_a, e_b), (t_a, t_b) = e_cmp.transpose(0, 2, 1), t_cmp.transpose(0, 2, 1)
-    bound = e_a[:, :, None] + e_b[:, None, :]
-    bound += e_tr_a
-    bound += e_tr_b
-    bound *= alpha
-    bound += np.maximum(beta * (t_a[:, :, None] + t_tr_a), beta * (t_b[:, None, :] + t_tr_b))
-    return bound.reshape(c, -1)
+    # axes: (channel, f_a, f_b)
+    compute = e_a.T[:, :, None], e_b.T[:, None, :], t_a.T[:, :, None], t_b.T[:, None, :]
+    return _bound(alpha, beta, *compute, *low[..., None, None]).reshape(c, -1)
 
 
 def _frequency_reduce(points, terms, buffers):
@@ -287,9 +268,9 @@ def _frequency_reduce(points, terms, buffers):
     chunk, at most GREEDY_BLOCK points per pass; ``terms`` as
     ``_grid_reduce`` takes them. Costs lie (point, q), so the power pairs
     run along the contiguous last axis."""
-    alpha, beta, e_cmp, t_cmp, upload, unreachable = terms
+    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
     pairs = GRID_STEPS * GRID_STEPS
-    c = e_cmp.shape[2]
+    c = e_a.shape[1]
     e_tr_a, e_tr_b, t_tr_a, t_tr_b = upload.reshape(4, c, pairs)
     unreachable = unreachable.reshape(c, pairs)
     lows, firsts = [], []
@@ -299,16 +280,16 @@ def _frequency_reduce(points, terms, buffers):
         size = len(channel)
         cost, time_a, time_b = buffers[:, : pairs * size].reshape(3, size, pairs)
         # the cost's own operations; a + b == b + a in floating point
-        np.take(e_tr_a, channel, axis=0, out=cost)
-        cost += (e_cmp[0, fa, channel] + e_cmp[1, fb, channel])[:, None]
-        np.take(e_tr_b, channel, axis=0, out=time_a)
+        np.take(e_tr_a, channel, axis=0, out=cost, mode="clip")
+        cost += (e_a[fa, channel] + e_b[fb, channel])[:, None]
+        np.take(e_tr_b, channel, axis=0, out=time_a, mode="clip")
         cost += time_a
         cost *= alpha
-        np.take(t_tr_a, channel, axis=0, out=time_a)
-        time_a += t_cmp[0, fa, channel][:, None]
+        np.take(t_tr_a, channel, axis=0, out=time_a, mode="clip")
+        time_a += t_a[fa, channel][:, None]
         time_a *= beta
-        np.take(t_tr_b, channel, axis=0, out=time_b)
-        time_b += t_cmp[1, fb, channel][:, None]
+        np.take(t_tr_b, channel, axis=0, out=time_b, mode="clip")
+        time_b += t_b[fb, channel][:, None]
         time_b *= beta
         cost += np.maximum(time_a, time_b, out=time_a)
         lost = unreachable[channel]
@@ -341,7 +322,6 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     # axes: (member, f, channel)
     t_cmp = np.ascontiguousarray(t_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
     e_cmp = np.ascontiguousarray(e_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
-    t_low, e_low = t_cmp.min(axis=1), e_cmp.min(axis=1)
 
     # axes: (channel, p_a, p_b); rate_a varies with p_a only, (channel, p_a, 1)
     rate_a, rate_b = model._pair_rates(
@@ -354,27 +334,18 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     e_tr_a = p_grid[:, None] * t_tr_a
     # axes: (term, channel, p_a, p_b), terms e_tr_a, e_tr_b, t_tr_a, t_tr_b
     upload = np.empty((4, c, steps, steps))
-    positive = rate_b > 0.0
-    if positive.all():  # a plain divide is the faster
-        np.divide(bits[b, None, None], rate_b, out=upload[3])
-    else:
-        upload[3] = 0.0
-        np.divide(bits[b, None, None], rate_b, out=upload[3], where=positive)
-    del rate_b, positive
+    rate_b[rate_b <= 0.0] = np.inf  # bits / inf is the same finite 0
+    np.divide(bits[b, None, None], rate_b, out=upload[3])
+    del rate_b
     np.multiply(p_grid, upload[3], out=upload[1])
 
-    # every f-dependent term at its grid minimum, in the cost's own order
-    bound = ((e_low[0] + e_low[1])[:, None, None] + e_tr_a) + upload[1]
-    bound *= alpha
-    span = t_low[1, :, None, None] + upload[3]
-    span *= beta
-    bound += np.maximum(span, beta * (t_low[0, :, None, None] + t_tr_a), out=span)
-    del span
+    # every f-dependent term at its grid minimum, axes (member, channel, 1, 1)
+    e_low, t_low = e_cmp.min(axis=1)[..., None, None], t_cmp.min(axis=1)[..., None, None]
+    bound = _bound(alpha, beta, *e_low, *t_low, e_tr_a, upload[1], t_tr_a, upload[3]).reshape(c, -1)
     # spread over p_b only now, once the bound's temporaries are freed
     upload[0], upload[2] = e_tr_a, t_tr_a
-    bound = bound.reshape(c, -1)
     bound[unreachable] = np.inf
-    return bound, (alpha, beta, e_cmp, t_cmp, upload.reshape(4, -1), unreachable.ravel())
+    return bound, (alpha, beta, *e_cmp, *t_cmp, upload.reshape(4, -1), unreachable.ravel())
 
 
 def _channel_min(channel, values, c):
@@ -404,8 +375,13 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
             winners = lowest == _channel_min(channel, lowest, c)[channel]
             flat = points[winners] % pairs * pairs + first[winners]
             return _channel_min(channel[winners], flat, c)
-    # the second bound keeps the incumbent too, as it is exact in f_b
-    survivors = survivors[_pair_bound(survivors, terms, buffers) <= ceiling[survivors // pairs]]
+    # the pair bound: the cost over member a's one-row minimum compute grid,
+    # exact in f_b, so it keeps the incumbent too
+    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+    e_low, t_low = e_a.min(axis=0, keepdims=True), t_a.min(axis=0, keepdims=True)
+    low = (alpha, beta, e_low, e_b, t_low, t_b, upload, unreachable)
+    pair_bound = _grid_reduce(np.minimum.reduce, survivors, low, buffers)
+    survivors = survivors[pair_bound <= ceiling[survivors // pairs]]
     lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
     channel = survivors // pairs
     winners = survivors[lowest == _channel_min(channel, lowest, c)[channel]]
@@ -425,20 +401,22 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     channels; the reported completion time is the max across channels.
 
     The search is exact but pruned by three lower bounds, each the cost
-    expression over smaller terms. For each channel and power pair
-    q = p_a * 11 + p_b the power bound
 
-        LB = alpha * (((min e_cmp_a + min e_cmp_b) + e_tr_a) + e_tr_b)
-             + max(beta * (min t_cmp_a + t_tr_a), beta * (min t_cmp_b + t_tr_b))
+        alpha * (((e_cmp_a + e_cmp_b) + e_tr_a) + e_tr_b)
+        + max(beta * (t_cmp_a + t_tr_a), beta * (t_cmp_b + t_tr_b))
 
-    takes every f-dependent term at its minimum over that member's f grid;
-    the pair bound LB2 is the least over f_b of LB with member b's terms
-    exact at f_b (11 evaluations against 121 for the exact grid). For each
-    frequency point f = f_a * 11 + f_b the frequency bound takes the
-    f-dependent terms exact and every power-dependent one at its minimum
-    over the channel's reachable power pairs. Each holds in floating point,
-    not only in exact arithmetic: round-to-nearest +, * alpha (alpha >= 0)
-    and max are each monotone in every operand.
+    in the exact kernels' own float operations, with some operands at their
+    minimum over a grid. Round-to-nearest +, * alpha, * beta (both >= 0)
+    and max are each monotone in every operand, so a cost over operands no
+    larger than the exact ones is a lower bound in floating point, not only
+    in exact arithmetic. For each channel and power pair q = p_a * 11 + p_b,
+    the power bound LB takes every f-dependent term at its minimum over
+    that member's f grid; the pair bound LB2 takes member a's at their
+    minimum and member b's exact, and is the least over f_b (11 evaluations
+    against 121 for the exact grid). For each frequency point
+    f = f_a * 11 + f_b, the frequency bound takes the f-dependent terms
+    exact and every power-dependent one at its minimum over the channel's
+    reachable power pairs.
 
     The exact (f_a, f_b) grid at each channel's arg-min-LB pair gives an
     incumbent I. Only pairs with LB <= I and LB2 <= I are evaluated exactly,

@@ -169,7 +169,7 @@ def _check_energy_price(params: SystemParams, ranges: DeviceParamRanges, users: 
     alpha, kappa = params.weight_energy, params.switched_capacitance
     if not alpha * kappa >= sys.float_info.min:
         message = f"alpha {alpha:g} times kappa {kappa:g} is below the smallest normal float"
-        raise ParamsError(message, "switched_capacitance")
+        raise ParamsError(message, "switched_capacitance", "weights")
     heaviest = SimpleNamespace(
         cycles_per_std_sample=ranges.cycles_high, sample_count=ranges.sample_count
     )

@@ -278,6 +278,11 @@ def load(params: SystemParams, devices):
     )
 
 
+def _f_floor(params: SystemParams) -> float:
+    """f_min less the 1e-9 relative tolerance of every box check."""
+    return params.f_min_hz * (1 - 1e-9)
+
+
 def computation_cost(params: SystemParams, devices, resolution_px, cpu_hz):
     """Local-training time and energy at a given frame resolution, for one
     ``Device`` or every device of a topology.
@@ -286,9 +291,11 @@ def computation_cost(params: SystemParams, devices, resolution_px, cpu_hz):
     standard sample, so a frame at the standard resolution costs exactly
     kappa * iterations * cycles * samples * f**2 joules.
     """
-    if np.asarray(cpu_hz).min() < params.f_min_hz * (1.0 - 1e-12):
+    lowest = np.asarray(cpu_hz).min()
+    if lowest < _f_floor(params):
         raise ValueError(
-            f"cpu frequency {np.min(cpu_hz):g} Hz below the minimum {params.f_min_hz:g} Hz"
+            f"cpu frequency {lowest:g} Hz lies {params.f_min_hz - lowest:g} Hz below "
+            f"the minimum {params.f_min_hz:g} Hz"
         )
     cycles = load(params, devices) * resolution_px * resolution_px
     t = cycles / cpu_hz
@@ -312,7 +319,7 @@ def _check_bounds(params: SystemParams, allocation: Allocation, n: int) -> None:
         raise ValueError("allocation length does not match topology")
     if not (params.p_min_w * (1 - tol) - tol <= p.min() and p.max() <= params.p_max_w * (1 + tol)):
         raise ValueError("transmit power outside its bounds")
-    if not (params.f_min_hz * (1 - tol) <= f.min() and f.max() <= params.f_max_hz * (1 + tol)):
+    if not (_f_floor(params) <= f.min() and f.max() <= params.f_max_hz * (1 + tol)):
         raise ValueError("cpu frequency outside its bounds")
     s1, _, s3 = params.resolution_set_px
     if not (s1 * (1 - tol) <= s.min() and s.max() <= s3 * (1 + tol)):

@@ -370,21 +370,21 @@ class TestGreedyBaseline:
         # leaves each channel's zero-power pairs +inf
         params, topo = small_instance(seed=5, users=4000, p_min_w=0.0)
         calls = []
-        for name in ("_pair_bound", "_grid_reduce"):
-            kernel = getattr(allocator, name)
+        kernel = allocator._grid_reduce
 
-            def counted(*args, name=name, kernel=kernel):
-                calls.append((name, len(args[-3])))
-                return kernel(*args)
+        def counted(reduce, pairs, terms, buffers):
+            # member a's compute-grid rows: 1 for the pair bound, 11 for the exact cost
+            calls.append((len(terms[2]), len(pairs)))
+            return kernel(reduce, pairs, terms, buffers)
 
-            monkeypatch.setattr(allocator, name, counted)
+        monkeypatch.setattr(allocator, "_grid_reduce", counted)
         power, cpu = reference_greedy_choice(params, topo)
         report = greedy_baseline(params, topo)
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
-        # per chunk: incumbents, second bound, its survivors, winners
-        checked = [n for name, n in calls if name == "_pair_bound"]
-        kept = [calls[i + 1][1] for i, call in enumerate(calls) if call[0] == "_pair_bound"]
+        # per chunk: incumbents, pair bound, its survivors, winners
+        checked = [n for rows, n in calls if rows == 1]
+        kept = [calls[i + 1][1] for i, (rows, _) in enumerate(calls) if rows == 1]
         assert len(checked) == -(-topo.n_channels // allocator.GREEDY_CHUNK)
         assert sum(kept) < 0.6 * sum(checked)
 
@@ -402,9 +402,14 @@ class TestGreedyBaseline:
     def test_pair_bound_never_exceeds_exact_grid_minimum(self, cell):
         params, topo = cell
         power_bound, terms = allocator._pair_terms(params, topo, 0, topo.n_channels)
+        # the exact cost over member a's one-row minimum compute grid
+        alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+        e_low, t_low = e_a.min(axis=0, keepdims=True), t_a.min(axis=0, keepdims=True)
+        low = (alpha, beta, e_low, e_b, t_low, t_b, upload, unreachable)
         pairs = np.arange(power_bound.size)
         buffers = np.empty((3, 121 * allocator.GREEDY_BLOCK))
-        bound = allocator._pair_bound(pairs, terms, buffers).reshape(power_bound.shape)
+        bound = allocator._grid_reduce(np.minimum.reduce, pairs, low, buffers)
+        bound = bound.reshape(power_bound.shape)
         minima = reference_pair_minima(params, topo)
         assert not np.any(np.isnan(bound))
         reachable = np.isfinite(minima)

@@ -477,7 +477,8 @@ class TestCli:
             ("samples = 1e300\ncycles_high = 1e300\n", MOST_CYCLES_KEYS),
             ("kappa = 1e300\n", ("kappa",)),
             ("kappa = 1e-320\n", ("kappa",)),
-            ("kappa = 1e-305\nweights = 0.5,0.5,1 0.001,0.999,1\n", ("kappa",)),
+            ("kappa = 1e-305\nweights = 0.5,0.5,1 0.001,0.999,1\n", ("kappa", "weights")),
+            ("weights = 1e-300,1,1\n", ("kappa", "weights")),
             ("kappa = 1e260\nsweep = f_max_ghz\nsweep_values = 1 1e20\n", ("kappa",)),
             ("seeds = 1 -1\n", ("seeds",)),
             ("p_max_dbm = inf\nsweep = f_max_ghz\n", ("p_min_dbm", "p_max_dbm")),
@@ -504,6 +505,7 @@ class TestCli:
             "huge-kappa",
             "subnormal-kappa",
             "subnormal-alpha-times-kappa",
+            "subnormal-alpha-times-default-kappa",
             "round-energy-overflow-at-swept-f_max",
             "negative-seed",
             "infinite-base-p_max",

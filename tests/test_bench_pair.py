@@ -1,0 +1,94 @@
+"""tools/bench_pair.py on synthetic perfbench records of two checkouts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
+bench_pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pair)
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+SEEDS = [901, 902, 903, 904, 905]
+# cells_per_s of the untraced runs by seed; higher is better
+PARENT_RATES = [13.0, 10.0, 12.0, 14.0, 11.0]
+CHANGE_RATES = [14.0, 9.0, 12.5, 13.0, 12.0]
+
+
+def _write(checkout, seed, trace, cells_per_s, src="a" * 64, wall_s=RUN_SECONDS + 1.0):
+    """One record as perfbench/run.py leaves it: every end-to-end metric,
+    cell_p50_s the inverse of cells_per_s and the rest 1."""
+    values = {m["name"]: 1.0 for m in BENCHMARK["end_to_end"]}
+    values.update(cells_per_s=cells_per_s, cell_p50_s=1.0 / cells_per_s)
+    record = {
+        "meta": {
+            "workload": "paper-sweep", "seed": seed, "trace": trace, "git_sha": None,
+            "src_sha256": src, "python": "3", "numpy": "2", "nproc": 2, "cpus_usable": 2,
+        },
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {name: {"value": v, "unit": "1"} for name, v in values.items()},
+        "notes": {"cells_per_s": f"raw: 10 cells in {wall_s:.3f} s over 5 rounds = 1"},
+        "csv_sha256": ["d" * 64],
+    }
+    path = checkout / ".bench_out" / f"result-paper-sweep-seed{seed}-trace{trace}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record))
+
+
+def _checkouts(tmp_path):
+    sides = {}
+    for side, rates, src in (("parent", PARENT_RATES, "a" * 64), ("change", CHANGE_RATES, "b" * 64)):
+        sides[side] = tmp_path / side
+        for seed, rate in zip(SEEDS, rates):
+            _write(sides[side], seed, 0, rate, src=src)
+        _write(sides[side], bench_pair.TRACED_SEED, 1, rates[0], src=src)
+    return sides
+
+
+def _main(sides, out):
+    return bench_pair.main([
+        "--name", "t", "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+        "--workload", "paper-sweep=901-905", "--out", str(out),
+    ])
+
+
+def test_pair_summarises_each_side_and_counts_pairs_won(tmp_path, capsys):
+    sides = _checkouts(tmp_path)
+    assert _main(sides, tmp_path) == 0
+    parent = json.loads((tmp_path / "BENCH_t_parent.json").read_text())
+    change = json.loads((tmp_path / "BENCH_t_change.json").read_text())
+    rates = parent["workloads"]["paper-sweep"]["end_to_end"]["cells_per_s"]
+    # inclusive quartiles of 10..14; runs stay in seed order
+    assert (rates["median"], rates["q1"], rates["q3"]) == (12.0, 11.0, 13.0)
+    assert rates["runs"] == PARENT_RATES
+    rates = change["workloads"]["paper-sweep"]["end_to_end"]["cells_per_s"]
+    assert (rates["median"], rates["q1"], rates["q3"]) == (12.5, 12.0, 13.0)
+    assert change["workloads"]["paper-sweep"]["seeds"] == SEEDS
+    assert change["src_sha256"] == "b" * 64
+    lines = capsys.readouterr().out.splitlines()
+    # higher cells_per_s wins at seeds 901, 903 and 905; lower cell_p50_s at the same
+    for metric in ("cells_per_s", "cell_p50_s"):
+        (line,) = [line for line in lines if f" {metric} " in line]
+        assert line.endswith("change better in 3/5")
+
+
+def test_records_of_two_trees_on_one_side_stop_the_script(tmp_path):
+    sides = _checkouts(tmp_path)
+    _write(sides["change"], SEEDS[2], 0, CHANGE_RATES[2], src="c" * 64)
+    with pytest.raises(SystemExit, match="change records of paper-sweep come from different trees"):
+        _main(sides, tmp_path)
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_run_shorter_than_run_seconds_stops_the_script(tmp_path):
+    sides = _checkouts(tmp_path)
+    _write(sides["parent"], SEEDS[1], 0, PARENT_RATES[1], wall_s=RUN_SECONDS - 5.0)
+    with pytest.raises(SystemExit, match=f"ran {RUN_SECONDS - 5:g} s, under {RUN_SECONDS:g} s"):
+        _main(sides, tmp_path)
+    assert not list(tmp_path.glob("BENCH_*.json"))

@@ -211,6 +211,12 @@ class TestComputationCost:
         with pytest.raises(ValueError):
             computation_cost(params, make_device(0), 160.0, 0.5 * params.f_min_hz)
 
+    def test_below_minimum_message_shows_the_shortfall(self):
+        params = SystemParams()
+        cpu = params.f_min_hz * (1 - 1e-8)
+        with pytest.raises(ValueError, match=r"lies 0\.01 Hz below the minimum 1e\+06 Hz"):
+            computation_cost(params, make_device(0), 160.0, cpu)
+
 
 class TestAccuracy:
     @pytest.mark.parametrize(
@@ -317,6 +323,19 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError):
             evaluate(params, topo, alloc)
+
+    def test_frequency_within_the_box_tolerance_of_f_min_evaluates(self):
+        # the box check admits f_min less 1e-9 relative, so costing must too
+        params, topo = table_instance(seed=1)
+        n = topo.n_devices
+        alloc = Allocation(
+            power_w=np.full(n, 0.5 * (params.p_min_w + params.p_max_w)),
+            cpu_hz=np.full(n, params.f_min_hz * (1 - 1e-10)),
+            resolution_px=np.full(n, 160.0),
+        )
+        costs = evaluate(params, topo, alloc)
+        assert np.isfinite(costs.objective)
+        assert np.array_equal(costs.t_cmp_s, computation_cost(params, topo, 160.0, alloc.cpu_hz)[0])
 
     @pytest.mark.parametrize("field", ["power_w", "cpu_hz", "resolution_px"])
     def test_nan_allocation_rejected(self, field):
