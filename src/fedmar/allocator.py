@@ -328,13 +328,14 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
         params, gains[a, None, None], gains[b, None, None], p_grid[:, None], p_grid
     )
     unreachable = ((rate_a <= 0.0) | (rate_b <= 0.0)).reshape(c, -1)
-    # bits / rate, with a finite 0 standing in where the rate is zero; member
-    # a's terms depend on p_a only, so they are computed per p_a
-    t_tr_a = np.divide(bits[a, None, None], rate_a, out=np.zeros_like(rate_a), where=rate_a > 0.0)
+    # bits / rate, a zero rate taken as +inf, which bits divide to a finite
+    # 0; member a's terms depend on p_a only, so they are computed per p_a
+    rate_a[rate_a <= 0.0] = np.inf
+    t_tr_a = bits[a, None, None] / rate_a
     e_tr_a = p_grid[:, None] * t_tr_a
     # axes: (term, channel, p_a, p_b), terms e_tr_a, e_tr_b, t_tr_a, t_tr_b
     upload = np.empty((4, c, steps, steps))
-    rate_b[rate_b <= 0.0] = np.inf  # bits / inf is the same finite 0
+    rate_b[rate_b <= 0.0] = np.inf
     np.divide(bits[b, None, None], rate_b, out=upload[3])
     del rate_b
     np.multiply(p_grid, upload[3], out=upload[1])
@@ -366,15 +367,14 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
     # channel-major, and every channel keeps at least its incumbent
     survivors = np.flatnonzero(bound <= ceiling[:, None])
     if 2 * len(survivors) > bound.size:
-        # most pairs alive: the frequency axis may prune better; every
+        # most pairs alive: the frequency axis prunes instead; every
         # channel keeps at least the point its ceiling was found at
         points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
-        if len(points) < len(survivors):
-            lowest, first = _frequency_reduce(points, terms, buffers)
-            channel = points // pairs
-            winners = lowest == _channel_min(channel, lowest, c)[channel]
-            flat = points[winners] % pairs * pairs + first[winners]
-            return _channel_min(channel[winners], flat, c)
+        lowest, first = _frequency_reduce(points, terms, buffers)
+        channel = points // pairs
+        winners = lowest == _channel_min(channel, lowest, c)[channel]
+        flat = points[winners] % pairs * pairs + first[winners]
+        return _channel_min(channel[winners], flat, c)
     # the pair bound: the cost over member a's one-row minimum compute grid,
     # exact in f_b, so it keeps the incumbent too
     alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
@@ -423,12 +423,11 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     each over the whole (f_a, f_b) grid; ``<=`` keeps a pair that only ties
     the minimum. On a 10,000-device cell's narrow subchannels, LB keeps
     about 9 of 121 pairs per channel and LB2 about half of those. Where LB
-    keeps most of a chunk's pairs, as on a 50-device cell, the frequency
-    bound comes first: if it keeps fewer points than LB kept pairs, those
-    points are evaluated over the whole power grid instead (1 to 3 of 121
-    per channel on paper cells). Either way the pick is the first grid
-    point in (f_a, f_b, p_a, p_b) order that reaches the channel minimum,
-    the same as a full search. Channels go GREEDY_CHUNK at a time.
+    keeps most of a chunk's pairs, as on a 50-device cell, the points the
+    frequency bound keeps are evaluated over the whole power grid instead
+    (1 to 3 of 121 per channel on paper cells). Either way the pick is the
+    first grid point in (f_a, f_b, p_a, p_b) order that reaches the channel
+    minimum, the same as a full search. Channels go GREEDY_CHUNK at a time.
     """
     steps = GRID_STEPS
     p_grid = _grid(params.p_min_w, params.p_max_w)

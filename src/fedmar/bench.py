@@ -111,6 +111,11 @@ class ExperimentSpec:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ParamsError(f"unknown algorithm {algo!r}", "algorithms")
+        # a repeat emits the same rows twice; a gamma sweep replaces each triple's gamma
+        weights = [w[:2] if self.sweep_variable == "gamma" else w for w in self.weights]
+        for key, entries in (("seeds", self.seeds), ("weights", weights), ("algorithms", self.algorithms)):
+            if len(set(entries)) < len(entries):
+                raise ParamsError("an entry is repeated, which would emit its rows twice", key)
         if self.pairing not in PAIRING_CHOICES:
             raise ParamsError(f"unknown pairing {self.pairing!r}", "pairing")
         if self.params.channel_count != self.topology.channel_count:

@@ -487,6 +487,10 @@ class TestCli:
                 "min_distance_km = 1e-300\nshadow_sigma_db = 0\n",
                 ("min_distance_km", "cell_radius_km"),
             ),
+            ("seeds = 1 2 1\n", ("seeds",)),
+            ("weights = 0.5,0.5,1 0.5,0.5,1\n", ("weights",)),
+            ("algorithms = greedy proposed greedy\n", ("algorithms",)),
+            ("sweep = gamma\nsweep_values = 1\nweights = 0.5,0.5,1 0.5,0.5,2\n", ("weights",)),
         ],
         ids=[
             "p_max-below-base-p_min",
@@ -511,6 +515,10 @@ class TestCli:
             "infinite-base-p_max",
             "infinite-f_max",
             "unshadowed-gain-overflow",
+            "repeated-seed",
+            "repeated-weight-triple",
+            "repeated-algorithm",
+            "gamma-sweep-triples-differing-only-in-gamma",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):

@@ -72,10 +72,44 @@ def test_pair_summarises_each_side_and_counts_pairs_won(tmp_path, capsys):
     assert change["workloads"]["paper-sweep"]["seeds"] == SEEDS
     assert change["src_sha256"] == "b" * 64
     lines = capsys.readouterr().out.splitlines()
-    # higher cells_per_s wins at seeds 901, 903 and 905; lower cell_p50_s at the same
+    # higher cells_per_s wins at seeds 901, 903 and 905; lower cell_p50_s at
+    # the same; both medians move well within the bound
     for metric in ("cells_per_s", "cell_p50_s"):
         (line,) = [line for line in lines if f" {metric} " in line]
-        assert line.endswith("change better in 3/5")
+        assert line.endswith("change better in 3/5  holds")
+
+
+DECLARED = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+TIGHT = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3, 99.7, 100.0]
+
+
+@pytest.mark.parametrize(
+    "parent,change,expected",
+    [
+        # the parent's quartiles spread past cells_per_s's 24% bound
+        ([60.0, 140.0] * 5, [100.0] * 10, "unresolved"),
+        # ... unless every change run beats every parent run
+        ([60.0, 140.0] * 5, [1000.0] * 10, "gain"),
+        (TIGHT, [v * 0.7 for v in TIGHT], "worse"),
+        # 8 wins and 2 ties: ties count for neither side, so 8/10 is short
+        (TIGHT, [v + 10.0 for v in TIGHT[:8]] + TIGHT[8:], "holds"),
+        (TIGHT, [v + 10.0 for v in TIGHT[:9]] + TIGHT[9:], "gain"),
+        # 10/10 pairs won, but the medians differ by less than the spread
+        (TIGHT, [v + 0.1 for v in TIGHT], "holds"),
+        (TIGHT, [v * 0.9 for v in TIGHT], "holds"),
+    ],
+    ids=[
+        "wide-parent", "wide-parent-every-run-beaten", "worse", "ties-count-for-neither",
+        "gain", "won-within-spread", "slower-within-bound",
+    ],
+)
+def test_verdict_applies_the_benchmark_rule(parent, change, expected):
+    summaries = [bench_pair._summary(runs, "cells/s") for runs in (parent, change)]
+    assert bench_pair.verdict(*summaries, DECLARED["cells_per_s"]) == expected
+    # the same runs as times per cell, where lower is better, read the same
+    assert DECLARED["cell_p50_s"]["bound"] == DECLARED["cells_per_s"]["bound"]
+    summaries = [bench_pair._summary([1.0 / v for v in runs], "s") for runs in (parent, change)]
+    assert bench_pair.verdict(*summaries, DECLARED["cell_p50_s"]) == expected
 
 
 def test_records_of_two_trees_on_one_side_stop_the_script(tmp_path):

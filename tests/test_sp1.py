@@ -149,9 +149,10 @@ class TestSolveDual:
         assert sp1._start_offset(coeffs, 0.5, gaps) == 1.0
         assert_crossing_matches_reference(coeffs, 0.5)
 
-    def test_default_sweep_takes_few_price_evaluations(self, monkeypatch):
-        # from offset 1 the search took 7.9 evaluations a call on this sweep;
-        # every evaluation after a call's first follows one _from_ulps
+    @staticmethod
+    def _price_evaluations(monkeypatch, spec):
+        """Price evaluations of each search in the sweep of ``spec``: every
+        evaluation after a call's first follows one _from_ulps."""
         counts = []
         crossing, from_ulps = sp1._budget_crossing, sp1._from_ulps
 
@@ -165,9 +166,29 @@ class TestSolveDual:
 
         monkeypatch.setattr(sp1, "_budget_crossing", counted_crossing)
         monkeypatch.setattr(sp1, "_from_ulps", counted_from_ulps)
-        bench.run_experiment(bench.ExperimentSpec())
+        bench.run_experiment(spec)
+        return counts
+
+    def test_default_sweep_takes_few_price_evaluations(self, monkeypatch):
+        # from offset 1 the search took 7.9 evaluations a call on this sweep
+        counts = self._price_evaluations(monkeypatch, bench.ExperimentSpec())
         assert len(counts) == 21  # 7 sweep values x 3 pairing schemes
         assert sum(counts) / len(counts) <= 6.0
+
+    def test_f_max_sweep_price_evaluations_stay_bounded(self, monkeypatch):
+        # at low f_max the budget often lands in a flat term, which a Newton
+        # step cannot aim at, so the search ends in bisection: 25.97 a call
+        # on average and 56 at most
+        spec = bench.ExperimentSpec(
+            sweep_variable="f_max_ghz",
+            sweep_values=(0.1, 0.15, 0.25, 0.5, 1.0, 1.5, 2.0),
+            seeds=(1, 2, 3),
+            algorithms=("proposed",),
+        )
+        counts = self._price_evaluations(monkeypatch, spec)
+        assert len(counts) == 63  # 7 sweep values x 3 seeds x 3 pairing schemes
+        assert sum(counts) / len(counts) <= 27.0
+        assert max(counts) <= 56
 
     def test_budget_inside_a_flat_term_matches_reference(self):
         params, topo = small_instance(seed=1, users=4, f_max_hz=0.1e9)

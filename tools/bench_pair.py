@@ -15,10 +15,11 @@ change checkout that ran the same seeds, this writes one file per side:
 Untraced runs are made with ``--seconds`` set to the ``run_seconds`` of
 ``BENCHMARK.json``; a record whose timed rounds took less stops the script.
 
-It then prints, per workload and metric, both medians, their ratio and
-the number of pairs the change won, pairs matched by seed. Every record of
-a side must come from the same source tree, so stale records of an earlier
-tree stop the script instead of entering the summary.
+It then prints, per workload and metric, both medians, their ratio, the
+number of pairs the change won, pairs matched by seed, and the verdict of
+the benchmark's rule under the metric's ``bound`` (``verdict``). Every
+record of a side must come from the same source tree, so stale records of
+an earlier tree stop the script instead of entering the summary.
 
     python3 tools/bench_pair.py --name lean_pass \\
         --parent ../parent --change . \\
@@ -121,21 +122,55 @@ def side_summary(
     }
 
 
-def compare(parent: dict, change: dict, better: dict[str, str]) -> list[str]:
-    """One line per workload and metric: medians, ratio, pairs the change won."""
+def _wins(base: dict, stats: dict, sign: float) -> int:
+    """Pairs the change won, runs matched by seed; a tie counts for neither."""
+    return sum(sign * (c - p) > 0 for c, p in zip(stats["runs"], base["runs"]))
+
+
+def verdict(base: dict, stats: dict, metric: dict) -> str:
+    """The benchmark's rule on one metric, ``base`` and ``stats`` being the
+    parent's and the change's summaries and ``metric`` its BENCHMARK.json
+    entry, whose ``bound`` is relative to the parent's median:
+
+    - ``unresolved`` when the parent's quartile spread exceeds the bound,
+      unless every change run beats every parent run;
+    - else ``worse`` when the change's median is worse by more than the bound;
+    - else ``gain`` when the change wins at least 9 pairs in 10 and the
+      medians differ by more than the parent's quartile spread;
+    - else ``holds``.
+    """
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    allowed = metric["bound"] * abs(base["median"])
+    spread = base["q3"] - base["q1"]
+    gained = sign * (stats["median"] - base["median"])
+    beaten = min(sign * c for c in stats["runs"]) > max(sign * p for p in base["runs"])
+    if spread > allowed and not beaten:
+        return "unresolved"
+    if -gained > allowed:
+        return "worse"
+    if 10 * _wins(base, stats, sign) >= 9 * len(stats["runs"]) and gained > spread:
+        return "gain"
+    return "holds"
+
+
+def compare(parent: dict, change: dict, declared: dict[str, dict]) -> list[str]:
+    """One line per workload and metric: medians, ratio, pairs the change
+    won and the verdict; ``declared`` maps each metric to its entry in
+    BENCHMARK.json."""
     lines = []
     for workload, ours in change["workloads"].items():
         theirs = parent["workloads"][workload]
         for name, stats in ours["end_to_end"].items():
             base = theirs["end_to_end"][name]
-            sign = 1.0 if better[name] == "higher" else -1.0
-            wins = sum(sign * (c - p) > 0 for c, p in zip(stats["runs"], base["runs"]))
+            metric = declared[name]
+            wins = _wins(base, stats, 1.0 if metric["better"] == "higher" else -1.0)
             ratio = stats["median"] / base["median"] if base["median"] else float("nan")
             lines.append(
                 f"{workload:12s} {name:20s} parent {base['median']:.6g} "
                 f"[{base['q1']:.6g}, {base['q3']:.6g}]  change {stats['median']:.6g} "
                 f"[{stats['q1']:.6g}, {stats['q3']:.6g}]  ratio {ratio:.4f}  "
-                f"change better in {wins}/{len(stats['runs'])}"
+                f"change better in {wins}/{len(stats['runs'])}  "
+                f"{verdict(base, stats, metric)}"
             )
     return lines
 
@@ -179,8 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         path = args.out / f"BENCH_{args.name}_{side}.json"
         path.write_text(json.dumps(summary, indent=1) + "\n")
         print(f"wrote {path}")
-    better = {m["name"]: m["better"] for m in declared}
-    print("\n".join(compare(sides["parent"], sides["change"], better)))
+    print("\n".join(compare(sides["parent"], sides["change"], {m["name"]: m for m in declared})))
     return 0
 
 
