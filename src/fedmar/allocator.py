@@ -127,7 +127,7 @@ def allocate(params: SystemParams, topology: PairedTopology) -> SolveReport:
             converged = True
             break
 
-    resolution = block1.resolution_px
+    resolution = sp1.round_resolutions(params, s_cont)
     feasible = not infeasible_flags.any()
     return _report(params, topology, power, cpu, resolution, trace, converged, feasible)
 

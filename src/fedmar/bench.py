@@ -283,8 +283,10 @@ _SECTIONS = {
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment, and a key is
+    set at most once."""
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -295,6 +297,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"key {key!r} is set twice, on lines {set_on[key]} and {lineno}")
+        set_on[key] = lineno
         values[key] = _KEYS[key][0](key, rhs.strip())
     return values
 

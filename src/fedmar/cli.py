@@ -126,9 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # a ConfigError is a ValueError; a device with zero uplink rate flags its
-    # rows instead of raising
-    except (ValueError, FileNotFoundError) as exc:
+    # a ConfigError is a ValueError, an unreadable config or unwritable --out
+    # an OSError; a device with zero uplink rate flags its rows instead of raising
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

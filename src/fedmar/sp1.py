@@ -22,7 +22,7 @@ D, computed once per solve by ``dual_coefficients``:
     f at f_max:          lam = g slope / 2 * sqrt(f_max / (load D)) - a k f_max**3,
                          where s = sqrt(D f_max / load)
     s pinned at s1, s3:  lam = (a_s / D)**3,  a_s = 2/3 load s**2 (a k)**(1/3) mix
-    s pinned, f at f_max: a flat dual term, an infinite jump in lam
+    s pinned, f at f_max: a flat dual term, lam = +inf
 
 Each branch is a power law in D, so the total multiplier and its slope
 come from one pass, which computes only the branches some device is on.
@@ -33,9 +33,9 @@ primal recovery follows. On the paper's p_max sweep a search takes 5.5
 evaluations (16 seeds, 8 at most). In 7% to 32% of them every device is
 pinned at s1 or s3, so the free and f_max branches are skipped; in the
 rest about 47 of 50 are.
-The flat branch is skipped whenever every pin cubes to a finite value
-within the f_max multiplier. The resolution is rounded to the discrete set
-only when asked.
+The flat branch is skipped whenever every kept pin cubes to within the
+f_max multiplier; a cube past the float range is +inf already. The
+resolution stays continuous; ``round_resolutions`` rounds it.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ _CBRT_MIX = 2.0 ** (-2.0 / 3.0) + 2.0 ** (1.0 / 3.0)
 # multipliers below this are floored before the cube root so f recovery
 # cannot underflow to zero
 LAMBDA_FLOOR = 1e-30
-
-# stands in for the unbounded multiplier of a flat dual term
-_JUMP = 1e300
 
 # the price search gives up on a budget still unspent this close to max(t_up)
 _MIN_OFFSET = 1e-280
@@ -97,15 +94,14 @@ class DualCoefficients:
 
 @dataclass(frozen=True)
 class Sp1Solution:
-    """Clamped frequencies, continuous and rounded resolutions, and the
-    deadline implied by the fixed powers used for the solve, with the
-    upload times at those powers and the computation time and energy at the
-    continuous resolutions."""
+    """Clamped frequencies, continuous resolutions in [s1, s3], and the
+    deadline implied by the fixed powers used for the solve, with the upload
+    times at those powers and the computation time and energy at those
+    resolutions."""
 
     multipliers: np.ndarray
     cpu_hz: np.ndarray
     resolution_cont: np.ndarray
-    resolution_px: np.ndarray
     deadline_s: float
     t_trans_s: np.ndarray
     t_cmp_s: np.ndarray
@@ -171,9 +167,9 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     finds the two adjacent floats of the price offset where the float total
     crosses it, and this returns the end whose total is closer to the
     budget. The result depends on the problem, not on a tolerance or on the
-    iteration path. When the budget lands inside an infinite jump (a flat
-    dual term), the jumping devices take the rest of it; their primal
-    recovery does not depend on the split.
+    iteration path. When the budget lands inside a flat dual term (a total
+    of +inf at the lower end), the devices at +inf there take the rest of
+    it; their primal recovery does not depend on the split.
     """
     t_up = np.asarray(coeffs.t_up, dtype=float)
     if t_up.size == 0:
@@ -183,8 +179,8 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     if beta == 0.0:
         return np.zeros(t_up.size)
     (_, total_lo, lam_lo), (_, total_hi, lam_hi) = _budget_crossing(coeffs, beta)
-    if total_lo >= _JUMP:
-        jumpers = lam_lo >= _JUMP
+    if total_lo == math.inf:
+        jumpers = lam_lo == math.inf
         lam_hi[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
         return lam_hi
     return lam_lo if total_lo - beta < beta - total_hi else lam_hi
@@ -245,14 +241,13 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
                 rate = np.where(at_f_max, -0.5 * top, rate)
         if pins:
             # every device cubes a pin, but only a pinned one keeps it; a pin
-            # cubed past lam_f_max or the float range is flat
+            # cubed past lam_f_max is flat, an infinite multiplier
             fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
             fix = fix * fix * fix
             steep = -3.0 * fix
-            top = fix.max(where=pinned, initial=0.0)
-            if not (top <= coeffs.lam_f_max and top < math.inf):
-                flat = (fix > coeffs.lam_f_max) | (fix == math.inf)
-                fix[flat] = _JUMP
+            if not fix.max(where=pinned, initial=0.0) <= coeffs.lam_f_max:
+                flat = fix > coeffs.lam_f_max
+                fix[flat] = math.inf
                 steep[flat] = 0.0
             if pins == d.size:
                 lam, rate = fix, steep
@@ -281,7 +276,7 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
             raise RuntimeError("budget cannot be exhausted: no device absorbs multipliers")
 
         step = math.nan
-        if 0.0 < total < _JUMP and slope < 0.0:
+        if 0.0 < total < math.inf and slope < 0.0:
             step = math.log(beta / total) * total / slope / offset
         if not abs(step) <= reach:
             step = math.nan if bracketed else (reach if above else -reach)
@@ -361,7 +356,6 @@ def solve_sp1(
         multipliers=lam,
         cpu_hz=cpu,
         resolution_cont=s_cont,
-        resolution_px=round_resolutions(params, s_cont),
         deadline_s=deadline_of(t_trans, t_cmp),
         t_trans_s=t_trans,
         t_cmp_s=t_cmp,

@@ -13,8 +13,9 @@ The parametric auxiliaries of the sum-of-ratios form follow from the
 fixed-point identities rate_weight = energy_weight / r(p*) and
 energy_bound = p* * d / r(p*).
 
-Stage one covers the interference-free (low-gain) member of every channel;
-its powers set the noise floors of stage two.
+Stage one covers the interference-free (low-gain) member of every channel.
+Each stage's noise floor is (noise + received) / its member's gain, where
+received is 0 in stage one and stage one's power times gain in stage two.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def solve_sp2(
 ) -> tuple[np.ndarray, np.ndarray, tuple[RatioSolution, RatioSolution]]:
     """Solve both decoding stages and return all powers, channel-major.
 
-    Stage one (interference-free members) runs first; its powers define the
-    noise floors seen by stage two. Returns the flattened power vector, a
+    Stage one (interference-free members) runs first; its received powers
+    enter the noise floors of stage two. Returns the flattened power vector, a
     matching rate-infeasibility flag vector and both stage solutions.
     """
     n = topology.n_devices
@@ -138,34 +139,23 @@ def solve_sp2(
     bandwidth = params.subchannel_bandwidth_hz
     noise_w = bandwidth * params.noise_psd_w_per_hz
 
-    first = solve_ratio_stage(
-        RatioProblem(
-            stage=Stage.FIRST,
-            bandwidth_hz=bandwidth,
-            upload_bits=bits[0::2],
-            noise_floor_w=noise_w / gains[0::2],
-            min_rate_bps=rate_min[0::2],
-            p_min_w=params.p_min_w,
-            p_max_w=params.p_max_w,
-            weight_energy=params.weight_energy,
-        )
-    )
-    second = solve_ratio_stage(
-        RatioProblem(
-            stage=Stage.SECOND,
-            bandwidth_hz=bandwidth,
-            upload_bits=bits[1::2],
-            noise_floor_w=(noise_w + first.power_w * gains[0::2]) / gains[1::2],
-            min_rate_bps=rate_min[1::2],
-            p_min_w=params.p_min_w,
-            p_max_w=params.p_max_w,
-            weight_energy=params.weight_energy,
-        )
-    )
     power = np.empty(n)
-    power[0::2] = first.power_w
-    power[1::2] = second.power_w
     flags = np.empty(n, dtype=bool)
-    flags[0::2] = first.rate_infeasible
-    flags[1::2] = second.rate_infeasible
-    return power, flags, (first, second)
+    solutions = []
+    for stage, members in ((Stage.FIRST, slice(0, None, 2)), (Stage.SECOND, slice(1, None, 2))):
+        received = solutions[0].power_w * gains[0::2] if solutions else 0.0
+        solution = solve_ratio_stage(
+            RatioProblem(
+                stage=stage,
+                bandwidth_hz=bandwidth,
+                upload_bits=bits[members],
+                noise_floor_w=(noise_w + received) / gains[members],
+                min_rate_bps=rate_min[members],
+                p_min_w=params.p_min_w,
+                p_max_w=params.p_max_w,
+                weight_energy=params.weight_energy,
+            )
+        )
+        power[members], flags[members] = solution.power_w, solution.rate_infeasible
+        solutions.append(solution)
+    return power, flags, tuple(solutions)

@@ -78,6 +78,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="no_such_key"):
             parse_config_text("no_such_key = 1")
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        # comment lines count, as the file's own line numbers do
+        with pytest.raises(ConfigError, match="key 'seeds' is set twice, on lines 1 and 4"):
+            parse_config_text("seeds = 1\nsweep_values = 12\n# seeds = 3\nseeds = 2\n")
+
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text("# a comment\n\nchannels = 3  # trailing\n")
         assert values == {"channels": 3}
@@ -491,6 +496,8 @@ class TestCli:
             ("weights = 0.5,0.5,1 0.5,0.5,1\n", ("weights",)),
             ("algorithms = greedy proposed greedy\n", ("algorithms",)),
             ("sweep = gamma\nsweep_values = 1\nweights = 0.5,0.5,1 0.5,0.5,2\n", ("weights",)),
+            ("seeds = 1\nseeds = 2\nsweep_values = 12\nalgorithms = random\n", ("seeds",)),
+            ("jobs = 1\njobs = 1\n", ("jobs",)),
         ],
         ids=[
             "p_max-below-base-p_min",
@@ -519,6 +526,8 @@ class TestCli:
             "repeated-weight-triple",
             "repeated-algorithm",
             "gamma-sweep-triples-differing-only-in-gamma",
+            "repeated-key-seeds",
+            "repeated-key-jobs",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
@@ -537,7 +546,7 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-1", "4"])
     def test_jobs_below_one_exits_naming_the_key(self, tmp_path, capsys, jobs):
         cfg = self._write_config(tmp_path)
-        cfg.write_text(cfg.read_text() + f"jobs = {jobs}\n")
+        cfg.write_text(cfg.read_text().replace("jobs = 1\n", f"jobs = {jobs}\n"))
         out = tmp_path / "rows.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert "key 'jobs'" in capsys.readouterr().err
@@ -559,6 +568,21 @@ class TestCli:
 
     def test_missing_config_is_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "baselines"])
+    def test_directory_as_out_exits_with_an_error(self, tmp_path, capsys, command):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(out.iterdir())
+
+    def test_directory_as_config_exits_with_an_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 # every gain at 900 km and beyond leaves a zero uplink rate

@@ -1,0 +1,28 @@
+"""tools/sweep_digests.py: its table loads, and its golden entry is the golden CSV."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fedmar import bench
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("sweep_digests", ROOT / "tools" / "sweep_digests.py")
+sweep_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sweep_digests)
+
+
+@pytest.mark.parametrize("name", list(sweep_digests.SWEEPS))
+def test_every_entry_loads_as_a_valid_spec(name):
+    assert isinstance(sweep_digests.spec_of(sweep_digests.SWEEPS[name]), bench.ExperimentSpec)
+
+
+def test_golden_entry_reproduces_the_golden_csv(capsys, monkeypatch):
+    golden = (ROOT / "tests" / "data" / "default_sweep.csv").read_bytes()
+    monkeypatch.setattr(sweep_digests, "SWEEPS", {"golden": sweep_digests.SWEEPS["golden"]})
+    sweep_digests.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"golden csv {hashlib.sha256(golden).hexdigest()}"
+    assert [line.split()[:2] for line in lines] == [["golden", "csv"], ["golden", "json"]]

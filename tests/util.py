@@ -415,7 +415,7 @@ def reference_price_map(coeffs: sp1.DualCoefficients):
         if pinned.any():
             fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
             fix = fix * fix * fix
-            fix[fix > coeffs.lam_f_max] = sp1._JUMP
+            fix[fix > coeffs.lam_f_max] = math.inf
             lam = np.where(pinned, fix, lam)
         return lam
 
@@ -471,9 +471,9 @@ def reference_solve_dual(coeffs: sp1.DualCoefficients, beta: float) -> np.ndarra
         else:
             hi, total_hi = mid, value
 
-    if total_lo >= sp1._JUMP:
+    if total_lo == math.inf:
         lam = lam_of(hi)
-        jumpers = lam_of(lo) >= sp1._JUMP
+        jumpers = lam_of(lo) == math.inf
         lam[jumpers] += (beta - total_hi) / int(np.count_nonzero(jumpers))
         return lam
     return lam_of(lo if total_lo - beta < beta - total_hi else hi)
@@ -537,9 +537,8 @@ def _reference_bisect_budget(lam_of, beta: float):
             if hi - lo <= 1e-15 * hi:
                 lam = lam_of(hi)
                 deficit = beta - float(np.sum(lam))
-                jump = lam_of(lo) - lam
-                jumpers = jump > 0.5 * float(np.max(jump)) if float(np.max(jump)) > 0 else None
-                if deficit > 0.0 and jumpers is not None and np.any(jumpers):
+                jumpers = lam_of(lo) == math.inf  # a flat term's multiplier
+                if deficit > 0.0 and np.any(jumpers):
                     lam = lam.copy()
                     lam[jumpers] += deficit / int(np.count_nonzero(jumpers))
                     return lam
@@ -601,7 +600,7 @@ def reference_sp1(params: SystemParams, topology: PairedTopology, power_w):
                     lam_free,
                 )
             lam_fix = (a_fixed / denom) ** 3.0
-            lam_fix = np.where(lam_fix > lam_hi, 1e300, lam_fix)
+            lam_fix = np.where(lam_fix > lam_hi, math.inf, lam_fix)
             return np.where(clamped, lam_fix, lam_free)
 
         return _reference_bisect_budget(lam_of, beta)
