@@ -50,8 +50,8 @@ GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # GREEDY_BLOCK power pairs or frequency points are evaluated at a time over
 # the whole other axis, in three 0.37 MB cost buffers allocated once per call;
 # np.take fills them with mode="clip", which, unlike the default mode, writes
-# an out in place. The pair-bound pass sizes its block from the buffers: over
-# its 11-point f_b grid it takes 11 * GREEDY_BLOCK pairs.
+# an out in place. The exact passes take GREEDY_BLOCK pairs' whole (f_a, f_b)
+# grids a pass, the pair-bound pass 11 * GREEDY_BLOCK pairs' 11-point f_b grids.
 GREEDY_CHUNK = 256
 GREEDY_BLOCK = 384
 # the alternation stops once no power moves by more than OUTER_TOLERANCE of
@@ -187,10 +187,17 @@ def _grid(low: float, high: float) -> np.ndarray:
     return low + 0.1 * np.arange(GRID_STEPS) * (high - low)
 
 
+def _min_first(costs, axis):
+    """Minimum and first arg-min of 2-D ``costs`` along ``axis`` 0."""
+    first = costs.argmin(axis=axis)
+    return costs[first, np.arange(costs.shape[1])], first
+
+
 def _grid_reduce(reduce, pairs, terms, buffers):
     """``reduce(costs, axis=0)`` of the greedy cost over the (f_a, f_b) grid
     of ``terms`` at each flat ``channel * 121 + q`` power pair of one chunk,
-    as many pairs per pass as the buffers hold at that grid's size.
+    as many pairs per pass as the buffers hold at that grid's size; a tuple
+    for a reducer like ``_min_first``, and empty results for empty ``pairs``.
 
     ``terms`` is (alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable) of
     the chunk: each member's compute energy and time with axes (f, channel),
@@ -229,6 +236,10 @@ def _grid_reduce(reduce, pairs, terms, buffers):
         if lost.any():
             np.copyto(cost, np.inf, where=lost)
         parts.append(reduce(cost.reshape(grid, -1), axis=0))
+    if not parts:  # an empty grid's results, of the reducer's kind
+        return reduce(np.empty((grid, 0)), axis=0)
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
     return np.concatenate(parts)
 
 
@@ -363,10 +374,10 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
     c = hi - lo
     bound, terms = _pair_terms(params, topology, lo, hi)
     incumbent = np.arange(c) * pairs + bound.argmin(axis=1)
-    ceiling = _grid_reduce(np.minimum.reduce, incumbent, terms, buffers)
-    # channel-major, and every channel keeps at least its incumbent
-    survivors = np.flatnonzero(bound <= ceiling[:, None])
-    if 2 * len(survivors) > bound.size:
+    ceiling, first = _grid_reduce(_min_first, incumbent, terms, buffers)
+    # every channel keeps at least its incumbent
+    alive = bound <= ceiling[:, None]
+    if 2 * np.count_nonzero(alive) > bound.size:
         # most pairs alive: the frequency axis prunes instead; every
         # channel keeps at least the point its ceiling was found at
         points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
@@ -375,8 +386,10 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
         winners = lowest == _channel_min(channel, lowest, c)[channel]
         flat = points[winners] % pairs * pairs + first[winners]
         return _channel_min(channel[winners], flat, c)
-    # the pair bound: the cost over member a's one-row minimum compute grid,
-    # exact in f_b, so it keeps the incumbent too
+    # the incumbents are evaluated; the pair bound, the cost over member a's
+    # one-row minimum compute grid and exact in f_b, prunes the other pairs
+    alive.flat[incumbent] = False
+    survivors = np.flatnonzero(alive)
     alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
     e_low, t_low = e_a.min(axis=0, keepdims=True), t_a.min(axis=0, keepdims=True)
     low = (alpha, beta, e_low, e_b, t_low, t_b, upload, unreachable)
@@ -384,10 +397,15 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
     survivors = survivors[pair_bound <= ceiling[survivors // pairs]]
     lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
     channel = survivors // pairs
-    winners = survivors[lowest == _channel_min(channel, lowest, c)[channel]]
-    first = _grid_reduce(np.argmin, winners, terms, buffers)
-    flat = first * pairs + winners % pairs  # index into (f_a, f_b, p_a, p_b)
-    return _channel_min(winners // pairs, flat, c)
+    least = ceiling.copy()
+    np.minimum.at(least, channel, lowest)
+    # the pick is the least flat (f_a, f_b, p_a, p_b) index at the channel
+    # minimum: the incumbent's, where it reaches it, or a winner's first one
+    winners = survivors[lowest == least[channel]]
+    pick = np.where(ceiling == least, first * pairs + incumbent % pairs, pairs * pairs)
+    flat = _grid_reduce(np.argmin, winners, terms, buffers) * pairs + winners % pairs
+    np.minimum.at(pick, winners // pairs, flat)
+    return pick
 
 
 def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveReport:
@@ -418,16 +436,20 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     exact and every power-dependent one at its minimum over the channel's
     reachable power pairs.
 
-    The exact (f_a, f_b) grid at each channel's arg-min-LB pair gives an
-    incumbent I. Only pairs with LB <= I and LB2 <= I are evaluated exactly,
-    each over the whole (f_a, f_b) grid; ``<=`` keeps a pair that only ties
-    the minimum. On a 10,000-device cell's narrow subchannels, LB keeps
-    about 9 of 121 pairs per channel and LB2 about half of those. Where LB
-    keeps most of a chunk's pairs, as on a 50-device cell, the points the
-    frequency bound keeps are evaluated over the whole power grid instead
-    (1 to 3 of 121 per channel on paper cells). Either way the pick is the
-    first grid point in (f_a, f_b, p_a, p_b) order that reaches the channel
-    minimum, the same as a full search. Channels go GREEDY_CHUNK at a time.
+    The incumbent pass evaluates the exact (f_a, f_b) grid at each channel's
+    arg-min-LB pair, for its minimum I and first arg-min. The other pairs
+    with LB <= I go to the pair-bound pass, and those with also LB2 <= I to
+    the survivor pass, which evaluates each one's grid once, for its
+    minimum; ``<=`` keeps a pair that only ties. The arg-min pass evaluates
+    again only survivors that reach their channel's minimum; the pick is the
+    first grid point in (f_a, f_b, p_a, p_b) order, theirs or the
+    incumbent's, that reaches it, as in a full search. On a 10,000-device
+    cell's narrow subchannels LB keeps 9.3 of 121 pairs per channel, LB2
+    4.55 of those (incumbent included), and the arg-min pass runs on 15% of
+    channels. Where LB keeps over half of a chunk's pairs, as on a 50-device
+    cell, the points the frequency bound keeps (1 to 3 of 121 per channel on
+    paper cells) are evaluated over the whole power grid instead, with the
+    same pick. Channels go GREEDY_CHUNK at a time.
     """
     steps = GRID_STEPS
     p_grid = _grid(params.p_min_w, params.p_max_w)

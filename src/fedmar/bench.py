@@ -514,11 +514,13 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Run the whole sweep; rows come back in deterministic order
     (sweep value, weight triple, seed, algorithm) with seed-mean summary
-    rows appended, and go to ``emit`` when ``out_path`` is given. An
-    unknown ``fmt`` raises before any cell runs. Cells run seed by seed,
-    so one seed's topology serves all its cells."""
+    rows appended, and go to ``emit`` when ``out_path`` is given. An unknown
+    ``fmt`` or an unopenable ``out_path`` raises before any cell runs. Cells
+    run seed by seed, so one seed's topology serves all its cells."""
     global _last_seed
     _renderer(fmt)
+    if out_path is not None:
+        open(out_path, "a").close()  # fails before the sweep; leaves a file as it is
     cells: dict[tuple[int, int, int], list[ResultRow]] = {}
     try:
         for k, seed in enumerate(spec.seeds):

@@ -373,8 +373,7 @@ class TestGreedyBaseline:
         kernel = allocator._grid_reduce
 
         def counted(reduce, pairs, terms, buffers):
-            # member a's compute-grid rows: 1 for the pair bound, 11 for the exact cost
-            calls.append((len(terms[2]), len(pairs)))
+            calls.append((reduce, pairs))
             return kernel(reduce, pairs, terms, buffers)
 
         monkeypatch.setattr(allocator, "_grid_reduce", counted)
@@ -382,11 +381,50 @@ class TestGreedyBaseline:
         report = greedy_baseline(params, topo)
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
-        # per chunk: incumbents, pair bound, its survivors, winners
-        checked = [n for rows, n in calls if rows == 1]
-        kept = [calls[i + 1][1] for i, (rows, _) in enumerate(calls) if rows == 1]
-        assert len(checked) == -(-topo.n_channels // allocator.GREEDY_CHUNK)
-        assert sum(kept) < 0.6 * sum(checked)
+        # per chunk: incumbents, pair bound, its survivors, arg-min
+        chunks = -(-topo.n_channels // allocator.GREEDY_CHUNK)
+        order = [allocator._min_first, np.minimum.reduce, np.minimum.reduce, np.argmin]
+        assert [reduce for reduce, _ in calls] == order * chunks
+        checked, kept, searched = 0, 0, 0
+        for (_, incumbents), (_, bounded), (_, survivors), (_, winners) in zip(*[iter(calls)] * 4):
+            # each incumbent's grid is evaluated once, in the incumbent pass
+            later = np.concatenate([bounded, survivors, winners])
+            assert not np.isin(incumbents, later).any()
+            checked, kept, searched = checked + len(bounded), kept + len(survivors), searched + len(winners)
+        assert kept < 0.6 * checked
+        assert searched < 0.25 * topo.n_channels
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_dead_channel_on_the_pair_path_ties_every_pair(self, monkeypatch, alpha):
+        # on 10 kHz subchannels the chunk takes the pair path; gains of 1e-40
+        # leave every rate of a channel zero (1e-30 still gives a positive
+        # rate at this noise floor), so its incumbent is +inf, its other 120
+        # pairs all survive, tie with it at +inf and reach the arg-min pass,
+        # and evaluate must then refuse the pick, as the full search does
+        channels, dead = 40, 7
+        params, topo = small_instance(
+            seed=4,
+            users=2 * channels,
+            weight_energy=alpha,
+            weight_time=1.0 - alpha,
+            total_bandwidth_hz=10e3 * channels,
+        )
+        gains = topo.gains.copy()
+        gains[2 * dead : 2 * dead + 2] = 1e-40
+        topo = topology_from_gains(gains, cycles=topo.cycles_per_std_sample)
+        searched = []
+        kernel = allocator._grid_reduce
+
+        def counted(reduce, pairs, terms, buffers):
+            if reduce == np.argmin:
+                searched.append(pairs)
+            return kernel(reduce, pairs, terms, buffers)
+
+        monkeypatch.setattr(allocator, "_grid_reduce", counted)
+        with pytest.raises(UnreachableDeviceError, match=rf"^device {2 * dead} has zero uplink rate"):
+            greedy_baseline(params, topo)
+        (pairs,) = searched
+        assert np.count_nonzero(pairs // 121 == dead) == 120
 
     @settings(max_examples=60, deadline=None)
     @given(cell=bound_cells())
@@ -587,6 +625,28 @@ class TestPowerFixedPoint:
         assert np.all(power_new <= power * (1.0 + tolerance))
         if params.weight_time > 0.0:
             assert np.all(np.abs(power_new - power) <= tolerance * power)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="sp1 hands a device on its f_max/s3 plateau the budget's remainder, "
+        "past the plateau's top, so it runs s1 and finishes long before T",
+    )
+    def test_fixed_point_where_the_budget_lands_on_a_plateau(self):
+        # the test above found this: device 5 runs f_max and s3, finishing
+        # exactly at T = 1.5427 s, for multipliers from about 0.0054 to 0.1;
+        # the remainder of the budget gives it 0.464, where it recovers s1,
+        # finishes at 0.097 s, and sp2 lowers its power to p_min
+        params, topo = small_instance(
+            207, users=10, weight_energy=0.001, weight_time=0.999,
+            weight_accuracy=0.5, f_max_hz=3e9,
+        )
+        power = np.random.default_rng(0).uniform(params.p_min_w, params.p_max_w, topo.n_devices)
+        block1 = sp1.solve_sp1(params, topo, power)
+        power_new, _, _ = sp2.solve_sp2(
+            params, topo, block1.cpu_hz, block1.resolution_cont, block1.deadline_s
+        )
+        assert np.allclose(power_new, power, rtol=1e-8, atol=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(

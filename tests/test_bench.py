@@ -195,6 +195,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("fmt,render", [("csv", rows_to_csv), ("json", rows_to_json)])
     def test_file_holds_exactly_the_returned_rows(self, tmp_path, fmt, render):
         out = tmp_path / f"rows.{fmt}"
+        out.write_text("stale\n" * 1000)  # replaced, not appended to
         rows = run_experiment(tiny_spec(), out_path=out, fmt=fmt)
         assert out.read_text() == render(rows)
 
@@ -577,6 +578,16 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("name", ["out", "missing/rows.csv"])
+    def test_unwritable_out_stops_a_sweep_before_any_cell(self, tmp_path, capsys, monkeypatch, name):
+        cfg = self._write_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *cell: cells.append(cell) or [])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cells == []
 
     def test_directory_as_config_exits_with_an_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -30,6 +30,7 @@ SWEEPS = {
     "p_min-inf-nearest": "p_min_dbm = -inf\npairing = nearest\nweights = 1,0,1 0.5,0.5,1\n",
     "f_min-0.5": "f_min_ghz = 0.5\nseeds = 1 2 3\n",
     "users-1000": "users = 1000\nchannels = 500\n",
+    "users-4000": "users = 4000\nchannels = 2000\n",
 }
 
 FORMATS = {"csv": bench.rows_to_csv, "json": bench.rows_to_json}
