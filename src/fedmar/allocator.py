@@ -322,17 +322,15 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     alpha, beta = params.weight_energy, params.weight_time
     gains, bits = topology.gains, topology.upload_bits
     c, a, b = hi - lo, slice(2 * lo, 2 * hi, 2), slice(2 * lo + 1, 2 * hi, 2)
-    # the chunk's members in the array form the cost kernels take, so the
-    # compute-cost grids are built per chunk, not for the whole cell
+    # the chunk's members as (member, 1, channel) views: the compute-cost
+    # grids, built per chunk, not for the whole cell, come out (member, f, channel)
+    chunk = slice(2 * lo, 2 * hi)
     members = SimpleNamespace(
-        cycles_per_std_sample=topology.cycles_per_std_sample[2 * lo : 2 * hi],
-        sample_count=topology.sample_count[2 * lo : 2 * hi],
+        cycles_per_std_sample=topology.cycles_per_std_sample[chunk].reshape(c, 2).T[:, None],
+        sample_count=topology.sample_count[chunk].reshape(c, 2).T[:, None],
     )
     s_low = params.resolution_set_px[0]
     t_cmp, e_cmp = model.computation_cost(params, members, s_low, f_grid[:, None])
-    # axes: (member, f, channel)
-    t_cmp = np.ascontiguousarray(t_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
-    e_cmp = np.ascontiguousarray(e_cmp.reshape(steps, c, 2).transpose(2, 0, 1))
 
     # axes: (channel, p_a, p_b); rate_a varies with p_a only, (channel, p_a, 1)
     rate_a, rate_b = model._pair_rates(

@@ -9,6 +9,7 @@ after another in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -400,23 +401,20 @@ def _result_row(
     )
 
 
-# (key, devices, gains, {scheme: topology}) of the last seed: callers wrap
+# One seed's draw and pairings, keyed by all they read. Callers wrap
 # run_cell(spec, sweep value, weights, seed), so no topology can be handed to
-# it. ``run_experiment`` drops this one-entry memo on return.
-_last_seed: tuple | None = None
+# it; a sweep runs seed by seed, so one seed's entries serve all its cells.
+@functools.lru_cache(maxsize=1)
+def _sampled(topology: TopologyConfig, ranges: DeviceParamRanges, seed: int):
+    return sample_topology(replace(topology, rng_seed=seed), ranges)
 
 
-def _paired(spec: ExperimentSpec, params: SystemParams, seed: int, scheme: PairingScheme):
-    global _last_seed
-    key = (spec.topology, spec.ranges, seed)
-    if _last_seed is None or _last_seed[0] != key:
-        _last_seed = None  # never hold two seeds' arrays at once
-        devices, gains = sample_topology(replace(spec.topology, rng_seed=seed), spec.ranges)
-        _last_seed = (key, devices, gains, {})
-    _, devices, gains, pairings = _last_seed
-    if scheme not in pairings:
-        pairings[scheme] = pair_users(params, devices, gains, scheme, rng_seed=seed)
-    return pairings[scheme]
+@functools.lru_cache(maxsize=len(PairingScheme))
+def _paired(topology, ranges, params: SystemParams, seed: int, scheme: PairingScheme):
+    # params are the spec's base parameters: pairing reads only their channel
+    # count, which no sweep variable sets
+    devices, gains = _sampled(topology, ranges, seed)
+    return pair_users(params, devices, gains, scheme, rng_seed=seed)
 
 
 def solve_proposed(spec: ExperimentSpec, params: SystemParams, seed: int) -> SolveReport:
@@ -424,8 +422,9 @@ def solve_proposed(spec: ExperimentSpec, params: SystemParams, seed: int) -> Sol
     every scheme, keeping the best, for ``best``; the named scheme otherwise.
     The report's scheme is always set."""
     schemes = PairingScheme if spec.pairing == "best" else (PairingScheme(spec.pairing),)
+    cell = spec.topology, spec.ranges, spec.params, seed
     return allocator.allocate_best_pairing(
-        params, {scheme: _paired(spec, params, seed, scheme) for scheme in schemes}
+        params, {scheme: _paired(*cell, scheme) for scheme in schemes}
     )
 
 
@@ -453,7 +452,7 @@ def run_cell(
     else:
         best = spec.pairing == "best"
         scheme = PairingScheme.NEAREST_USER if best else PairingScheme(spec.pairing)
-        topology = _paired(spec, params, seed, scheme)
+        topology = _paired(spec.topology, spec.ranges, spec.params, seed, scheme)
     if "random" in spec.algorithms:
         reports["random"] = _solved(allocator.random_baseline, params, topology, seed)
     if "greedy" in spec.algorithms:
@@ -517,18 +516,16 @@ def run_experiment(
     rows appended, and go to ``emit`` when ``out_path`` is given. An unknown
     ``fmt`` or an unopenable ``out_path`` raises before any cell runs. Cells
     run seed by seed, so one seed's topology serves all its cells."""
-    global _last_seed
     _renderer(fmt)
     if out_path is not None:
         open(out_path, "a").close()  # fails before the sweep; leaves a file as it is
+    _sampled.cache_clear()  # every sweep draws its seeds afresh
+    _paired.cache_clear()
     cells: dict[tuple[int, int, int], list[ResultRow]] = {}
-    try:
-        for k, seed in enumerate(spec.seeds):
-            for i, value in enumerate(spec.sweep_values):
-                for j, weights in enumerate(spec.weights):
-                    cells[i, j, k] = run_cell(spec, value, weights, seed)
-    finally:
-        _last_seed = None
+    for k, seed in enumerate(spec.seeds):
+        for i, value in enumerate(spec.sweep_values):
+            for j, weights in enumerate(spec.weights):
+                cells[i, j, k] = run_cell(spec, value, weights, seed)
     rows = [row for cell in sorted(cells) for row in cells[cell]]
     rows.extend(summarize(rows))
     if out_path is not None:

@@ -98,25 +98,6 @@ class TopologyConfig:
             )
 
 
-def generate_topology(
-    config: TopologyConfig, ranges: DeviceParamRanges = DeviceParamRanges()
-) -> Device:
-    """Place devices uniformly in distance over the cell annulus and draw
-    their workload parameters, as one ``Device`` of arrays over ids 0..n-1.
-    Deterministic for a fixed seed."""
-    rng = np.random.default_rng([STREAM_PLACEMENT, config.rng_seed])
-    n = config.user_count
-    distances = rng.uniform(config.min_distance_km, config.cell_radius_km, n)
-    cycles = rng.uniform(ranges.cycles_low, ranges.cycles_high, n)
-    return Device(
-        id=np.arange(n),
-        distance_km=distances,
-        cycles_per_std_sample=cycles,
-        sample_count=np.full(n, ranges.sample_count),
-        upload_bits=np.full(n, ranges.upload_bits),
-    )
-
-
 def channel_gain(distance_km, shadow_db_sample):
     """Linear gain from log-distance path loss plus a caller-supplied
     shadow-fading sample in dB (callers own the randomness), for one device
@@ -131,18 +112,26 @@ def channel_gain(distance_km, shadow_db_sample):
     return np.float_power(10.0, -(loss_db + shadow_db_sample) / 10.0)
 
 
-def sample_gains(config: TopologyConfig, devices: Device) -> np.ndarray:
-    """One shadow draw per device (block fading over the studied round)."""
-    rng = np.random.default_rng([STREAM_SHADOW, config.rng_seed])
-    shadows = rng.normal(0.0, config.shadow_sigma_db, np.size(devices.id))
-    return channel_gain(devices.distance_km, shadows)
-
-
 def sample_topology(
     config: TopologyConfig, ranges: DeviceParamRanges = DeviceParamRanges()
 ) -> tuple[Device, np.ndarray]:
-    devices = generate_topology(config, ranges)
-    return devices, sample_gains(config, devices)
+    """Place devices uniformly in distance over the cell annulus and draw
+    their workload parameters, as one ``Device`` of arrays over ids 0..n-1,
+    then one shadow draw per device (block fading over the studied round)
+    for its gain. Deterministic for a fixed seed."""
+    rng = np.random.default_rng([STREAM_PLACEMENT, config.rng_seed])
+    n = config.user_count
+    distances = rng.uniform(config.min_distance_km, config.cell_radius_km, n)
+    cycles = rng.uniform(ranges.cycles_low, ranges.cycles_high, n)
+    devices = Device(
+        id=np.arange(n),
+        distance_km=distances,
+        cycles_per_std_sample=cycles,
+        sample_count=np.full(n, ranges.sample_count),
+        upload_bits=np.full(n, ranges.upload_bits),
+    )
+    rng = np.random.default_rng([STREAM_SHADOW, config.rng_seed])
+    return devices, channel_gain(distances, rng.normal(0.0, config.shadow_sigma_db, n))
 
 
 def pair_users(

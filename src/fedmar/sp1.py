@@ -53,10 +53,6 @@ from .model import PairedTopology, SystemParams
 # curvature constant from substituting f(lam) back into the objective
 _CBRT_MIX = 2.0 ** (-2.0 / 3.0) + 2.0 ** (1.0 / 3.0)
 
-# multipliers below this are floored before the cube root so f recovery
-# cannot underflow to zero
-LAMBDA_FLOOR = 1e-30
-
 # the price search gives up on a budget still unspent this close to max(t_up)
 _MIN_OFFSET = 1e-280
 
@@ -169,7 +165,10 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     budget. The result depends on the problem, not on a tolerance or on the
     iteration path. When the budget lands inside a flat dual term (a total
     of +inf at the lower end), the devices at +inf there take the rest of
-    it; their primal recovery does not depend on the split.
+    it. Their primal recovery does not depend on the split while each share
+    stays on its (f_max, s3) plateau; a share past the plateau's top moves
+    the device to a lower resolution, where it finishes before the deadline
+    although its multiplier is positive.
     """
     t_up = np.asarray(coeffs.t_up, dtype=float)
     if t_up.size == 0:
@@ -302,7 +301,7 @@ def recover_primal(multiplier, params: SystemParams, devices):
     ak = params.weight_energy * params.switched_capacitance
     if ak <= 0.0:
         raise ValueError("primal recovery requires a positive energy weight")
-    f_raw = (np.maximum(multiplier, LAMBDA_FLOOR) / (2.0 * ak)) ** (1.0 / 3.0)
+    f_raw = (multiplier / (2.0 * ak)) ** (1.0 / 3.0)
     f_eff = clamp_frequency(params, f_raw)
     denom = 2.0 * model.load(params, devices) * (ak * f_eff * f_eff + multiplier / f_eff)
     s_raw = params.weight_accuracy * accuracy_slope(params) / denom

@@ -55,6 +55,15 @@ class TestAllocate:
             trace = np.array(allocate(params, topo).objective_trace)
             assert np.all(np.diff(trace) <= 1e-9)
 
+    def test_no_time_weight_runs_at_f_min_for_any_energy_price(self):
+        # with beta = 0 every multiplier is 0, so energy alone prices the
+        # frequency and each device runs at the slowest one, however small
+        # alpha * kappa is
+        params, topo = table_instance(
+            1, weight_energy=1.0, weight_time=0.0, switched_capacitance=1e-50
+        )
+        assert np.all(allocate(params, topo).allocation.cpu_hz == params.f_min_hz)
+
     def test_iteration_cap_respected(self, monkeypatch):
         # with no time weight the first power solve lowers the powers of the
         # devices with slack, so one iteration cannot be converged yet

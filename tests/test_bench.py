@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from fedmar.bench import (
     summarize,
 )
 from fedmar.model import dbm_to_watts
-from fedmar.pairing import PairingScheme, TopologyConfig
+from fedmar.pairing import DeviceParamRanges, PairingScheme, TopologyConfig
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -261,9 +262,33 @@ class TestSeedReuse:
         assert sorted(paired, key=str) == sorted(
             ((seed, scheme) for seed in (1, 2) for scheme in PairingScheme), key=str
         )
-        assert bench._last_seed is None  # released on return
+        # every sweep draws its seeds afresh, also one that starts on the
+        # seed the last one ended on
+        sampled.clear()
+        run_experiment(self.best_sweep())
+        run_experiment(replace(self.best_sweep(), seeds=(2,)))
+        assert sampled == [1, 2, 2]
 
-    def test_direct_cells_give_the_rows_of_a_fresh_cache(self, monkeypatch):
+    @staticmethod
+    def cells_match_cold_runs(order):
+        """Direct ``run_cell`` calls in ``order``, one after another, give
+        the rows each gives on cold caches; returns those rows."""
+
+        def cell(spec, seed):
+            return rows_to_csv(bench.run_cell(spec, 12.0, spec.weights[0], seed))
+
+        def cold(spec, seed):
+            bench._sampled.cache_clear()
+            bench._paired.cache_clear()
+            return cell(spec, seed)
+
+        fresh = [cold(spec, seed) for spec, seed in order]
+        bench._sampled.cache_clear()
+        bench._paired.cache_clear()
+        assert [cell(spec, seed) for spec, seed in order] == fresh
+        return fresh
+
+    def test_direct_cells_give_the_rows_of_a_fresh_cache(self):
         small = tiny_spec(algorithms=bench.ALGORITHMS, pairing="best")
         large = tiny_spec(
             topology=TopologyConfig(user_count=6, channel_count=3),
@@ -272,17 +297,17 @@ class TestSeedReuse:
             pairing="best",
         )
         order = [(small, 2), (small, 1), (small, 2), (large, 2), (small, 2)]
-
-        def cell(spec, seed):
-            return rows_to_csv(bench.run_cell(spec, 12.0, spec.weights[0], seed))
-
-        fresh = []
-        for spec, seed in order:
-            monkeypatch.setattr(bench, "_last_seed", None)
-            fresh.append(cell(spec, seed))
-        monkeypatch.setattr(bench, "_last_seed", None)
-        assert [cell(spec, seed) for spec, seed in order] == fresh
+        fresh = self.cells_match_cold_runs(order)
         assert fresh[0] != fresh[1] and fresh[0] != fresh[3]
+
+    def test_the_caches_key_on_the_device_ranges(self):
+        # same topology config and seed: only the sampled workloads differ
+        light = tiny_spec(algorithms=bench.ALGORITHMS, pairing="best")
+        heavy = tiny_spec(
+            algorithms=bench.ALGORITHMS, pairing="best", ranges=DeviceParamRanges(cycles_high=6e4)
+        )
+        fresh = self.cells_match_cold_runs([(light, 1), (heavy, 1), (light, 1), (heavy, 1)])
+        assert fresh[0] != fresh[1]
 
 
 class TestEmission:

@@ -7,9 +7,7 @@ from fedmar.pairing import (
     PairingScheme,
     TopologyConfig,
     channel_gain,
-    generate_topology,
     pair_users,
-    sample_gains,
     sample_topology,
 )
 from util import (
@@ -27,14 +25,14 @@ DEVICE_FIELDS = ("id", "distance_km", "cycles_per_std_sample", "sample_count", "
 class TestGenerateTopology:
     def test_deterministic_for_fixed_seed(self):
         config = TopologyConfig(rng_seed=11)
-        a, b = generate_topology(config), generate_topology(config)
-        other = generate_topology(TopologyConfig(rng_seed=12))
+        (a, _), (b, _) = sample_topology(config), sample_topology(config)
+        other, _ = sample_topology(TopologyConfig(rng_seed=12))
         for name in DEVICE_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert not np.array_equal(a.distance_km, other.distance_km)
 
     def test_default_counts_and_ranges(self):
-        devices = generate_topology(TopologyConfig(rng_seed=2))
+        devices, _ = sample_topology(TopologyConfig(rng_seed=2))
         assert np.array_equal(devices.id, np.arange(50))
         cycles = devices.cycles_per_std_sample
         assert np.all(cycles >= 1e4) and np.all(cycles <= 3e4)
@@ -202,12 +200,11 @@ class TestReferenceParity:
 class TestShadowSampling:
     def test_gains_deterministic_per_seed(self):
         config = TopologyConfig(rng_seed=3)
-        devices = generate_topology(config)
-        assert np.array_equal(sample_gains(config, devices), sample_gains(config, devices))
+        (_, a), (_, b) = sample_topology(config), sample_topology(config)
+        assert np.array_equal(a, b)
 
     def test_zero_sigma_reduces_to_path_loss(self):
         config = TopologyConfig(rng_seed=3, shadow_sigma_db=0.0)
-        devices = generate_topology(config)
-        gains = sample_gains(config, devices)
+        devices, gains = sample_topology(config)
         expected = [channel_gain(d, 0.0) for d in devices.distance_km]
         assert gains == pytest.approx(expected)
