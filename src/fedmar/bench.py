@@ -362,30 +362,28 @@ def _format_resolutions(resolutions) -> str:
 
 
 def _result_row(
-    report: SolveReport | None,
-    *,
-    seed: int,
+    outcome: SolveReport | UnreachableDeviceError,
     spec: ExperimentSpec,
     sweep_value: float,
     params: SystemParams,
+    seed: int,
     algorithm: str,
     pairing_label: str,
 ) -> ResultRow:
-    """One run's row. A run without a report found some device unreachable:
-    its metrics are NaN. A solved run is flagged only when it is
-    rate-infeasible."""
-    if report is None:
+    """One run's row. A run that found some device unreachable has NaN
+    metrics. A solved run is flagged only when it is rate-infeasible."""
+    if isinstance(outcome, UnreachableDeviceError):
         metrics = (float("nan"),) * len(_MEAN_FIELDS)
-        outcome = {"resolutions": "", "converged": "no", "flag": "unreachable"}
+        flags = {"resolutions": "", "converged": "no", "flag": "unreachable"}
     else:
-        c = report.costs
+        c = outcome.costs
         metrics = (
             c.total_energy_j, c.total_time_s, c.total_accuracy, c.weighted_energy_time, c.objective
         )
-        outcome = {
-            "resolutions": _format_resolutions(report.allocation.resolution_px),
-            "converged": "yes" if report.converged else "no",
-            "flag": "" if report.feasible else "rate-infeasible",
+        flags = {
+            "resolutions": _format_resolutions(outcome.allocation.resolution_px),
+            "converged": "yes" if outcome.converged else "no",
+            "flag": "" if outcome.feasible else "rate-infeasible",
         }
     return ResultRow(
         seed=seed,
@@ -397,7 +395,7 @@ def _result_row(
         beta=params.weight_time,
         gamma=params.weight_accuracy,
         **dict(zip(_MEAN_FIELDS, metrics)),
-        **outcome,
+        **flags,
     )
 
 
@@ -417,23 +415,28 @@ def _paired(topology, ranges, params: SystemParams, seed: int, scheme: PairingSc
     return pair_users(params, devices, gains, scheme, rng_seed=seed)
 
 
-def solve_proposed(spec: ExperimentSpec, params: SystemParams, seed: int) -> SolveReport:
-    """The proposed solve of one seed's cell under the configured pairing:
-    every scheme, keeping the best, for ``best``; the named scheme otherwise.
-    The report's scheme is always set."""
-    schemes = PairingScheme if spec.pairing == "best" else (PairingScheme(spec.pairing),)
-    cell = spec.topology, spec.ranges, spec.params, seed
-    return allocator.allocate_best_pairing(
-        params, {scheme: _paired(*cell, scheme) for scheme in schemes}
-    )
-
-
-def _solved(solve, *args) -> SolveReport | None:
-    """``solve(*args)``, or None when some device has zero uplink rate."""
+def _solved(solve, *args) -> SolveReport | UnreachableDeviceError:
+    """``solve(*args)``, or the error it raised when some device has zero
+    uplink rate; the error names the device."""
     try:
         return solve(*args)
-    except UnreachableDeviceError:
-        return None
+    except UnreachableDeviceError as exc:
+        return exc
+
+
+def proposed_row(
+    spec: ExperimentSpec, sweep_value: float, params: SystemParams, seed: int
+) -> tuple[SolveReport | UnreachableDeviceError, ResultRow]:
+    """The proposed solve of one cell, as its outcome and its row: every
+    scheme, keeping the best, for ``best``; the named scheme otherwise. A
+    failed solve chose no scheme, so its row names the configured pairing."""
+    schemes = PairingScheme if spec.pairing == "best" else (PairingScheme(spec.pairing),)
+    cell = spec.topology, spec.ranges, spec.params, seed
+    topologies = {scheme: _paired(*cell, scheme) for scheme in schemes}
+    outcome = _solved(allocator.allocate_best_pairing, params, topologies)
+    failed = isinstance(outcome, UnreachableDeviceError)
+    pairing = spec.pairing if failed else outcome.scheme.value
+    return outcome, _result_row(outcome, spec, sweep_value, params, seed, "proposed", pairing)
 
 
 def run_cell(
@@ -444,34 +447,25 @@ def run_cell(
     algorithms see the same channel structure; without a proposed report,
     best pairing falls back to nearest."""
     params = cell_params(spec, sweep_value, weights)
-    reports: dict[str, SolveReport | None] = {}
+    rows: dict[str, ResultRow] = {}
+    proposed = None
     if "proposed" in spec.algorithms:
-        reports["proposed"] = _solved(solve_proposed, spec, params, seed)
-    if (proposed := reports.get("proposed")) is not None:
+        proposed, rows["proposed"] = proposed_row(spec, sweep_value, params, seed)
+    if isinstance(proposed, SolveReport):
         scheme, topology = proposed.scheme, proposed.topology
     else:
         best = spec.pairing == "best"
         scheme = PairingScheme.NEAREST_USER if best else PairingScheme(spec.pairing)
         topology = _paired(spec.topology, spec.ranges, spec.params, seed, scheme)
-    if "random" in spec.algorithms:
-        reports["random"] = _solved(allocator.random_baseline, params, topology, seed)
-    if "greedy" in spec.algorithms:
-        reports["greedy"] = _solved(allocator.greedy_baseline, params, topology)
-    return [
-        _result_row(
-            reports[algo],
-            seed=seed,
-            spec=spec,
-            sweep_value=sweep_value,
-            params=params,
-            algorithm=algo,
-            # a failed proposed solve chose no scheme
-            pairing_label=(
-                spec.pairing if algo == "proposed" and proposed is None else scheme.value
-            ),
-        )
-        for algo in spec.algorithms
-    ]
+    # looked up at call time, so callers can wrap them in the allocator module
+    for algo, solve, *args in (
+        ("random", allocator.random_baseline, topology, seed),
+        ("greedy", allocator.greedy_baseline, topology),
+    ):
+        if algo in spec.algorithms:
+            outcome = _solved(solve, params, *args)
+            rows[algo] = _result_row(outcome, spec, sweep_value, params, seed, algo, scheme.value)
+    return [rows[algo] for algo in spec.algorithms]
 
 
 def _mean(values: list[float]) -> float:
@@ -480,7 +474,8 @@ def _mean(values: list[float]) -> float:
 
 def summarize(rows: list[ResultRow]) -> list[ResultRow]:
     """Seed-averaged summary rows, one per (sweep value, weights, algorithm),
-    in first-appearance order. Flagged rows are counted, not averaged."""
+    in first-appearance order. Flagged rows are counted, not averaged; the
+    pairing names every scheme the seeds ran, in first-appearance order."""
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         key = (row.sweep_value, row.alpha, row.beta, row.gamma, row.algorithm)
@@ -497,6 +492,7 @@ def summarize(rows: list[ResultRow]) -> list[ResultRow]:
             replace(
                 members[0],
                 seed="mean",
+                pairing="|".join(dict.fromkeys(r.pairing for r in members)),
                 resolutions="",
                 converged="",
                 flag=f"flagged={flagged}" if flagged else "",
@@ -565,13 +561,6 @@ def rows_to_json(rows: Iterable[ResultRow]) -> str:
         ],
     }
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
-
-
-def rows_from_json(text: str) -> list[ResultRow]:
-    payload = json.loads(text)
-    if payload.get("schema") != JSON_SCHEMA:
-        raise ConfigError(f"unsupported result schema {payload.get('schema')!r}")
-    return [ResultRow(**entry) for entry in payload["rows"]]
 
 
 def _renderer(fmt: str):

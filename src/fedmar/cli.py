@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import bench
 from .bench import ExperimentSpec
-from .model import UnreachableDeviceError
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -32,35 +32,23 @@ def _load_spec(args) -> ExperimentSpec:
 
 def _cmd_solve(args) -> int:
     spec = _load_spec(args)
-    seed = spec.seeds[0]
-    params = bench.cell_params(spec, spec.sweep_values[0], spec.weights[0])
+    seed, value = spec.seeds[0], spec.sweep_values[0]
+    params = bench.cell_params(spec, value, spec.weights[0])
     started = time.perf_counter()
-    try:
-        report = bench.solve_proposed(spec, params, seed)
-    except UnreachableDeviceError as exc:  # flagged below; the message names the device
-        report = None
-        print(exc, file=sys.stderr)
+    outcome, row = bench.proposed_row(spec, value, params, seed)
     wall_time = time.perf_counter() - started
-    row = bench._result_row(
-        report,
-        seed=seed,
-        spec=spec,
-        sweep_value=spec.sweep_values[0],
-        params=params,
-        algorithm="proposed",
-        pairing_label=spec.pairing if report is None else report.scheme.value,
-    )
 
-    if report is None:
+    if row.flag == "unreachable":
+        print(outcome, file=sys.stderr)  # the message names the device
         print(f"seed {seed}  pairing {row.pairing}  flag {row.flag}")
     else:
-        c = report.costs
+        c = outcome.costs
         print(
             f"seed {seed}  pairing {row.pairing}  "
-            f"converged {report.converged}  feasible {report.feasible}"
+            f"converged {outcome.converged}  feasible {outcome.feasible}"
         )
         if spec.pairing == "best":
-            per = "  ".join(f"{k}={v:.6g}" for k, v in report.scheme_objectives.items())
+            per = "  ".join(f"{k}={v:.6g}" for k, v in outcome.scheme_objectives.items())
             print(f"scheme objectives: {per}")
         print(
             f"objective {c.objective:.9g}  energy {c.total_energy_j:.9g} J  "

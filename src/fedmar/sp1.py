@@ -22,7 +22,7 @@ D, computed once per solve by ``dual_coefficients``:
     f at f_max:          lam = g slope / 2 * sqrt(f_max / (load D)) - a k f_max**3,
                          where s = sqrt(D f_max / load)
     s pinned at s1, s3:  lam = (a_s / D)**3,  a_s = 2/3 load s**2 (a k)**(1/3) mix
-    s pinned, f at f_max: a flat dual term, lam = +inf
+    s at s1, f at f_max: a flat dual term, lam = +inf
 
 Each branch is a power law in D, so the total multiplier and its slope
 come from one pass, which computes only the branches some device is on.
@@ -33,9 +33,12 @@ primal recovery follows. On the paper's p_max sweep a search takes 5.5
 evaluations (16 seeds, 8 at most). In 7% to 32% of them every device is
 pinned at s1 or s3, so the free and f_max branches are skipped; in the
 rest about 47 of 50 are.
-The flat branch is skipped whenever every kept pin cubes to within the
-f_max multiplier; a cube past the float range is +inf already. The
-resolution stays continuous; ``round_resolutions`` rounds it.
+Only an s1 pin can be flat. A device pinned at s3 has D > s3_above >=
+load s3**2 / f_max, so its cube is 2 a k f**3 with f <= f_max, at most the
+f_max multiplier but for rounding, which leaves it finite. The flat branch
+is skipped whenever every kept s1 pin cubes to within the f_max multiplier;
+a cube past the float range is +inf already. The resolution stays
+continuous; ``round_resolutions`` rounds it.
 """
 
 from __future__ import annotations
@@ -165,10 +168,9 @@ def solve_dual(coeffs: DualCoefficients, beta: float) -> np.ndarray:
     budget. The result depends on the problem, not on a tolerance or on the
     iteration path. When the budget lands inside a flat dual term (a total
     of +inf at the lower end), the devices at +inf there take the rest of
-    it. Their primal recovery does not depend on the split while each share
-    stays on its (f_max, s3) plateau; a share past the plateau's top moves
-    the device to a lower resolution, where it finishes before the deadline
-    although its multiplier is positive.
+    it. Those are devices at f_max and s1, whose primal recovery does not
+    depend on the split: a larger multiplier keeps f at f_max and only
+    lowers the resolution, which stays at s1 after clamping.
     """
     t_up = np.asarray(coeffs.t_up, dtype=float)
     if t_up.size == 0:
@@ -239,13 +241,14 @@ def _budget_crossing(coeffs: DualCoefficients, beta: float):
                 lam = np.where(at_f_max, top - coeffs.lam_f_max / 2, lam)
                 rate = np.where(at_f_max, -0.5 * top, rate)
         if pins:
-            # every device cubes a pin, but only a pinned one keeps it; a pin
-            # cubed past lam_f_max is flat, an infinite multiplier
+            # every device cubes a pin, but only a pinned one keeps it; an s1
+            # pin cubed past lam_f_max is flat, an infinite multiplier, while
+            # an s3 pin passes it only by rounding (module docstring)
             fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
             fix = fix * fix * fix
             steep = -3.0 * fix
-            if not fix.max(where=pinned, initial=0.0) <= coeffs.lam_f_max:
-                flat = fix > coeffs.lam_f_max
+            if not fix.max(where=low, initial=0.0) <= coeffs.lam_f_max:
+                flat = low & (fix > coeffs.lam_f_max)
                 fix[flat] = math.inf
                 steep[flat] = 0.0
             if pins == d.size:

@@ -635,17 +635,12 @@ class TestPowerFixedPoint:
         if params.weight_time > 0.0:
             assert np.all(np.abs(power_new - power) <= tolerance * power)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="sp1 hands a device on its f_max/s3 plateau the budget's remainder, "
-        "past the plateau's top, so it runs s1 and finishes long before T",
-    )
     def test_fixed_point_where_the_budget_lands_on_a_plateau(self):
         # the test above found this: device 5 runs f_max and s3, finishing
         # exactly at T = 1.5427 s, for multipliers from about 0.0054 to 0.1;
-        # the remainder of the budget gives it 0.464, where it recovers s1,
-        # finishes at 0.097 s, and sp2 lowers its power to p_min
+        # its s3 cube rounds past lam_f_max, which must not make it a flat
+        # term that takes the budget's remainder, recovers s1, finishes at
+        # 0.097 s, and has sp2 lower its power to p_min
         params, topo = small_instance(
             207, users=10, weight_energy=0.001, weight_time=0.999,
             weight_accuracy=0.5, f_max_hz=3e9,

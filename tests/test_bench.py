@@ -4,7 +4,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from fedmar.bench import (
     cell_params,
     load_config,
     parse_config_text,
-    rows_from_json,
     rows_to_csv,
     rows_to_json,
     run_experiment,
@@ -218,30 +218,37 @@ class TestSeedReuse:
 
     def test_run_cell_and_allocate_keep_their_call_contract(self, monkeypatch):
         # callers such as perfbench wrap bench.run_cell as wrapper(spec,
-        # sweep_value, weights, seed) to time cells, and allocator.allocate to
-        # check each scheme's report; so the sweep calls both through their
-        # module globals, run_cell with exactly these four positional arguments
-        run_cell, allocate = bench.run_cell, allocator.allocate
+        # sweep_value, weights, seed) to time cells, and allocator.allocate and
+        # both baselines to check each report; so the sweep calls them all
+        # through their module globals, run_cell with exactly these four
+        # positional arguments
+        run_cell = bench.run_cell
         cells, solves = [], []
 
         def recording_cell(*args, **kwargs):
             cells.append((args, kwargs))
-            solves.append(0)
+            solves.append(Counter())
             return run_cell(*args, **kwargs)
 
-        def recording_allocate(*args, **kwargs):
-            solves[-1] += 1
-            return allocate(*args, **kwargs)
+        def recording(name):
+            solve = getattr(allocator, name)
+
+            def wrapper(*args, **kwargs):
+                solves[-1][name] += 1
+                return solve(*args, **kwargs)
+
+            return wrapper
 
         monkeypatch.setattr(bench, "run_cell", recording_cell)
-        monkeypatch.setattr(allocator, "allocate", recording_allocate)
+        for name in ("allocate", "random_baseline", "greedy_baseline"):
+            monkeypatch.setattr(allocator, name, recording(name))
         spec = self.best_sweep()
         run_experiment(spec)
         assert all(len(args) == 4 and not kwargs for args, kwargs in cells)
         assert sorted((args[1], args[3]) for args, _ in cells) == [
             (10.0, 1), (10.0, 2), (12.0, 1), (12.0, 2)
         ]
-        assert solves == [3] * 4
+        assert solves == [{"allocate": 3, "random_baseline": 1, "greedy_baseline": 1}] * 4
 
     def test_each_seed_is_sampled_once_and_paired_once_per_scheme(self, monkeypatch):
         sample, pair = bench.sample_topology, bench.pair_users
@@ -336,11 +343,16 @@ class TestEmission:
 
     def test_json_round_trip(self):
         rows = run_experiment(tiny_spec())
-        text = rows_to_json(rows)
-        payload = json.loads(text)
+        payload = json.loads(rows_to_json(rows))
         assert payload["schema"] == bench.JSON_SCHEMA
-        back = rows_from_json(text)
-        assert rows_to_json(back) == text
+        assert len(payload["rows"]) == len(rows)
+        for entry, row in zip(payload["rows"], rows):
+            assert list(entry) == [f.name for f in fields(row)]
+            for name, value in entry.items():
+                if name in bench._NUMERIC_FIELDS:
+                    assert f"{value:.9g}" == f"{getattr(row, name):.9g}"
+                else:
+                    assert value == getattr(row, name)
 
     def test_nine_significant_digits(self):
         rows = run_experiment(tiny_spec())
@@ -652,6 +664,43 @@ def test_unreachable_cell_yields_flagged_rows(tmp_path, extra, labels):
     summary = [line.split(",") for line in out.read_text().splitlines() if line.startswith("mean,")]
     assert len(summary) == len(spec.sweep_values) * len(labels)
     assert all(s[4] == labels[s[3]] and s[-1] == "flagged=1" for s in summary)
+
+
+@pytest.mark.parametrize("fmt,render", [("csv", rows_to_csv), ("json", rows_to_json)])
+@pytest.mark.parametrize(
+    "config,seed,pairing",
+    [("", 7, "best"), ("", 7, "nearest"), (UNREACHABLE, 2, "best")],
+    ids=["best", "nearest", "unreachable"],
+)
+def test_solve_writes_the_sweep_cells_proposed_row(
+    tmp_path, capsys, config, seed, pairing, fmt, render
+):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    out = tmp_path / f"solve.{fmt}"
+    argv = ["solve", "--config", str(cfg), "--seed", str(seed), "--pairing", pairing]
+    code = cli.main([*argv, "--out", str(out), "--format", fmt])
+    err = capsys.readouterr().err
+    spec = replace(load_config(cfg), pairing=pairing, algorithms=("proposed",))
+    rows = bench.run_cell(spec, spec.sweep_values[0], spec.weights[0], seed)
+    assert out.read_text() == render(rows)
+    if config:
+        assert (code, rows[0].flag) == (2, "unreachable")
+        assert re.fullmatch(r"device \d+ has zero uplink rate but 28100 bits to send\n", err)
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("seeds", [(1, 2), (1, 2, 3)])
+def test_mean_rows_name_every_pairing_their_seeds_ran(seeds):
+    # best pairing picks random for seeds 1 and 3 and nearest for seed 2; the
+    # random baseline runs on the pairing its seed's proposed run picked
+    rows = run_experiment(tiny_spec(seeds=seeds, pairing="best"))
+    picked = {1: "random", 2: "nearest", 3: "random"}
+    assert all(r.pairing == picked[r.seed] for r in rows if r.seed != "mean")
+    summary = [r for r in rows if r.seed == "mean"]
+    assert len(summary) == 4
+    assert all(r.pairing == "random|nearest" for r in summary)
 
 
 @pytest.mark.parametrize("weights", ["0.5,0.5,1", "1,0,1"])

@@ -221,20 +221,23 @@ class TestSolveDual:
 
     @pytest.mark.parametrize("free", [False, True], ids=["all-pinned", "one-free"])
     def test_flat_pin_matches_reference(self, free):
-        # device 0's cube passes lam_f_max while the others are still far
+        # device 0's s1 cube passes lam_f_max while the others are still far
         # below the budget, so the budget lands inside its infinite jump;
-        # device 3 is pinned at s1, or never pinned
+        # device 2's s3 cube passes lam_f_max too, which only rounding does
+        # in a real cell, and stays finite; device 3 is pinned at s1, or
+        # never pinned
         coeffs = DualCoefficients(
             curvature=np.full(4, 1e-4),
             t_up=np.array([0.05, 0.01, 0.03, 0.02]),
             lam_f_max=0.1,
-            s1_below=np.array([0.0, np.inf, 0.0, 0.0 if free else np.inf]),
-            s3_above=np.array([0.0, np.inf, 0.0, np.inf]),
-            pin_s1=np.full(4, 1e-3),
-            pin_s3=np.array([1.0, 1e-3, 1e-3, 1e-3]),
+            s1_below=np.array([np.inf, np.inf, 0.0, 0.0 if free else np.inf]),
+            s3_above=np.array([np.inf, np.inf, 0.0, np.inf]),
+            pin_s1=np.array([1.0, 1e-3, 1e-3, 1e-3]),
+            pin_s3=np.array([1e-3, 1e-3, 1.1, 1e-3]),
         )
         (_, total_lo, lam_lo), _ = sp1._budget_crossing(coeffs, 0.5)
         assert total_lo == lam_lo[0] == math.inf
+        assert coeffs.lam_f_max < lam_lo[2] < math.inf
         assert_crossing_matches_reference(coeffs, 0.5)
 
     @pytest.mark.parametrize("p_max_dbm", [6.0, 12.0])

@@ -415,7 +415,7 @@ def reference_price_map(coeffs: sp1.DualCoefficients):
         if pinned.any():
             fix = np.where(low, coeffs.pin_s1, coeffs.pin_s3) / d
             fix = fix * fix * fix
-            fix[fix > coeffs.lam_f_max] = math.inf
+            fix[low & (fix > coeffs.lam_f_max)] = math.inf
             lam = np.where(pinned, fix, lam)
         return lam
 
