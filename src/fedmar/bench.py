@@ -143,7 +143,13 @@ class ExperimentSpec:
                 except ValueError as exc:
                     triple = ",".join(f"{w:g}" for w in weights)
                     raise ParamsError(f"triple {triple}: {exc}", "weights") from exc
-                _check_energy_price(params, self.ranges, self.topology.user_count)
+                try:
+                    _check_float_range(params, self.ranges, self.topology.user_count)
+                except ParamsError as exc:
+                    # the field the sweep sets takes its value from the sweep values
+                    swept = _swept(self.sweep_variable, value)
+                    fields = ["sweep_values" if f in swept else f for f in exc.fields]
+                    raise ParamsError(str(exc), *fields) from exc
 
 
 def _check_round_cycles(params: SystemParams, ranges: DeviceParamRanges) -> None:
@@ -167,19 +173,26 @@ def _check_round_cycles(params: SystemParams, ranges: DeviceParamRanges) -> None
         raise ParamsError(message, "cycles_high", *shared)
 
 
-def _check_energy_price(params: SystemParams, ranges: DeviceParamRanges, users: int) -> None:
-    """A cell's energy price must stay in the float range: alpha * kappa at
-    least the smallest normal float, or sp1's frequency (multiplier / (2 alpha
-    kappa))**(1/3) overflows; and every user's heaviest round at f_max
-    finitely many joules in total, or energies and objectives are infinite."""
+def _check_float_range(params: SystemParams, ranges: DeviceParamRanges, users: int) -> None:
+    """A cell's costs must stay in the float range: alpha * kappa at least
+    the smallest normal float, or sp1's frequency (multiplier / (2 alpha
+    kappa))**(1/3) overflows; f_max cubed finite, as sp1 prices the f_max
+    bound by it; every user's heaviest round at f_max finitely many joules in
+    total, or energies and objectives are infinite; and gamma times the user
+    count finite, as it bounds the accuracy term (each accuracy is below 1)."""
     alpha, kappa = params.weight_energy, params.switched_capacitance
     if not alpha * kappa >= sys.float_info.min:
         message = f"alpha {alpha:g} times kappa {kappa:g} is below the smallest normal float"
         raise ParamsError(message, "switched_capacitance", "weights")
+    s3, f_max = params.resolution_set_px[2], params.f_max_hz
+    try:
+        f_max**3  # as sp1 computes it, where an overflow raises
+    except OverflowError:
+        message = f"f_max {f_max / 1e9:g} GHz cubed is more than a float holds"
+        raise ParamsError(message, "f_max_hz") from None
     heaviest = SimpleNamespace(
         cycles_per_std_sample=ranges.cycles_high, sample_count=ranges.sample_count
     )
-    s3, f_max = params.resolution_set_px[2], params.f_max_hz
     _, energy = model.computation_cost(params, heaviest, s3, f_max)
     if not users * energy < math.inf:
         message = (
@@ -187,6 +200,10 @@ def _check_energy_price(params: SystemParams, ranges: DeviceParamRanges, users: 
             "than a float holds"
         )
         raise ParamsError(message, "switched_capacitance")
+    gamma = params.weight_accuracy
+    if not gamma * users < math.inf:
+        message = f"gamma {gamma:g} times {users} users is more than a float holds"
+        raise ParamsError(message, "weight_accuracy")
 
 
 def _number(kind):
@@ -275,6 +292,8 @@ _KEYS = {
 # the key that sets each field: the one field name two sections share,
 # channel_count, is set by `channels` alone
 _FIELD_KEYS = {field: key for key, (_, *sets) in _KEYS.items() for _, field, _ in sets}
+# a cell's accuracy weight comes from its `weights` triple
+_FIELD_KEYS["weight_accuracy"] = "weights"
 # the ExperimentSpec field that holds each section
 _SECTIONS = {
     SystemParams: "params",
@@ -320,7 +339,10 @@ def spec_from_values(values: dict) -> ExperimentSpec:
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         for section, field, to_si in _KEYS[key][1:]:
-            fields[section][field] = to_si(value)
+            try:
+                fields[section][field] = to_si(value)
+            except ValueError as exc:  # a dBm value past the float range
+                raise ConfigError(f"key {key!r}: {exc}") from exc
     spec = fields.pop(ExperimentSpec)
     for section, name in _SECTIONS.items():
         try:
@@ -512,9 +534,7 @@ def run_experiment(
     rows appended, and go to ``emit`` when ``out_path`` is given. An unknown
     ``fmt`` or an unopenable ``out_path`` raises before any cell runs. Cells
     run seed by seed, so one seed's topology serves all its cells."""
-    _renderer(fmt)
-    if out_path is not None:
-        open(out_path, "a").close()  # fails before the sweep; leaves a file as it is
+    check_out(out_path, fmt)
     _sampled.cache_clear()  # every sweep draws its seeds afresh
     _paired.cache_clear()
     cells: dict[tuple[int, int, int], list[ResultRow]] = {}
@@ -563,12 +583,22 @@ def rows_to_json(rows: Iterable[ResultRow]) -> str:
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
 
+# every output format, by its --format name, with its renderer
+FORMATS = {"csv": rows_to_csv, "json": rows_to_json}
+
+
 def _renderer(fmt: str):
-    if fmt == "csv":
-        return rows_to_csv
-    if fmt == "json":
-        return rows_to_json
-    raise ConfigError(f"unknown output format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
+    return FORMATS[fmt]
+
+
+def check_out(path: str | Path | None, fmt: str) -> None:
+    """Raise before any cell runs on an unknown ``fmt`` or a ``path`` that
+    cannot be opened for writing; an existing file is left as it is."""
+    _renderer(fmt)
+    if path is not None:
+        open(path, "a").close()
 
 
 def emit(rows: list[ResultRow], fmt: str, path: str | Path) -> None:

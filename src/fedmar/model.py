@@ -33,7 +33,10 @@ class ParamsError(ValueError):
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 1e-3 * 10.0 ** (dbm / 10.0)
+    try:
+        return 1e-3 * 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm:g} dBm is more watts than a float holds") from None
 
 
 @dataclass(frozen=True)

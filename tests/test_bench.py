@@ -463,6 +463,13 @@ class TestCli:
             ("weights = 0.5,0.5,inf\n", "weights"),
             ("sweep = gamma\nsweep_values = nan\n", "sweep_values"),
             ("sweep_values = 6 inf\n", "sweep_values"),
+            ("p_max_dbm = 4000\n", "p_max_dbm"),
+            ("noise_dbm_per_hz = 4000\n", "noise_dbm_per_hz"),
+            ("sweep_values = 4000\n", "sweep_values"),
+            ("f_max_ghz = 1e100\n", "f_max_ghz"),
+            ("sweep = f_max_ghz\nsweep_values = 1 1e100\n", "sweep_values"),
+            ("sweep = gamma\nsweep_values = 0 1e308\n", "sweep_values"),
+            ("weights = 0.5,0.5,1e308\n", "weights"),
         ],
         ids=[
             "later-triple",
@@ -492,6 +499,13 @@ class TestCli:
             "infinite-gamma",
             "nan-gamma-sweep",
             "infinite-p_max-sweep",
+            "p_max-watts-overflow",
+            "noise-watts-overflow",
+            "p_max-sweep-watts-overflow",
+            "f_max-cube-overflow",
+            "f_max-sweep-cube-overflow",
+            "gamma-sweep-accuracy-overflow",
+            "gamma-accuracy-overflow",
         ],
     )
     def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):
@@ -608,23 +622,21 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "baselines"])
-    def test_directory_as_out_exits_with_an_error(self, tmp_path, capsys, command):
+    def test_directory_as_out_exits_with_an_error(self, tmp_path, capsys, monkeypatch, command):
+        # a directory or a missing parent stops every command before any cell
         cfg = self._write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not any(out.iterdir())
-
-    @pytest.mark.parametrize("name", ["out", "missing/rows.csv"])
-    def test_unwritable_out_stops_a_sweep_before_any_cell(self, tmp_path, capsys, monkeypatch, name):
-        cfg = self._write_config(tmp_path)
-        (tmp_path / "out").mkdir()
         cells = []
-        monkeypatch.setattr(bench, "run_cell", lambda *cell: cells.append(cell) or [])
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        monkeypatch.setattr(bench, "proposed_row", lambda *cell: cells.append(cell))
+        monkeypatch.setattr(bench, "run_cell", lambda *cell: cells.append(cell))
+        for path in (out, tmp_path / "missing" / "rows.csv"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
         assert cells == []
+        assert not any(out.iterdir())
 
     def test_directory_as_config_exits_with_an_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -740,8 +752,9 @@ _WORKLOAD = (st.floats(1.0, 1e4), st.one_of(_log_uniform(-323.3, 0.0), st.floats
 # then one of the values that may break it (kappa over the whole float range)
 _BREAKABLE = {
     "bandwidth_mhz": (st.floats(1e-3, 100.0), _NON_FINITE),
-    "gamma": (st.floats(0.0, 50.0), _NON_FINITE),
-    "p_max_dbm": (st.floats(1.0, 30.0), _NON_FINITE),
+    "gamma": (st.floats(0.0, 50.0), st.one_of(_NON_FINITE, st.just(1e308))),
+    "p_max_dbm": (st.floats(1.0, 30.0), st.one_of(_NON_FINITE, st.just(4000.0))),
+    "f_max_factor": (st.floats(1.0, 50.0, exclude_min=True), st.just(1e100)),
     "upload_kbits": (st.floats(1e-3, 1e3), st.floats(-10.0, 0.0)),
     "samples": _WORKLOAD,
     "cycles_low": _WORKLOAD,
@@ -764,13 +777,12 @@ def _breakable_values(draw):
 @given(
     channels=st.integers(1, 10),
     f_min_ghz=st.floats(1e-3, 1.0),
-    f_max_factor=st.floats(1.0, 50.0, exclude_min=True),
     alpha=st.floats(1e-6, 1.0),
     cycles_factor=st.floats(1.0, 100.0),
     drawn=_breakable_values(),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
-    channels, f_min_ghz, f_max_factor, alpha, cycles_factor, drawn
+    channels, f_min_ghz, alpha, cycles_factor, drawn
 ):
     # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
     values = {
@@ -779,7 +791,7 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
         "bandwidth_mhz": drawn["bandwidth_mhz"],
         "p_min_dbm": float("-inf"),
         "f_min_ghz": f_min_ghz,
-        "f_max_ghz": f_min_ghz * f_max_factor,
+        "f_max_ghz": f_min_ghz * drawn["f_max_factor"],
         "weights": ((alpha, 1.0 - alpha, drawn["gamma"]),),
         "sweep_values": (drawn["p_max_dbm"],),
         "samples": drawn["samples"],

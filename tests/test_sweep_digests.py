@@ -26,3 +26,10 @@ def test_golden_entry_reproduces_the_golden_csv(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"golden csv {hashlib.sha256(golden).hexdigest()}"
     assert [line.split()[:2] for line in lines] == [["golden", "csv"], ["golden", "json"]]
+
+
+def test_every_sweep_matches_its_committed_digests(capsys):
+    # tests/data/sweep_digests.txt is this tool's output; a change that moves
+    # any emitted digit of any listed sweep must regenerate it on purpose
+    sweep_digests.main()
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / "sweep_digests.txt").read_text()

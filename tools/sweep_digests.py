@@ -10,7 +10,9 @@ one diff, running this script on each tree's ``src``:
 Each entry is the text of a config file, parsed as ``fedmar sweep --config``
 parses it. Its rows come from ``bench.run_experiment`` and are rendered as
 ``fedmar sweep --out`` writes them. One line per entry and format:
-``name format sha256``. The script takes no flags; for the check with
+``name format sha256``. ``tests/data/sweep_digests.txt`` holds the output,
+which a tier-1 test compares; a change that moves results on purpose
+regenerates it. The script takes no flags; for the check with
 numpy's AVX-512 and AVX2 dispatch off, run it under
 ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"``.
 """
@@ -33,9 +35,6 @@ SWEEPS = {
     "users-4000": "users = 4000\nchannels = 2000\n",
 }
 
-FORMATS = {"csv": bench.rows_to_csv, "json": bench.rows_to_json}
-
-
 def spec_of(text: str) -> bench.ExperimentSpec:
     return bench.spec_from_values(bench.parse_config_text(text))
 
@@ -43,7 +42,7 @@ def spec_of(text: str) -> bench.ExperimentSpec:
 def main() -> None:
     for name, text in SWEEPS.items():
         rows = bench.run_experiment(spec_of(text))
-        for fmt, render in FORMATS.items():
+        for fmt, render in bench.FORMATS.items():
             print(name, fmt, hashlib.sha256(render(rows).encode()).hexdigest(), flush=True)
 
 
