@@ -49,11 +49,11 @@ GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # chunk holds five (channel, q) float arrays, about 1.2 MB at 256 channels.
 # GREEDY_BLOCK power pairs or frequency points are evaluated at a time over
 # the whole other axis, in three 0.37 MB cost buffers allocated once per call;
-# np.take fills them with mode="clip", which, unlike the default mode, writes
-# an out in place. The exact passes take GREEDY_BLOCK pairs' whole (f_a, f_b)
-# grids a pass, the pair-bound pass 11 * GREEDY_BLOCK pairs' 11-point f_b grids.
+# np.take writes them in place with mode="clip", unlike with its default mode.
 GREEDY_CHUNK = 256
 GREEDY_BLOCK = 384
+SPLIT_THETAS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None]  # see greedy_baseline
+SPLIT_MARGIN = 1.0 - 2.0**-40
 # the alternation stops once no power moves by more than OUTER_TOLERANCE of
 # the power box, and after MAX_OUTER_ITERATIONS passes in any case
 OUTER_TOLERANCE = 1e-4
@@ -196,24 +196,23 @@ def _min_first(costs, axis):
 def _grid_reduce(reduce, pairs, terms, buffers):
     """``reduce(costs, axis=0)`` of the greedy cost over the (f_a, f_b) grid
     of ``terms`` at each flat ``channel * 121 + q`` power pair of one chunk,
-    as many pairs per pass as the buffers hold at that grid's size; a tuple
-    for a reducer like ``_min_first``, and empty results for empty ``pairs``.
+    at most GREEDY_BLOCK pairs per pass, and one empty pass for empty
+    ``pairs``; a tuple for a reducer like ``_min_first``.
 
     ``terms`` is (alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable) of
-    the chunk: each member's compute energy and time with axes (f, channel),
-    over the whole f grid for the exact cost; upload with axes (term,
-    channel * 121 + q), terms (e_tr_a, e_tr_b, t_tr_a, t_tr_b). Costs lie
-    (f_a, f_b, pair), so the pairs run along the long contiguous last axis.
+    the chunk: each member's compute energy and time with axes (f, channel);
+    upload with axes (term, channel * 121 + q), terms (e_tr_a, e_tr_b,
+    t_tr_a, t_tr_b). Costs lie (f_a, f_b, pair), so the pairs run along the
+    long contiguous last axis.
     """
     alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
-    grid = len(e_a) * len(e_b)
-    step = buffers.shape[1] // grid
-    channel = pairs // (GRID_STEPS * GRID_STEPS)
+    grid = GRID_STEPS * GRID_STEPS
+    channel = pairs // grid
     parts = []
-    for lo in range(0, len(pairs), step):
-        block = slice(lo, lo + step)
+    for lo in range(0, max(len(pairs), 1), GREEDY_BLOCK):
+        block = slice(lo, lo + GREEDY_BLOCK)
         cols = channel[block]
-        cost, span, rows = buffers[:, : grid * len(cols)].reshape(3, len(e_a), len(e_b), -1)
+        cost, span, rows = buffers[:, : grid * len(cols)].reshape(3, GRID_STEPS, GRID_STEPS, -1)
         # take gives C-contiguous rows, unlike fancy indexing; member b's fill spare buffers
         e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, pairs[block], axis=1)
         e_cmp_b = np.take(e_b, cols, axis=1, out=span[0], mode="clip")
@@ -236,8 +235,6 @@ def _grid_reduce(reduce, pairs, terms, buffers):
         if lost.any():
             np.copyto(cost, np.inf, where=lost)
         parts.append(reduce(cost.reshape(grid, -1), axis=0))
-    if not parts:  # an empty grid's results, of the reducer's kind
-        return reduce(np.empty((grid, 0)), axis=0)
     if isinstance(parts[0], tuple):
         return tuple(map(np.concatenate, zip(*parts)))
     return np.concatenate(parts)
@@ -254,6 +251,22 @@ def _bound(alpha, beta, e_a, e_b, t_a, t_b, e_tr_a, e_tr_b, t_tr_a, t_tr_b):
     span *= beta
     cost += np.maximum(span, beta * (t_a + t_tr_a), out=span)
     return cost
+
+
+def _split_bound(pairs, terms):
+    """The split bound LB2 at each flat ``channel * 121 + q`` power pair of
+    one chunk; see ``greedy_baseline``."""
+    alpha, beta, e_a, e_b, t_a, t_b, upload, _ = terms
+    weight_a, weight_b = beta * SPLIT_THETAS, beta * (1.0 - SPLIT_THETAS)
+    # both members' least compute cost, axes (theta, channel), then (theta, pair)
+    low = np.min(alpha * e_a + weight_a[..., None] * t_a, axis=1)
+    low += np.min(alpha * e_b + weight_b[..., None] * t_b, axis=1)
+    e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, pairs, axis=1)
+    split = np.take(low, pairs // (GRID_STEPS * GRID_STEPS), axis=1)
+    split += alpha * (e_tr_a + e_tr_b)
+    split += weight_a * t_tr_a
+    split += weight_b * t_tr_b
+    return split.max(axis=0) * SPLIT_MARGIN
 
 
 def _frequency_bound(terms):
@@ -384,15 +397,10 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
         winners = lowest == _channel_min(channel, lowest, c)[channel]
         flat = points[winners] % pairs * pairs + first[winners]
         return _channel_min(channel[winners], flat, c)
-    # the incumbents are evaluated; the pair bound, the cost over member a's
-    # one-row minimum compute grid and exact in f_b, prunes the other pairs
+    # the incumbents are evaluated; the split bound prunes the other pairs
     alive.flat[incumbent] = False
     survivors = np.flatnonzero(alive)
-    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
-    e_low, t_low = e_a.min(axis=0, keepdims=True), t_a.min(axis=0, keepdims=True)
-    low = (alpha, beta, e_low, e_b, t_low, t_b, upload, unreachable)
-    pair_bound = _grid_reduce(np.minimum.reduce, survivors, low, buffers)
-    survivors = survivors[pair_bound <= ceiling[survivors // pairs]]
+    survivors = survivors[_split_bound(survivors, terms) <= ceiling[survivors // pairs]]
     lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
     channel = survivors // pairs
     least = ceiling.copy()
@@ -416,7 +424,7 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     combination in (f_a, f_b, p_a, p_b) order. Aggregate energy sums over
     channels; the reported completion time is the max across channels.
 
-    The search is exact but pruned by three lower bounds, each the cost
+    The search is exact but pruned by three lower bounds. Two are the cost
 
         alpha * (((e_cmp_a + e_cmp_b) + e_tr_a) + e_tr_b)
         + max(beta * (t_cmp_a + t_tr_a), beta * (t_cmp_b + t_tr_b))
@@ -427,23 +435,28 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     larger than the exact ones is a lower bound in floating point, not only
     in exact arithmetic. For each channel and power pair q = p_a * 11 + p_b,
     the power bound LB takes every f-dependent term at its minimum over
-    that member's f grid; the pair bound LB2 takes member a's at their
-    minimum and member b's exact, and is the least over f_b (11 evaluations
-    against 121 for the exact grid). For each frequency point
-    f = f_a * 11 + f_b, the frequency bound takes the f-dependent terms
-    exact and every power-dependent one at its minimum over the channel's
-    reachable power pairs.
+    that member's f grid. For each frequency point f = f_a * 11 + f_b, the
+    frequency bound takes the f-dependent terms exact and every
+    power-dependent one at its minimum over the channel's reachable power
+    pairs. The split bound LB2 at pair q splits the time max, beta * max(x,
+    y) >= beta * theta * x + beta * (1 - theta) * y, and takes each member's
+    alpha * e_cmp + (its time weight) * t_cmp at its per-channel least over
+    the f grid; it is the largest such bound over theta in SPLIT_THETAS,
+    times SPLIT_MARGIN = 1 - 2**-40. Not being the cost's float expression,
+    it needs that margin: all terms are non-negative, so it and the exact
+    cost each round off by some ten units of 2**-53, far inside the margin,
+    and every float cost of a pair with LB2 > I exceeds I, without a tie.
 
     The incumbent pass evaluates the exact (f_a, f_b) grid at each channel's
     arg-min-LB pair, for its minimum I and first arg-min. The other pairs
-    with LB <= I go to the pair-bound pass, and those with also LB2 <= I to
+    with LB <= I go to the split bound, and those with also LB2 <= I to
     the survivor pass, which evaluates each one's grid once, for its
     minimum; ``<=`` keeps a pair that only ties. The arg-min pass evaluates
     again only survivors that reach their channel's minimum; the pick is the
     first grid point in (f_a, f_b, p_a, p_b) order, theirs or the
     incumbent's, that reaches it, as in a full search. On a 10,000-device
     cell's narrow subchannels LB keeps 9.3 of 121 pairs per channel, LB2
-    4.55 of those (incumbent included), and the arg-min pass runs on 15% of
+    1.77 of those (incumbent included), and the arg-min pass runs on 15% of
     channels. Where LB keeps over half of a chunk's pairs, as on a 50-device
     cell, the points the frequency bound keeps (1 to 3 of 121 per channel on
     paper cells) are evaluated over the whole power grid instead, with the

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
 
-from . import allocator, model
+from . import allocator, model, sp1
 from .allocator import SolveReport
 from .model import ParamsError, SystemParams, UnreachableDeviceError
 from .pairing import (
@@ -178,20 +178,20 @@ def _check_float_range(params: SystemParams, ranges: DeviceParamRanges, users: i
     the smallest normal float, or sp1's frequency (multiplier / (2 alpha
     kappa))**(1/3) overflows; f_max cubed finite, as sp1 prices the f_max
     bound by it; every user's heaviest round at f_max finitely many joules in
-    total, or energies and objectives are infinite; and gamma times the user
-    count finite, as it bounds the accuracy term (each accuracy is below 1)."""
+    total, or energies and objectives are infinite; gamma times the user
+    count finite, as it bounds the accuracy term (each accuracy is below 1);
+    and sp1's dual curvature and mixed**2.5 finite where each is largest."""
     alpha, kappa = params.weight_energy, params.switched_capacitance
     if not alpha * kappa >= sys.float_info.min:
         message = f"alpha {alpha:g} times kappa {kappa:g} is below the smallest normal float"
         raise ParamsError(message, "switched_capacitance", "weights")
     s3, f_max = params.resolution_set_px[2], params.f_max_hz
-    try:
-        f_max**3  # as sp1 computes it, where an overflow raises
-    except OverflowError:
+    if _overflows(lambda: f_max**3):
         message = f"f_max {f_max / 1e9:g} GHz cubed is more than a float holds"
-        raise ParamsError(message, "f_max_hz") from None
-    heaviest = SimpleNamespace(
-        cycles_per_std_sample=ranges.cycles_high, sample_count=ranges.sample_count
+        raise ParamsError(message, "f_max_hz")
+    lightest, heaviest = (
+        SimpleNamespace(cycles_per_std_sample=cycles, sample_count=ranges.sample_count)
+        for cycles in (ranges.cycles_low, ranges.cycles_high)
     )
     _, energy = model.computation_cost(params, heaviest, s3, f_max)
     if not users * energy < math.inf:
@@ -204,6 +204,22 @@ def _check_float_range(params: SystemParams, ranges: DeviceParamRanges, users: i
     if not gamma * users < math.inf:
         message = f"gamma {gamma:g} times {users} users is more than a float holds"
         raise ParamsError(message, "weight_accuracy")
+    # as sp1 computes them, on the lightest and the heaviest load
+    gamma_slope, cbrt = gamma * float(sp1.accuracy_slope(params)), (alpha * kappa) ** (1.0 / 3.0)
+    h_light, h_heavy = (model.load(params, device) * cbrt for device in (lightest, heaviest))
+    if _overflows(lambda: gamma_slope**2 / (4.0 * h_light * sp1._CBRT_MIX)):
+        raise ParamsError(f"gamma {gamma:g} overflows sp1's dual curvature", "weight_accuracy")
+    if _overflows(lambda: (2.0 * (h_heavy * sp1._CBRT_MIX) * s3) ** 2.5):
+        message = f"{ranges.cycles_high:g} cycles per sample overflow sp1's dual coefficients"
+        raise ParamsError(message, "cycles_high")
+
+
+def _overflows(compute) -> bool:
+    """Whether ``compute()`` overflows: a float ** raises, * and / give inf."""
+    try:
+        return not compute() < math.inf
+    except OverflowError:
+        return True
 
 
 def _number(kind):

@@ -373,10 +373,10 @@ class TestGreedyBaseline:
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
 
-    def test_pair_bound_prunes_on_4000_device_cell_with_zero_power_floor(self, monkeypatch):
+    def test_split_bound_prunes_on_4000_device_cell_with_zero_power_floor(self, monkeypatch):
         # 10 kHz subchannels, where the power bound keeps about 20 of 121
-        # pairs per channel and the pair bound under half of those; p_min = 0
-        # leaves each channel's zero-power pairs +inf
+        # pairs per channel and the split bound a small share of those;
+        # p_min = 0 leaves each channel's zero-power pairs +inf
         params, topo = small_instance(seed=5, users=4000, p_min_w=0.0)
         calls = []
         kernel = allocator._grid_reduce
@@ -390,17 +390,20 @@ class TestGreedyBaseline:
         report = greedy_baseline(params, topo)
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
-        # per chunk: incumbents, pair bound, its survivors, arg-min
+        # per chunk: incumbents, the split bound's survivors, arg-min
         chunks = -(-topo.n_channels // allocator.GREEDY_CHUNK)
-        order = [allocator._min_first, np.minimum.reduce, np.minimum.reduce, np.argmin]
+        order = [allocator._min_first, np.minimum.reduce, np.argmin]
         assert [reduce for reduce, _ in calls] == order * chunks
-        checked, kept, searched = 0, 0, 0
-        for (_, incumbents), (_, bounded), (_, survivors), (_, winners) in zip(*[iter(calls)] * 4):
+        # the pairs the power bound keeps, the incumbents left out
+        bound, _ = allocator._pair_terms(params, topo, 0, topo.n_channels)
+        kept, searched = 0, 0
+        for (_, incumbents), (_, survivors), (_, winners) in zip(*[iter(calls)] * 3):
             # each incumbent's grid is evaluated once, in the incumbent pass
-            later = np.concatenate([bounded, survivors, winners])
-            assert not np.isin(incumbents, later).any()
-            checked, kept, searched = checked + len(bounded), kept + len(survivors), searched + len(winners)
-        assert kept < 0.6 * checked
+            assert not np.isin(incumbents, np.concatenate([survivors, winners])).any()
+            kept, searched = kept + len(survivors), searched + len(winners)
+        ceiling = reference_pair_minima(params, topo)[np.arange(len(bound)), bound.argmin(axis=1)]
+        checked = np.count_nonzero(bound <= ceiling[:, None]) - len(bound)
+        assert kept < 0.15 * checked
         assert searched < 0.25 * topo.n_channels
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -446,23 +449,16 @@ class TestGreedyBaseline:
 
     @settings(max_examples=60, deadline=None)
     @given(cell=bound_cells())
-    def test_pair_bound_never_exceeds_exact_grid_minimum(self, cell):
+    def test_split_bound_never_exceeds_exact_grid_minimum(self, cell):
         params, topo = cell
         power_bound, terms = allocator._pair_terms(params, topo, 0, topo.n_channels)
-        # the exact cost over member a's one-row minimum compute grid
-        alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
-        e_low, t_low = e_a.min(axis=0, keepdims=True), t_a.min(axis=0, keepdims=True)
-        low = (alpha, beta, e_low, e_b, t_low, t_b, upload, unreachable)
-        pairs = np.arange(power_bound.size)
-        buffers = np.empty((3, 121 * allocator.GREEDY_BLOCK))
-        bound = allocator._grid_reduce(np.minimum.reduce, pairs, low, buffers)
+        # margin applied; at every pair, unreachable ones included
+        bound = allocator._split_bound(np.arange(power_bound.size), terms)
         bound = bound.reshape(power_bound.shape)
         minima = reference_pair_minima(params, topo)
         assert not np.any(np.isnan(bound))
         reachable = np.isfinite(minima)
         assert np.all(bound[reachable] <= minima[reachable])
-        # f_b exact, so never weaker than the power bound
-        assert np.all(bound[reachable] >= power_bound[reachable])
 
     @settings(max_examples=60, deadline=None)
     @given(cell=bound_cells())

@@ -470,6 +470,9 @@ class TestCli:
             ("sweep = f_max_ghz\nsweep_values = 1 1e100\n", "sweep_values"),
             ("sweep = gamma\nsweep_values = 0 1e308\n", "sweep_values"),
             ("weights = 0.5,0.5,1e308\n", "weights"),
+            ("weights = 0.5,0.5,1e155\n", "weights"),
+            ("sweep = gamma\nsweep_values = 0 1e155\n", "sweep_values"),
+            ("cycles_high = 1e200\n", "cycles_high"),
         ],
         ids=[
             "later-triple",
@@ -506,6 +509,9 @@ class TestCli:
             "f_max-sweep-cube-overflow",
             "gamma-sweep-accuracy-overflow",
             "gamma-accuracy-overflow",
+            "gamma-dual-curvature-overflow",
+            "gamma-sweep-dual-curvature-overflow",
+            "cycles_high-dual-coefficient-overflow",
         ],
     )
     def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):

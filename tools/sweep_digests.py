@@ -33,6 +33,7 @@ SWEEPS = {
     "f_min-0.5": "f_min_ghz = 0.5\nseeds = 1 2 3\n",
     "users-1000": "users = 1000\nchannels = 500\n",
     "users-4000": "users = 4000\nchannels = 2000\n",
+    "users-10000": "users = 10000\nchannels = 5000\npairing = nearest\n",
 }
 
 def spec_of(text: str) -> bench.ExperimentSpec:
