@@ -18,6 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
 
+import numpy as np
+
 from . import allocator, model, sp1
 from .allocator import SolveReport
 from .model import ParamsError, SystemParams, UnreachableDeviceError
@@ -125,101 +127,89 @@ class ExperimentSpec:
                 f"{self.topology.channel_count} in the topology",
                 "channel_count",
             )
-        _check_round_cycles(self.params, self.ranges)
-        # every cell's parameters must be buildable before the sweep starts;
-        # the base parameters are valid, so the sweep values are checked
-        # against them first and any later failure is the weight triple's
-        for value in self.sweep_values:
-            try:
-                replace(self.params, **_swept(self.sweep_variable, value))
-            except ValueError as exc:
-                raise ParamsError(
-                    f"{self.sweep_variable} = {value:g}: {exc}", "sweep_values"
-                ) from exc
+        # every cell must build, with its costs in the float range, before the sweep starts
         for weights in self.weights:
             for value in self.sweep_values:
                 try:
                     params = cell_params(self, value, weights)
                 except ValueError as exc:
+                    # the base parameters are valid, so the sweep value is at
+                    # fault when it alone breaks them, the triple otherwise
+                    try:
+                        replace(self.params, **_swept(self.sweep_variable, value))
+                    except ValueError as swept_exc:
+                        message = f"{self.sweep_variable} = {value:g}: {swept_exc}"
+                        raise ParamsError(message, "sweep_values") from swept_exc
                     triple = ",".join(f"{w:g}" for w in weights)
                     raise ParamsError(f"triple {triple}: {exc}", "weights") from exc
                 try:
-                    _check_float_range(params, self.ranges, self.topology.user_count)
+                    _check_float_range(params, self.topology, self.ranges)
                 except ParamsError as exc:
                     # the field the sweep sets takes its value from the sweep values
                     swept = _swept(self.sweep_variable, value)
                     fields = ["sweep_values" if f in swept else f for f in exc.fields]
-                    raise ParamsError(str(exc), *fields) from exc
+                    raise ParamsError(f"{self.sweep_variable} = {value:g}: {exc}", *fields) from exc
 
 
-def _check_round_cycles(params: SystemParams, ranges: DeviceParamRanges) -> None:
-    """A device's training round must take at least one CPU cycle at the
-    lowest resolution and finitely many at the highest: below that the
-    per-device load is so small that sp1's dual coefficients overflow."""
-    s1, _, s3 = params.resolution_set_px
+_FINITE, _NORMAL = (0.0, sys.float_info.max), (sys.float_info.min, sys.float_info.max)
 
-    def cycles(per_sample: float, s: float) -> float:
-        samples = ranges.sample_count
-        device = SimpleNamespace(cycles_per_std_sample=per_sample, sample_count=samples)
-        return model.load(params, device) * s * s
 
-    fewest, most = cycles(ranges.cycles_low, s1), cycles(ranges.cycles_high, s3)
+def _require(quantity, bounds: tuple[float, float], message: str, *fields: str) -> None:
+    """Raise naming ``fields`` unless ``quantity`` lies in ``bounds`` (NaN lies in none)."""
+    if not bounds[0] <= quantity <= bounds[1]:
+        raise ParamsError(message, *fields)
+
+
+@np.errstate(all="ignore")
+def _check_float_range(
+    params: SystemParams, topology: TopologyConfig, ranges: DeviceParamRanges
+) -> None:
+    """A cell's costs must stay in the float range where the solvers form
+    them: one ordered table of rows, each a quantity read from the kernel
+    that forms it on the lightest or the heaviest device, its bounds, its
+    message and the fields it reads. The first row out of bounds raises; a
+    kernel runs once, when a row first reads it; an overflow gives inf."""
+    (s1, _, s3), users = params.resolution_set_px, topology.user_count
+    cycles = np.array([ranges.cycles_low, ranges.cycles_high])  # the lightest and the heaviest
+    devices = SimpleNamespace(cycles_per_std_sample=cycles, sample_count=ranges.sample_count)
+    load = model.load(params, devices)
     shared = ("sample_count", "local_iterations", "std_resolution_px", "resolution_set_px")
-    if not fewest >= 1.0:
-        message = f"a round at {s1:g} px takes {fewest:g} CPU cycles, below one"
-        raise ParamsError(message, "cycles_low", *shared)
-    if not most < math.inf:
-        message = f"a round at {s3:g} px takes more CPU cycles than a float holds"
-        raise ParamsError(message, "cycles_high", *shared)
-
-
-def _check_float_range(params: SystemParams, ranges: DeviceParamRanges, users: int) -> None:
-    """A cell's costs must stay in the float range: alpha * kappa at least
-    the smallest normal float, or sp1's frequency (multiplier / (2 alpha
-    kappa))**(1/3) overflows; f_max cubed finite, as sp1 prices the f_max
-    bound by it; every user's heaviest round at f_max finitely many joules in
-    total, or energies and objectives are infinite; gamma times the user
-    count finite, as it bounds the accuracy term (each accuracy is below 1);
-    and sp1's dual curvature and mixed**2.5 finite where each is largest."""
-    alpha, kappa = params.weight_energy, params.switched_capacitance
-    if not alpha * kappa >= sys.float_info.min:
-        message = f"alpha {alpha:g} times kappa {kappa:g} is below the smallest normal float"
-        raise ParamsError(message, "switched_capacitance", "weights")
-    s3, f_max = params.resolution_set_px[2], params.f_max_hz
-    if _overflows(lambda: f_max**3):
-        message = f"f_max {f_max / 1e9:g} GHz cubed is more than a float holds"
-        raise ParamsError(message, "f_max_hz")
-    lightest, heaviest = (
-        SimpleNamespace(cycles_per_std_sample=cycles, sample_count=ranges.sample_count)
-        for cycles in (ranges.cycles_low, ranges.cycles_high)
-    )
-    _, energy = model.computation_cost(params, heaviest, s3, f_max)
-    if not users * energy < math.inf:
-        message = (
-            f"{users} rounds at {s3:g} px and {f_max / 1e9:g} GHz take more joules "
-            "than a float holds"
-        )
-        raise ParamsError(message, "switched_capacitance")
-    gamma = params.weight_accuracy
-    if not gamma * users < math.inf:
-        message = f"gamma {gamma:g} times {users} users is more than a float holds"
-        raise ParamsError(message, "weight_accuracy")
-    # as sp1 computes them, on the lightest and the heaviest load
-    gamma_slope, cbrt = gamma * float(sp1.accuracy_slope(params)), (alpha * kappa) ** (1.0 / 3.0)
-    h_light, h_heavy = (model.load(params, device) * cbrt for device in (lightest, heaviest))
-    if _overflows(lambda: gamma_slope**2 / (4.0 * h_light * sp1._CBRT_MIX)):
-        raise ParamsError(f"gamma {gamma:g} overflows sp1's dual curvature", "weight_accuracy")
-    if _overflows(lambda: (2.0 * (h_heavy * sp1._CBRT_MIX) * s3) ** 2.5):
-        message = f"{ranges.cycles_high:g} cycles per sample overflow sp1's dual coefficients"
-        raise ParamsError(message, "cycles_high")
-
-
-def _overflows(compute) -> bool:
-    """Whether ``compute()`` overflows: a float ** raises, * and / give inf."""
-    try:
-        return not compute() < math.inf
-    except OverflowError:
-        return True
+    _require(load[0] * s1 * s1, (1.0, math.inf),
+             "a round at s1 takes under one CPU cycle", "cycles_low", *shared)
+    _require(load[1] * s3 * s3, _FINITE,
+             "a round at s3 takes more CPU cycles than a float holds", "cycles_high", *shared)
+    # sp1's frequency is (multiplier / (2 alpha kappa))**(1/3)
+    _require(params.weight_energy * params.switched_capacitance, _NORMAL,
+             "alpha times kappa is under the least normal float", "switched_capacitance", "weights")
+    # sp1 prices the f_max bound by f_max cubed
+    _require(np.float64(params.f_max_hz) ** 3, _FINITE,
+             "f_max cubed is more than a float holds", "f_max_hz")
+    heaviest = SimpleNamespace(cycles_per_std_sample=cycles[1], sample_count=ranges.sample_count)
+    frequencies = np.array([params.f_min_hz, params.f_max_hz])
+    seconds, joules = model.computation_cost(params, heaviest, s3, frequencies)
+    _require(users * joules[1], _FINITE,
+             "every user's round at s3 and f_max takes more joules than a float holds",
+             "switched_capacitance")
+    _require(seconds[0], _FINITE,
+             "a round at s3 and f_min takes more seconds than a float holds", "f_min_hz")
+    # each accuracy is below 1, so this bounds the accuracy term
+    _require(params.weight_accuracy * users, _FINITE,
+             "gamma times the user count is more than a float holds", "weight_accuracy")
+    coeffs = sp1.dual_coefficients(params, devices, np.zeros(2))
+    _require(coeffs.curvature[0], _FINITE,
+             "gamma overflows sp1's dual curvature", "weight_accuracy")
+    # sp1's free-branch reach raises 3 pin_s3 / s3 to the 2.5
+    _require((3.0 * coeffs.pin_s3[1] / s3) ** 2.5, _FINITE,
+             "the cycles per sample overflow sp1's dual coefficients", "cycles_high")
+    # a zero multiplier leaves sp1's least resolution denominator, at f_min
+    _require(sp1.recover_primal(0.0, params, devices)[1][0], _FINITE,
+             "sp1's resolution at f_min is past the float range",
+             "f_min_hz", "switched_capacitance", "weights", "weight_accuracy")
+    _require(params.subchannel_noise_w, _NORMAL, "the subchannel noise power is not a normal float",
+             "total_bandwidth_hz", "noise_psd_w_per_hz", "channel_count")
+    gain = topology.strongest_gain
+    _require(model._pair_rates(params, gain, gain, params.p_max_w, 0.0)[0], _FINITE,
+             "the strongest device's rate at p_max is more than a float holds", "p_max_w")
 
 
 def _number(kind):

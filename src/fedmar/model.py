@@ -116,6 +116,10 @@ class SystemParams:
     def subchannel_bandwidth_hz(self) -> float:
         return self.total_bandwidth_hz / self.channel_count
 
+    @property
+    def subchannel_noise_w(self) -> float:
+        return self.subchannel_bandwidth_hz * self.noise_psd_w_per_hz
+
 
 @dataclass(frozen=True)
 class Device:
@@ -235,8 +239,7 @@ def _pair_rates(params: SystemParams, gain_low, gain_high, power_low, power_high
     decoded first and sees the low-gain member's received power as extra
     noise. Zero transmit power yields rate 0, which is a valid value.
     """
-    bandwidth_hz = params.subchannel_bandwidth_hz
-    noise_w = bandwidth_hz * params.noise_psd_w_per_hz
+    bandwidth_hz, noise_w = params.subchannel_bandwidth_hz, params.subchannel_noise_w
     received_low = power_low * gain_low
     snr_high = power_high * gain_high / (noise_w + received_low)
     return (

@@ -7,6 +7,7 @@ of an experiment replays exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -74,8 +75,9 @@ class TopologyConfig:
             raise ParamsError(
                 "need 0 < min_distance < cell_radius, finite", "min_distance_km", "cell_radius_km"
             )
-        if self.shadow_sigma_db < 0:
-            raise ParamsError("shadow sigma must be non-negative", "shadow_sigma_db")
+        # numpy's normal draw refuses -0 as a negative scale
+        if not (self.shadow_sigma_db < math.inf and math.copysign(1, self.shadow_sigma_db) > 0):
+            raise ParamsError("shadow sigma must be finite and at least +0", "shadow_sigma_db")
         # the gains at both distances without shadowing, then the strongest
         # and weakest a +-10 sigma shadow draw can give
         with np.errstate(over="ignore", under="ignore"):
@@ -96,6 +98,10 @@ class TopologyConfig:
                 "cell_radius_km takes the channel gain out of the float range",
                 "shadow_sigma_db",
             )
+
+    @functools.cached_property
+    def strongest_gain(self) -> float:  # at min_distance_km under a -10 sigma shadow draw
+        return float(channel_gain(self.min_distance_km, -10.0 * self.shadow_sigma_db))
 
 
 def channel_gain(distance_km, shadow_db_sample):

@@ -136,8 +136,7 @@ def solve_sp2(
     bits = topology.upload_bits
     rate_min = min_rate(bits, deadline_s, t_cmp)
     gains = topology.gains
-    bandwidth = params.subchannel_bandwidth_hz
-    noise_w = bandwidth * params.noise_psd_w_per_hz
+    bandwidth, noise_w = params.subchannel_bandwidth_hz, params.subchannel_noise_w
 
     power = np.empty(n)
     flags = np.empty(n, dtype=bool)

@@ -473,6 +473,12 @@ class TestCli:
             ("weights = 0.5,0.5,1e155\n", "weights"),
             ("sweep = gamma\nsweep_values = 0 1e155\n", "sweep_values"),
             ("cycles_high = 1e200\n", "cycles_high"),
+            ("f_min_ghz = 6e-318\n", "f_min_ghz"),
+            ("sweep_values = 3080\n", "sweep_values"),
+            ("sweep = gamma\nsweep_values = 1\np_max_dbm = 3080\n", "p_max_dbm"),
+            ("shadow_sigma_db = -0\n", "shadow_sigma_db"),
+            ("shadow_sigma_db = inf\n", "shadow_sigma_db"),
+            ("shadow_sigma_db = nan\n", "shadow_sigma_db"),
         ],
         ids=[
             "later-triple",
@@ -512,6 +518,12 @@ class TestCli:
             "gamma-dual-curvature-overflow",
             "gamma-sweep-dual-curvature-overflow",
             "cycles_high-dual-coefficient-overflow",
+            "subnormal-f_min-round-time-overflow",
+            "p_max-sweep-rate-overflow",
+            "p_max-rate-overflow-in-gamma-sweep",
+            "negative-zero-shadow-sigma",
+            "infinite-shadow-sigma",
+            "nan-shadow-sigma",
         ],
     )
     def test_unsolvable_cell_exits_without_writing(self, tmp_path, capsys, text, key):
@@ -556,6 +568,7 @@ class TestCli:
             ("sweep = gamma\nsweep_values = 1\nweights = 0.5,0.5,1 0.5,0.5,2\n", ("weights",)),
             ("seeds = 1\nseeds = 2\nsweep_values = 12\nalgorithms = random\n", ("seeds",)),
             ("jobs = 1\njobs = 1\n", ("jobs",)),
+            ("bandwidth_mhz = 5e-315\n", ("bandwidth_mhz", "noise_dbm_per_hz", "channels")),
         ],
         ids=[
             "p_max-below-base-p_min",
@@ -586,6 +599,7 @@ class TestCli:
             "gamma-sweep-triples-differing-only-in-gamma",
             "repeated-key-seeds",
             "repeated-key-jobs",
+            "subnormal-subchannel-noise",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):
@@ -754,12 +768,19 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # one, down to the smallest subnormal, or non-positive
 _WORKLOAD = (st.floats(1.0, 1e4), st.one_of(_log_uniform(-323.3, 0.0), st.floats(-10.0, 0.0)))
 
+# positive floats below the smallest normal one, log-uniform
+_SUBNORMAL = _log_uniform(-323.3, -307.66)
+
 # keys a draw may break: a strategy of plausible values the config accepts,
 # then one of the values that may break it (kappa over the whole float range)
 _BREAKABLE = {
-    "bandwidth_mhz": (st.floats(1e-3, 100.0), _NON_FINITE),
+    "bandwidth_mhz": (st.floats(1e-3, 100.0), st.one_of(_NON_FINITE, _SUBNORMAL)),
     "gamma": (st.floats(0.0, 50.0), st.one_of(_NON_FINITE, st.just(1e308))),
-    "p_max_dbm": (st.floats(1.0, 30.0), st.one_of(_NON_FINITE, st.just(4000.0))),
+    "p_max_dbm": (
+        st.floats(1.0, 30.0),
+        st.one_of(_NON_FINITE, st.just(4000.0), st.floats(30.0, 3100.0)),
+    ),
+    "f_min_ghz": (st.floats(1e-3, 1.0), _SUBNORMAL),
     "f_max_factor": (st.floats(1.0, 50.0, exclude_min=True), st.just(1e100)),
     "upload_kbits": (st.floats(1e-3, 1e3), st.floats(-10.0, 0.0)),
     "samples": _WORKLOAD,
@@ -782,13 +803,12 @@ def _breakable_values(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     channels=st.integers(1, 10),
-    f_min_ghz=st.floats(1e-3, 1.0),
     alpha=st.floats(1e-6, 1.0),
     cycles_factor=st.floats(1.0, 100.0),
     drawn=_breakable_values(),
 )
 def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
-    channels, f_min_ghz, alpha, cycles_factor, drawn
+    channels, alpha, cycles_factor, drawn
 ):
     # runs under the suite's RuntimeWarning-as-error filter, with a 0 W power floor
     values = {
@@ -796,8 +816,8 @@ def test_accepted_configs_yield_rows_and_rejected_ones_name_a_key(
         "users": 2 * channels,
         "bandwidth_mhz": drawn["bandwidth_mhz"],
         "p_min_dbm": float("-inf"),
-        "f_min_ghz": f_min_ghz,
-        "f_max_ghz": f_min_ghz * drawn["f_max_factor"],
+        "f_min_ghz": drawn["f_min_ghz"],
+        "f_max_ghz": drawn["f_min_ghz"] * drawn["f_max_factor"],
         "weights": ((alpha, 1.0 - alpha, drawn["gamma"]),),
         "sweep_values": (drawn["p_max_dbm"],),
         "samples": drawn["samples"],

@@ -2,6 +2,9 @@
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,21 @@ def test_every_sweep_matches_its_committed_digests(capsys):
     # any emitted digit of any listed sweep must regenerate it on purpose
     sweep_digests.main()
     assert capsys.readouterr().out == (ROOT / "tests" / "data" / "sweep_digests.txt").read_text()
+
+
+def test_every_sweep_matches_its_committed_digests_with_simd_dispatch_off():
+    # numpy's AVX-512 and AVX2 kernels switched off, so a layout that reaches
+    # another SIMD path cannot move an emitted digit of any listed sweep
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+        PYTHONPATH=os.pathsep.join(filter(None, paths)),
+    )
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+    if probe.returncode != 0:
+        pytest.skip("numpy does not import with these CPU features off")
+    command = [sys.executable, str(ROOT / "tools" / "sweep_digests.py")]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (ROOT / "tests" / "data" / "sweep_digests.txt").read_text()

@@ -11,10 +11,10 @@ Each entry is the text of a config file, parsed as ``fedmar sweep --config``
 parses it. Its rows come from ``bench.run_experiment`` and are rendered as
 ``fedmar sweep --out`` writes them. One line per entry and format:
 ``name format sha256``. ``tests/data/sweep_digests.txt`` holds the output,
-which a tier-1 test compares; a change that moves results on purpose
-regenerates it. The script takes no flags; for the check with
-numpy's AVX-512 and AVX2 dispatch off, run it under
-``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"``.
+which tier-1 tests compare, once as is and once in a subprocess under
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"``, with
+numpy's AVX-512 and AVX2 dispatch off; a change that moves results on
+purpose regenerates it. The script takes no flags.
 """
 
 from __future__ import annotations
