@@ -34,6 +34,7 @@ SWEEPS = {
     "users-1000": "users = 1000\nchannels = 500\n",
     "users-4000": "users = 4000\nchannels = 2000\n",
     "users-10000": "users = 10000\nchannels = 5000\npairing = nearest\n",
+    "users-4000-p_min-inf": "users = 4000\nchannels = 2000\np_min_dbm = -inf\npairing = nearest\n",
 }
 
 def spec_of(text: str) -> bench.ExperimentSpec:
