@@ -46,7 +46,8 @@ from .pairing import STREAM_BASELINE, PairingScheme, pair_users  # noqa: F401
 
 GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # greedy_baseline searches GREEDY_CHUNK channels at a time; at its peak a
-# chunk holds five (channel, q) float arrays, about 1.2 MB at 256 channels.
+# chunk holds four (channel, q) float arrays, member b's upload terms and the
+# power bound's two, about 1.25 MB in all at 256 channels.
 # GREEDY_BLOCK power pairs or frequency points are evaluated at a time over
 # the whole other axis, in three 0.37 MB cost buffers allocated once per call;
 # np.take writes them in place with mode="clip", unlike with its default mode.
@@ -199,22 +200,25 @@ def _grid_reduce(reduce, pairs, terms, buffers):
     at most GREEDY_BLOCK pairs per pass, and one empty pass for empty
     ``pairs``; a tuple for a reducer like ``_min_first``.
 
-    ``terms`` is (alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable) of
-    the chunk: each member's compute energy and time with axes (f, channel);
-    upload with axes (term, channel * 121 + q), terms (e_tr_a, e_tr_b,
-    t_tr_a, t_tr_b). Costs lie (f_a, f_b, pair), so the pairs run along the
-    long contiguous last axis.
+    ``terms`` is (alpha, beta, e_a, e_b, t_a, t_b, upload_a, upload_b,
+    unreachable) of the chunk: each member's compute energy and time with
+    axes (f, channel); member a's upload energy and time with axes (term,
+    channel * 11 + p_a), member b's with axes (term, channel * 121 + q);
+    and the pairs where either rate is zero, or None where no rate of the
+    chunk is. Costs lie (f_a, f_b, pair), so the pairs run along the long
+    contiguous last axis.
     """
-    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+    alpha, beta, e_a, e_b, t_a, t_b, upload_a, upload_b, unreachable = terms
     grid = GRID_STEPS * GRID_STEPS
-    channel = pairs // grid
+    channel, power_a = pairs // grid, pairs // GRID_STEPS
     parts = []
     for lo in range(0, max(len(pairs), 1), GREEDY_BLOCK):
         block = slice(lo, lo + GREEDY_BLOCK)
         cols = channel[block]
         cost, span, rows = buffers[:, : grid * len(cols)].reshape(3, GRID_STEPS, GRID_STEPS, -1)
         # take gives C-contiguous rows, unlike fancy indexing; member b's fill spare buffers
-        e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, pairs[block], axis=1)
+        e_tr_a, t_tr_a = np.take(upload_a, power_a[block], axis=1)
+        e_tr_b, t_tr_b = np.take(upload_b, pairs[block], axis=1)
         e_cmp_b = np.take(e_b, cols, axis=1, out=span[0], mode="clip")
         time_b = np.take(t_b, cols, axis=1, out=rows[0], mode="clip")
         e_cmp_a, time_a = np.take(e_a, cols, axis=1), np.take(t_a, cols, axis=1)
@@ -231,8 +235,7 @@ def _grid_reduce(reduce, pairs, terms, buffers):
         time_b *= beta
         np.maximum(time_a[:, None], time_b[None], out=span)
         cost += span
-        lost = unreachable[pairs[block]]
-        if lost.any():
+        if unreachable is not None and (lost := unreachable[pairs[block]]).any():
             np.copyto(cost, np.inf, where=lost)
         parts.append(reduce(cost.reshape(grid, -1), axis=0))
     if isinstance(parts[0], tuple):
@@ -256,12 +259,13 @@ def _bound(alpha, beta, e_a, e_b, t_a, t_b, e_tr_a, e_tr_b, t_tr_a, t_tr_b):
 def _split_bound(pairs, terms):
     """The split bound LB2 at each flat ``channel * 121 + q`` power pair of
     one chunk; see ``greedy_baseline``."""
-    alpha, beta, e_a, e_b, t_a, t_b, upload, _ = terms
+    alpha, beta, e_a, e_b, t_a, t_b, upload_a, upload_b, _ = terms
     weight_a, weight_b = beta * SPLIT_THETAS, beta * (1.0 - SPLIT_THETAS)
     # both members' least compute cost, axes (theta, channel), then (theta, pair)
     low = np.min(alpha * e_a + weight_a[..., None] * t_a, axis=1)
     low += np.min(alpha * e_b + weight_b[..., None] * t_b, axis=1)
-    e_tr_a, e_tr_b, t_tr_a, t_tr_b = np.take(upload, pairs, axis=1)
+    e_tr_a, t_tr_a = np.take(upload_a, pairs // GRID_STEPS, axis=1)
+    e_tr_b, t_tr_b = np.take(upload_b, pairs, axis=1)
     split = np.take(low, pairs // (GRID_STEPS * GRID_STEPS), axis=1)
     split += alpha * (e_tr_a + e_tr_b)
     split += weight_a * t_tr_a
@@ -275,15 +279,23 @@ def _frequency_bound(terms):
     term at its minimum over the channel's reachable power pairs, or at 0
     where none is reachable (the full search then costs +inf, and 0 keeps
     the bound finite where +inf would give 0 * inf = NaN)."""
-    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+    alpha, beta, e_a, e_b, t_a, t_b, upload_a, upload_b, unreachable = terms
     c = e_a.shape[1]
-    # axes: (term, channel)
-    reachable = ~unreachable.reshape(c, -1)
-    low = np.min(upload.reshape(4, c, -1), axis=2, where=reachable, initial=np.inf)
+    reachable_a = reachable_b = True
+    if unreachable is not None:
+        # member a's terms count at each p_a where some pair is reachable
+        reachable_b = ~unreachable.reshape(c, -1)
+        reachable_a = reachable_b.reshape(c, GRID_STEPS, GRID_STEPS).any(axis=2)
+    # axes: (member, term, channel)
+    low = np.array([
+        np.min(upload.reshape(2, c, -1), axis=2, where=reachable, initial=np.inf)
+        for upload, reachable in ((upload_a, reachable_a), (upload_b, reachable_b))
+    ])
     low[low == np.inf] = 0.0
+    (e_tr_a, t_tr_a), (e_tr_b, t_tr_b) = low[..., None, None]
     # axes: (channel, f_a, f_b)
     compute = e_a.T[:, :, None], e_b.T[:, None, :], t_a.T[:, :, None], t_b.T[:, None, :]
-    return _bound(alpha, beta, *compute, *low[..., None, None]).reshape(c, -1)
+    return _bound(alpha, beta, *compute, e_tr_a, e_tr_b, t_tr_a, t_tr_b).reshape(c, -1)
 
 
 def _frequency_reduce(points, terms, buffers):
@@ -292,32 +304,32 @@ def _frequency_reduce(points, terms, buffers):
     chunk, at most GREEDY_BLOCK points per pass; ``terms`` as
     ``_grid_reduce`` takes them. Costs lie (point, q), so the power pairs
     run along the contiguous last axis."""
-    alpha, beta, e_a, e_b, t_a, t_b, upload, unreachable = terms
+    alpha, beta, e_a, e_b, t_a, t_b, upload_a, upload_b, unreachable = terms
     pairs = GRID_STEPS * GRID_STEPS
     c = e_a.shape[1]
-    e_tr_a, e_tr_b, t_tr_a, t_tr_b = upload.reshape(4, c, pairs)
-    unreachable = unreachable.reshape(c, pairs)
+    # member a's terms with axes (channel, p_a), spread over p_b per point
+    e_tr_a, t_tr_a = upload_a.reshape(2, c, GRID_STEPS)
+    e_tr_b, t_tr_b = upload_b.reshape(2, c, pairs)
     lows, firsts = [], []
     for lo in range(0, len(points), GREEDY_BLOCK):
         channel, f = np.divmod(points[lo : lo + GREEDY_BLOCK], pairs)
         fa, fb = np.divmod(f, GRID_STEPS)
         size = len(channel)
         cost, time_a, time_b = buffers[:, : pairs * size].reshape(3, size, pairs)
+        grid = (size, GRID_STEPS, GRID_STEPS)
         # the cost's own operations; a + b == b + a in floating point
-        np.take(e_tr_a, channel, axis=0, out=cost, mode="clip")
-        cost += (e_a[fa, channel] + e_b[fb, channel])[:, None]
+        e_cmp = e_a[fa, channel] + e_b[fb, channel]
+        cost.reshape(grid)[...] = (e_tr_a[channel] + e_cmp[:, None])[..., None]
         np.take(e_tr_b, channel, axis=0, out=time_a, mode="clip")
         cost += time_a
         cost *= alpha
-        np.take(t_tr_a, channel, axis=0, out=time_a, mode="clip")
-        time_a += t_a[fa, channel][:, None]
+        time_a.reshape(grid)[...] = (t_tr_a[channel] + t_a[fa, channel][:, None])[..., None]
         time_a *= beta
         np.take(t_tr_b, channel, axis=0, out=time_b, mode="clip")
         time_b += t_b[fb, channel][:, None]
         time_b *= beta
         cost += np.maximum(time_a, time_b, out=time_a)
-        lost = unreachable[channel]
-        if lost.any():
+        if unreachable is not None and (lost := unreachable.reshape(c, -1)[channel]).any():
             np.copyto(cost, np.inf, where=lost)
         first = cost.argmin(axis=1)
         lows.append(cost[np.arange(size), first])
@@ -345,30 +357,34 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     s_low = params.resolution_set_px[0]
     t_cmp, e_cmp = model.computation_cost(params, members, s_low, f_grid[:, None])
 
-    # axes: (channel, p_a, p_b); rate_a varies with p_a only, (channel, p_a, 1)
+    # member b's upload energy and time, axes (term, channel, p_a, p_b),
+    # its rate built in the time's place; member a's rate varies with p_a
+    # only, axes (channel, p_a, 1), and so do its terms
+    upload_b = np.empty((2, c, steps, steps))
     rate_a, rate_b = model._pair_rates(
-        params, gains[a, None, None], gains[b, None, None], p_grid[:, None], p_grid
+        params, gains[a, None, None], gains[b, None, None], p_grid[:, None], p_grid, out=upload_b[1]
     )
-    unreachable = ((rate_a <= 0.0) | (rate_b <= 0.0)).reshape(c, -1)
-    # bits / rate, a zero rate taken as +inf, which bits divide to a finite
-    # 0; member a's terms depend on p_a only, so they are computed per p_a
-    rate_a[rate_a <= 0.0] = np.inf
-    t_tr_a = bits[a, None, None] / rate_a
-    e_tr_a = p_grid[:, None] * t_tr_a
-    # axes: (term, channel, p_a, p_b), terms e_tr_a, e_tr_b, t_tr_a, t_tr_b
-    upload = np.empty((4, c, steps, steps))
-    rate_b[rate_b <= 0.0] = np.inf
-    np.divide(bits[b, None, None], rate_b, out=upload[3])
-    del rate_b
-    np.multiply(p_grid, upload[3], out=upload[1])
+    unreachable = None
+    if not (rate_a.min() > 0.0 and rate_b.min() > 0.0):
+        # bits / rate, a zero rate taken as +inf, which bits divide to a finite 0
+        unreachable = ((rate_a <= 0.0) | (rate_b <= 0.0)).reshape(c, -1)
+        rate_a[rate_a <= 0.0] = np.inf
+        rate_b[rate_b <= 0.0] = np.inf
+    upload_a = np.empty((2, c, steps, 1))
+    np.divide(bits[a, None, None], rate_a, out=upload_a[1])
+    np.multiply(p_grid[:, None], upload_a[1], out=upload_a[0])
+    np.divide(bits[b, None, None], rate_b, out=rate_b)
+    np.multiply(p_grid, rate_b, out=upload_b[0])
 
     # every f-dependent term at its grid minimum, axes (member, channel, 1, 1)
     e_low, t_low = e_cmp.min(axis=1)[..., None, None], t_cmp.min(axis=1)[..., None, None]
-    bound = _bound(alpha, beta, *e_low, *t_low, e_tr_a, upload[1], t_tr_a, upload[3]).reshape(c, -1)
-    # spread over p_b only now, once the bound's temporaries are freed
-    upload[0], upload[2] = e_tr_a, t_tr_a
-    bound[unreachable] = np.inf
-    return bound, (alpha, beta, *e_cmp, *t_cmp, upload.reshape(4, -1), unreachable.ravel())
+    bound = _bound(alpha, beta, *e_low, *t_low, upload_a[0], upload_b[0], upload_a[1], upload_b[1])
+    bound = bound.reshape(c, -1)
+    if unreachable is not None:
+        bound[unreachable] = np.inf
+        unreachable = unreachable.ravel()
+    upload = upload_a.reshape(2, -1), upload_b.reshape(2, -1)
+    return bound, (alpha, beta, *e_cmp, *t_cmp, *upload, unreachable)
 
 
 def _channel_min(channel, values, c):
@@ -386,9 +402,11 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
     bound, terms = _pair_terms(params, topology, lo, hi)
     incumbent = np.arange(c) * pairs + bound.argmin(axis=1)
     ceiling, first = _grid_reduce(_min_first, incumbent, terms, buffers)
-    # every channel keeps at least its incumbent
+    # every channel's incumbent is alive, and already evaluated
     alive = bound <= ceiling[:, None]
-    if 2 * np.count_nonzero(alive) > bound.size:
+    alive.flat[incumbent] = False
+    survivors = np.flatnonzero(alive)
+    if 2 * (len(survivors) + c) > bound.size:
         # most pairs alive: the frequency axis prunes instead; every
         # channel keeps at least the point its ceiling was found at
         points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
@@ -397,20 +415,17 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
         winners = lowest == _channel_min(channel, lowest, c)[channel]
         flat = points[winners] % pairs * pairs + first[winners]
         return _channel_min(channel[winners], flat, c)
-    # the incumbents are evaluated; the split bound prunes the other pairs
-    alive.flat[incumbent] = False
-    survivors = np.flatnonzero(alive)
+    # the split bound prunes the pairs other than the incumbents
     survivors = survivors[_split_bound(survivors, terms) <= ceiling[survivors // pairs]]
-    lowest = _grid_reduce(np.minimum.reduce, survivors, terms, buffers)
+    lowest, firsts = _grid_reduce(_min_first, survivors, terms, buffers)
     channel = survivors // pairs
     least = ceiling.copy()
     np.minimum.at(least, channel, lowest)
     # the pick is the least flat (f_a, f_b, p_a, p_b) index at the channel
-    # minimum: the incumbent's, where it reaches it, or a winner's first one
-    winners = survivors[lowest == least[channel]]
+    # minimum: the incumbent's, where it reaches it, or a survivor's first one
     pick = np.where(ceiling == least, first * pairs + incumbent % pairs, pairs * pairs)
-    flat = _grid_reduce(np.argmin, winners, terms, buffers) * pairs + winners % pairs
-    np.minimum.at(pick, winners // pairs, flat)
+    winners = lowest == least[channel]
+    np.minimum.at(pick, channel[winners], firsts[winners] * pairs + survivors[winners] % pairs)
     return pick
 
 
@@ -451,16 +466,15 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     arg-min-LB pair, for its minimum I and first arg-min. The other pairs
     with LB <= I go to the split bound, and those with also LB2 <= I to
     the survivor pass, which evaluates each one's grid once, for its
-    minimum; ``<=`` keeps a pair that only ties. The arg-min pass evaluates
-    again only survivors that reach their channel's minimum; the pick is the
-    first grid point in (f_a, f_b, p_a, p_b) order, theirs or the
-    incumbent's, that reaches it, as in a full search. On a 10,000-device
-    cell's narrow subchannels LB keeps 9.3 of 121 pairs per channel, LB2
-    1.77 of those (incumbent included), and the arg-min pass runs on 15% of
-    channels. Where LB keeps over half of a chunk's pairs, as on a 50-device
-    cell, the points the frequency bound keeps (1 to 3 of 121 per channel on
-    paper cells) are evaluated over the whole power grid instead, with the
-    same pick. Channels go GREEDY_CHUNK at a time.
+    minimum and first arg-min; ``<=`` keeps a pair that only ties. The pick
+    is the first grid point in (f_a, f_b, p_a, p_b) order, a survivor's or
+    the incumbent's, that reaches the channel's minimum, as in a full
+    search. On a 10,000-device cell's narrow subchannels LB keeps 9.3 of 121
+    pairs per channel and LB2 1.77 of those (incumbent included). Where LB
+    keeps over half of a chunk's pairs, as on a 50-device cell, the points
+    the frequency bound keeps (1 to 3 of 121 per channel on paper cells)
+    are evaluated over the whole power grid instead, with the same pick.
+    Channels go GREEDY_CHUNK at a time.
     """
     steps = GRID_STEPS
     p_grid = _grid(params.p_min_w, params.p_max_w)

@@ -210,6 +210,15 @@ def _check_float_range(
     gain = topology.strongest_gain
     _require(model._pair_rates(params, gain, gain, params.p_max_w, 0.0)[0], _FINITE,
              "the strongest device's rate at p_max is more than a float holds", "p_max_w")
+    # the least rate any solver forms: the weakest device decoded first, at
+    # p_min, under a partner as weak at p_max; a zero rate is flagged unreachable
+    gain = topology.weakest_gain
+    rate = model._pair_rates(params, gain, gain, params.p_max_w, params.p_min_w)[1]
+    if rate > 0.0:
+        # finite only where the upload time is too
+        _require(users * params.p_max_w * (ranges.upload_bits / rate), _FINITE,
+                 "every user's upload over the least rate takes more joules than a float holds",
+                 "upload_bits", "total_bandwidth_hz")
 
 
 def _number(kind):

@@ -229,11 +229,12 @@ class CostBreakdown:
     objective: float
 
 
-def _pair_rates(params: SystemParams, gain_low, gain_high, power_low, power_high):
+def _pair_rates(params: SystemParams, gain_low, gain_high, power_low, power_high, out=None):
     """Shannon rates (low, high) of NOMA pair members under successive
     decoding, each over the subchannel bandwidth. Each broadcasts over its
     own inputs only: the low-gain rate over gain_low and power_low, the
-    high-gain rate over all four.
+    high-gain rate over all four; given ``out``, the high-gain rate is built
+    in it, every step in place.
 
     The low-gain member transmits interference-free; the high-gain member is
     decoded first and sees the low-gain member's received power as extra
@@ -241,10 +242,11 @@ def _pair_rates(params: SystemParams, gain_low, gain_high, power_low, power_high
     """
     bandwidth_hz, noise_w = params.subchannel_bandwidth_hz, params.subchannel_noise_w
     received_low = power_low * gain_low
-    snr_high = power_high * gain_high / (noise_w + received_low)
+    snr_high = np.divide(power_high * gain_high, noise_w + received_low, out=out)
+    rate_high = np.log2(np.add(1.0, snr_high, out=out), out=out)
     return (
         bandwidth_hz * np.log2(1.0 + received_low / noise_w),
-        bandwidth_hz * np.log2(1.0 + snr_high),
+        np.multiply(bandwidth_hz, rate_high, out=out),
     )
 
 

@@ -103,6 +103,10 @@ class TopologyConfig:
     def strongest_gain(self) -> float:  # at min_distance_km under a -10 sigma shadow draw
         return float(channel_gain(self.min_distance_km, -10.0 * self.shadow_sigma_db))
 
+    @functools.cached_property
+    def weakest_gain(self) -> float:  # at cell_radius_km under a +10 sigma shadow draw
+        return float(channel_gain(self.cell_radius_km, 10.0 * self.shadow_sigma_db))
+
 
 def channel_gain(distance_km, shadow_db_sample):
     """Linear gain from log-distance path loss plus a caller-supplied

@@ -390,28 +390,28 @@ class TestGreedyBaseline:
         report = greedy_baseline(params, topo)
         assert np.array_equal(report.allocation.power_w, power)
         assert np.array_equal(report.allocation.cpu_hz, cpu)
-        # per chunk: incumbents, the split bound's survivors, arg-min
+        # per chunk: the incumbents, then the split bound's survivors
         chunks = -(-topo.n_channels // allocator.GREEDY_CHUNK)
-        order = [allocator._min_first, np.minimum.reduce, np.argmin]
-        assert [reduce for reduce, _ in calls] == order * chunks
+        assert [reduce for reduce, _ in calls] == [allocator._min_first] * (2 * chunks)
         # the pairs the power bound keeps, the incumbents left out
         bound, _ = allocator._pair_terms(params, topo, 0, topo.n_channels)
-        kept, searched = 0, 0
-        for (_, incumbents), (_, survivors), (_, winners) in zip(*[iter(calls)] * 3):
-            # each incumbent's grid is evaluated once, in the incumbent pass
-            assert not np.isin(incumbents, np.concatenate([survivors, winners])).any()
-            kept, searched = kept + len(survivors), searched + len(winners)
+        kept = 0
+        for (_, incumbents), (_, survivors) in zip(*[iter(calls)] * 2):
+            # each pair's grid is evaluated at most once, an incumbent's in
+            # the incumbent pass
+            assert len(np.unique(survivors)) == len(survivors)
+            assert not np.isin(incumbents, survivors).any()
+            kept += len(survivors)
         ceiling = reference_pair_minima(params, topo)[np.arange(len(bound)), bound.argmin(axis=1)]
         checked = np.count_nonzero(bound <= ceiling[:, None]) - len(bound)
         assert kept < 0.15 * checked
-        assert searched < 0.25 * topo.n_channels
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_dead_channel_on_the_pair_path_ties_every_pair(self, monkeypatch, alpha):
         # on 10 kHz subchannels the chunk takes the pair path; gains of 1e-40
         # leave every rate of a channel zero (1e-30 still gives a positive
         # rate at this noise floor), so its incumbent is +inf, its other 120
-        # pairs all survive, tie with it at +inf and reach the arg-min pass,
+        # pairs all survive to the survivor pass and tie with it at +inf,
         # and evaluate must then refuse the pick, as the full search does
         channels, dead = 40, 7
         params, topo = small_instance(
@@ -424,19 +424,50 @@ class TestGreedyBaseline:
         gains = topo.gains.copy()
         gains[2 * dead : 2 * dead + 2] = 1e-40
         topo = topology_from_gains(gains, cycles=topo.cycles_per_std_sample)
-        searched = []
+        calls = []
         kernel = allocator._grid_reduce
 
         def counted(reduce, pairs, terms, buffers):
-            if reduce == np.argmin:
-                searched.append(pairs)
+            calls.append((reduce, pairs))
             return kernel(reduce, pairs, terms, buffers)
 
         monkeypatch.setattr(allocator, "_grid_reduce", counted)
         with pytest.raises(UnreachableDeviceError, match=rf"^device {2 * dead} has zero uplink rate"):
             greedy_baseline(params, topo)
-        (pairs,) = searched
-        assert np.count_nonzero(pairs // 121 == dead) == 120
+        # one chunk: the incumbents, then the split bound's survivors
+        assert [reduce for reduce, _ in calls] == [allocator._min_first] * 2
+        survivors = calls[1][1]
+        assert np.count_nonzero(survivors // 121 == dead) == 120
+
+    @pytest.mark.parametrize("channel_khz", [10.0, 500.0])
+    def test_chunks_with_and_without_zero_rates_match_reference(self, monkeypatch, channel_khz):
+        # one channel's gain leaves 1 + SNR == 1 at the lowest grid power
+        # only: its pairs with a member at p_min have rate 0, the others a
+        # positive one, so its pick stays finite; at 8 channels a chunk the
+        # other chunks of the call have no zero rate. 10 kHz channels take
+        # the pair path, 500 kHz ones the frequency path
+        channels, weak, chunk = 40, 13, 8
+        params, topo = small_instance(
+            seed=6, users=2 * channels, total_bandwidth_hz=channel_khz * 1e3 * channels
+        )
+        gains = topo.gains.copy()
+        gains[2 * weak : 2 * weak + 2] = 2.0**-54 * params.subchannel_noise_w / params.p_min_w
+        topo = topology_from_gains(gains, cycles=topo.cycles_per_std_sample)
+        monkeypatch.setattr(allocator, "GREEDY_CHUNK", chunk)
+        power, cpu = reference_greedy_choice(params, topo)
+        report = greedy_baseline(params, topo)
+        assert np.array_equal(report.allocation.power_w, power)
+        assert np.array_equal(report.allocation.cpu_hz, cpu)
+        assert np.isfinite(report.costs.objective)
+        lost = np.isinf(reference_pair_minima(params, topo))
+        assert 0 < np.count_nonzero(lost[weak]) < 121
+        for lo in range(0, channels, chunk):
+            *_, unreachable = allocator._pair_terms(params, topo, lo, lo + chunk)[1]
+            if lo <= weak < lo + chunk:
+                assert np.array_equal(unreachable, lost[lo : lo + chunk].ravel())
+            else:
+                # no zero rate, so no mask to build or apply
+                assert unreachable is None
 
     @settings(max_examples=60, deadline=None)
     @given(cell=bound_cells())

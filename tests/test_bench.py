@@ -569,6 +569,8 @@ class TestCli:
             ("seeds = 1\nseeds = 2\nsweep_values = 12\nalgorithms = random\n", ("seeds",)),
             ("jobs = 1\njobs = 1\n", ("jobs",)),
             ("bandwidth_mhz = 5e-315\n", ("bandwidth_mhz", "noise_dbm_per_hz", "channels")),
+            # each key alone loads; together the least rate's upload overflows
+            ("bandwidth_mhz = 1e-117\nupload_kbits = 2.8e266\n", ("upload_kbits", "bandwidth_mhz")),
         ],
         ids=[
             "p_max-below-base-p_min",
@@ -600,6 +602,7 @@ class TestCli:
             "repeated-key-seeds",
             "repeated-key-jobs",
             "subnormal-subchannel-noise",
+            "least-rate-upload-overflow",
         ],
     )
     def test_invalid_base_parameter_exits_naming_the_key(self, tmp_path, capsys, text, keys):

@@ -19,7 +19,9 @@ PARENT_RATES = [13.0, 10.0, 12.0, 14.0, 11.0]
 CHANGE_RATES = [14.0, 9.0, 12.5, 13.0, 12.0]
 
 
-def _write(checkout, seed, trace, cells_per_s, src="a" * 64, wall_s=RUN_SECONDS + 1.0):
+def _write(
+    checkout, seed, trace, cells_per_s, src="a" * 64, wall_s=RUN_SECONDS + 1.0, failed=0, correct=True
+):
     """One record as perfbench/run.py leaves it: every end-to-end metric,
     cell_p50_s the inverse of cells_per_s and the rest 1."""
     values = {m["name"]: 1.0 for m in BENCHMARK["end_to_end"]}
@@ -29,9 +31,9 @@ def _write(checkout, seed, trace, cells_per_s, src="a" * 64, wall_s=RUN_SECONDS 
             "workload": "paper-sweep", "seed": seed, "trace": trace, "git_sha": None,
             "src_sha256": src, "python": "3", "numpy": "2", "nproc": 2, "cpus_usable": 2,
         },
-        "correct": True,
+        "correct": correct,
         "attempted": 10,
-        "failed": 0,
+        "failed": failed,
         "metrics": {name: {"value": v, "unit": "1"} for name, v in values.items()},
         "notes": {"cells_per_s": f"raw: 10 cells in {wall_s:.3f} s over 5 rounds = 1"},
         "csv_sha256": ["d" * 64],
@@ -77,6 +79,35 @@ def test_pair_summarises_each_side_and_counts_pairs_won(tmp_path, capsys):
     for metric in ("cells_per_s", "cell_p50_s"):
         (line,) = [line for line in lines if f" {metric} " in line]
         assert line.endswith("change better in 3/5  holds")
+    (line,) = [line for line in lines if " failures " in line]
+    assert line.endswith("parent 0/50 failed, correct True  change 0/50 failed, correct True  holds")
+
+
+@pytest.mark.parametrize(
+    "parent_failed,change_failed,correct,expected",
+    [
+        # 1 of 50 operations against none
+        (0, 1, True, "worse"),
+        (1, 1, True, "holds"),
+        (2, 1, True, "holds"),
+        # a change run that is not correct, whatever the failures
+        (0, 0, False, "worse"),
+    ],
+    ids=["larger-failed-share", "same-failed-share", "smaller-failed-share", "change-not-correct"],
+)
+def test_failures_line_compares_failed_shares_and_correctness(
+    tmp_path, capsys, parent_failed, change_failed, correct, expected
+):
+    sides = _checkouts(tmp_path)
+    _write(sides["parent"], SEEDS[0], 0, PARENT_RATES[0], failed=parent_failed)
+    _write(sides["change"], SEEDS[3], 0, CHANGE_RATES[3], src="b" * 64, failed=change_failed,
+           correct=correct)
+    assert _main(sides, tmp_path) == 0
+    change = json.loads((tmp_path / "BENCH_t_change.json").read_text())
+    assert change["workloads"]["paper-sweep"]["failed"] == change_failed
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if " failures " in line]
+    assert line.split()[3] == f"{parent_failed}/50"
+    assert line.endswith(f"correct {correct}  {expected}")
 
 
 DECLARED = {m["name"]: m for m in BENCHMARK["end_to_end"]}

@@ -15,9 +15,12 @@ change checkout that ran the same seeds, this writes one file per side:
 Untraced runs are made with ``--seconds`` set to the ``run_seconds`` of
 ``BENCHMARK.json``; a record whose timed rounds took less stops the script.
 
-It then prints, per workload and metric, both medians, their ratio, the
-number of pairs the change won, pairs matched by seed, and the verdict of
-the benchmark's rule under the metric's ``bound`` (``verdict``). Every
+It then prints, per workload, each side's failed and attempted operations
+and whether every run was correct, ``worse`` when the change fails a larger
+share or has a run that is not correct (``failures``); and per workload and
+metric, both medians, their ratio, the number of pairs the change won,
+pairs matched by seed, and the verdict of the benchmark's rule under the
+metric's ``bound`` (``verdict``). Every
 record of a side must come from the same source tree, so stale records of
 an earlier tree stop the script instead of entering the summary.
 
@@ -153,13 +156,27 @@ def verdict(base: dict, stats: dict, metric: dict) -> str:
     return "holds"
 
 
+def failures(workload: str, base: dict, ours: dict) -> str:
+    """Both sides' summed ``failed/attempted`` and ``correct`` of one
+    workload: ``worse`` when the change fails a larger share of its
+    operations, or when any of its runs is not correct."""
+    # failed / attempted compared by cross-multiplying, so 0 attempted divides nothing
+    larger = ours["failed"] * base["attempted"] > base["failed"] * ours["attempted"]
+    sides = "  ".join(
+        f"{side} {s['failed']}/{s['attempted']} failed, correct {s['correct']}"
+        for side, s in (("parent", base), ("change", ours))
+    )
+    return f"{workload:12s} {'failures':20s} {sides}  {'worse' if larger or not ours['correct'] else 'holds'}"
+
+
 def compare(parent: dict, change: dict, declared: dict[str, dict]) -> list[str]:
-    """One line per workload and metric: medians, ratio, pairs the change
-    won and the verdict; ``declared`` maps each metric to its entry in
-    BENCHMARK.json."""
+    """Per workload, its failures line, then one line per metric: medians,
+    ratio, pairs the change won and the verdict; ``declared`` maps each
+    metric to its entry in BENCHMARK.json."""
     lines = []
     for workload, ours in change["workloads"].items():
         theirs = parent["workloads"][workload]
+        lines.append(failures(workload, theirs, ours))
         for name, stats in ours["end_to_end"].items():
             base = theirs["end_to_end"][name]
             metric = declared[name]
