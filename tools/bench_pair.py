@@ -20,9 +20,9 @@ and whether every run was correct, ``worse`` when the change fails a larger
 share or has a run that is not correct (``failures``); and per workload and
 metric, both medians, their ratio, the number of pairs the change won,
 pairs matched by seed, and the verdict of the benchmark's rule under the
-metric's ``bound`` (``verdict``). Every
-record of a side must come from the same source tree, so stale records of
-an earlier tree stop the script instead of entering the summary.
+metric's ``bound`` (``verdict``). Every record of a side must come from the
+same source tree, so stale records of an earlier tree stop the script
+instead of entering the summary.
 
     python3 tools/bench_pair.py --name lean_pass \\
         --parent ../parent --change . \\
@@ -166,7 +166,8 @@ def failures(workload: str, base: dict, ours: dict) -> str:
         f"{side} {s['failed']}/{s['attempted']} failed, correct {s['correct']}"
         for side, s in (("parent", base), ("change", ours))
     )
-    return f"{workload:12s} {'failures':20s} {sides}  {'worse' if larger or not ours['correct'] else 'holds'}"
+    worse = larger or not ours["correct"]
+    return f"{workload:12s} {'failures':20s} {sides}  {'worse' if worse else 'holds'}"
 
 
 def compare(parent: dict, change: dict, declared: dict[str, dict]) -> list[str]:
