@@ -47,7 +47,7 @@ from .pairing import STREAM_BASELINE, PairingScheme, pair_users  # noqa: F401
 GRID_STEPS = 11  # baseline grids: bound + 0.1 * i * (range), i = 0..10
 # greedy_baseline searches GREEDY_CHUNK channels at a time; at its peak a
 # chunk holds four (channel, q) float arrays, member b's upload terms and the
-# power bound's two, about 1.25 MB in all at 256 channels.
+# power bound's two, about 0.99 MB in all at 256 channels.
 # GREEDY_BLOCK power pairs or frequency points are evaluated at a time over
 # the whole other axis, in three 0.37 MB cost buffers allocated once per call;
 # np.take writes them in place with mode="clip", unlike with its default mode.
@@ -188,17 +188,17 @@ def _grid(low: float, high: float) -> np.ndarray:
     return low + 0.1 * np.arange(GRID_STEPS) * (high - low)
 
 
-def _min_first(costs, axis):
-    """Minimum and first arg-min of 2-D ``costs`` along ``axis`` 0."""
-    first = costs.argmin(axis=axis)
+def _min_first(costs):
+    """Minimum and first arg-min of 2-D ``costs`` along axis 0."""
+    first = costs.argmin(axis=0)
     return costs[first, np.arange(costs.shape[1])], first
 
 
-def _grid_reduce(reduce, pairs, terms, buffers):
-    """``reduce(costs, axis=0)`` of the greedy cost over the (f_a, f_b) grid
+def _grid_reduce(pairs, terms, buffers):
+    """Minimum and first arg-min of the greedy cost over the (f_a, f_b) grid
     of ``terms`` at each flat ``channel * 121 + q`` power pair of one chunk,
     at most GREEDY_BLOCK pairs per pass, and one empty pass for empty
-    ``pairs``; a tuple for a reducer like ``_min_first``.
+    ``pairs``.
 
     ``terms`` is (alpha, beta, e_a, e_b, t_a, t_b, upload_a, upload_b,
     unreachable) of the chunk: each member's compute energy and time with
@@ -237,10 +237,8 @@ def _grid_reduce(reduce, pairs, terms, buffers):
         cost += span
         if unreachable is not None and (lost := unreachable[pairs[block]]).any():
             np.copyto(cost, np.inf, where=lost)
-        parts.append(reduce(cost.reshape(grid, -1), axis=0))
-    if isinstance(parts[0], tuple):
-        return tuple(map(np.concatenate, zip(*parts)))
-    return np.concatenate(parts)
+        parts.append(_min_first(cost.reshape(grid, -1)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _bound(alpha, beta, e_a, e_b, t_a, t_b, e_tr_a, e_tr_b, t_tr_a, t_tr_b):
@@ -310,7 +308,7 @@ def _frequency_reduce(points, terms, buffers):
     # member a's terms with axes (channel, p_a), spread over p_b per point
     e_tr_a, t_tr_a = upload_a.reshape(2, c, GRID_STEPS)
     e_tr_b, t_tr_b = upload_b.reshape(2, c, pairs)
-    lows, firsts = [], []
+    parts = []
     for lo in range(0, len(points), GREEDY_BLOCK):
         channel, f = np.divmod(points[lo : lo + GREEDY_BLOCK], pairs)
         fa, fb = np.divmod(f, GRID_STEPS)
@@ -331,10 +329,8 @@ def _frequency_reduce(points, terms, buffers):
         cost += np.maximum(time_a, time_b, out=time_a)
         if unreachable is not None and (lost := unreachable.reshape(c, -1)[channel]).any():
             np.copyto(cost, np.inf, where=lost)
-        first = cost.argmin(axis=1)
-        lows.append(cost[np.arange(size), first])
-        firsts.append(first)
-    return np.concatenate(lows), np.concatenate(firsts)
+        parts.append(_min_first(cost.T))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int):
@@ -387,12 +383,6 @@ def _pair_terms(params: SystemParams, topology: PairedTopology, lo: int, hi: int
     return bound, (alpha, beta, *e_cmp, *t_cmp, *upload, unreachable)
 
 
-def _channel_min(channel, values, c):
-    """Minimum of ``values`` per channel, rows channel-major, every channel
-    of the chunk present."""
-    return np.minimum.reduceat(values, np.searchsorted(channel, np.arange(c)))
-
-
 def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: int, buffers):
     """The pick of each of channels lo..hi-1 as a flat index into its
     (f_a, f_b, p_a, p_b) grid; see ``greedy_baseline``. The chunk's arrays
@@ -401,31 +391,29 @@ def _greedy_chunk(params: SystemParams, topology: PairedTopology, lo: int, hi: i
     c = hi - lo
     bound, terms = _pair_terms(params, topology, lo, hi)
     incumbent = np.arange(c) * pairs + bound.argmin(axis=1)
-    ceiling, first = _grid_reduce(_min_first, incumbent, terms, buffers)
+    ceiling, first = _grid_reduce(incumbent, terms, buffers)
     # every channel's incumbent is alive, and already evaluated
     alive = bound <= ceiling[:, None]
     alive.flat[incumbent] = False
     survivors = np.flatnonzero(alive)
     if 2 * (len(survivors) + c) > bound.size:
-        # most pairs alive: the frequency axis prunes instead; every
-        # channel keeps at least the point its ceiling was found at
+        # most pairs alive: the frequency axis prunes instead, keeping at
+        # least the point each channel's ceiling was found at
         points = np.flatnonzero(_frequency_bound(terms) <= ceiling[:, None])
-        lowest, first = _frequency_reduce(points, terms, buffers)
-        channel = points // pairs
-        winners = lowest == _channel_min(channel, lowest, c)[channel]
-        flat = points[winners] % pairs * pairs + first[winners]
-        return _channel_min(channel[winners], flat, c)
-    # the split bound prunes the pairs other than the incumbents
-    survivors = survivors[_split_bound(survivors, terms) <= ceiling[survivors // pairs]]
-    lowest, firsts = _grid_reduce(_min_first, survivors, terms, buffers)
-    channel = survivors // pairs
+        lowest, firsts = _frequency_reduce(points, terms, buffers)
+        channel, flat = points // pairs, points % pairs * pairs + firsts
+    else:
+        # the split bound prunes the pairs other than the incumbents
+        survivors = survivors[_split_bound(survivors, terms) <= ceiling[survivors // pairs]]
+        lowest, firsts = _grid_reduce(survivors, terms, buffers)
+        channel, flat = survivors // pairs, firsts * pairs + survivors % pairs
     least = ceiling.copy()
     np.minimum.at(least, channel, lowest)
     # the pick is the least flat (f_a, f_b, p_a, p_b) index at the channel
-    # minimum: the incumbent's, where it reaches it, or a survivor's first one
+    # minimum: the incumbent's, where it reaches it, or a candidate's
     pick = np.where(ceiling == least, first * pairs + incumbent % pairs, pairs * pairs)
     winners = lowest == least[channel]
-    np.minimum.at(pick, channel[winners], firsts[winners] * pairs + survivors[winners] % pairs)
+    np.minimum.at(pick, channel[winners], flat[winners])
     return pick
 
 
@@ -466,14 +454,15 @@ def greedy_baseline(params: SystemParams, topology: PairedTopology) -> SolveRepo
     arg-min-LB pair, for its minimum I and first arg-min. The other pairs
     with LB <= I go to the split bound, and those with also LB2 <= I to
     the survivor pass, which evaluates each one's grid once, for its
-    minimum and first arg-min; ``<=`` keeps a pair that only ties. The pick
-    is the first grid point in (f_a, f_b, p_a, p_b) order, a survivor's or
-    the incumbent's, that reaches the channel's minimum, as in a full
-    search. On a 10,000-device cell's narrow subchannels LB keeps 9.3 of 121
-    pairs per channel and LB2 1.77 of those (incumbent included). Where LB
-    keeps over half of a chunk's pairs, as on a 50-device cell, the points
-    the frequency bound keeps (1 to 3 of 121 per channel on paper cells)
-    are evaluated over the whole power grid instead, with the same pick.
+    minimum and first arg-min; ``<=`` keeps a pair that only ties. On a
+    10,000-device cell's narrow subchannels LB keeps 9.3 of 121 pairs per
+    channel and LB2 1.77 of those (incumbent included). Where LB keeps over
+    half of a chunk's pairs, as on a 50-device cell, the points the
+    frequency bound keeps (1 to 3 of 121 per channel on paper cells) are
+    evaluated over the whole power grid instead, each for its minimum and
+    first arg-min. Either way one pick rule follows: the first grid point
+    in (f_a, f_b, p_a, p_b) order, the incumbent's or a survivor's or kept
+    point's, that reaches the channel's minimum, as in a full search.
     Channels go GREEDY_CHUNK at a time.
     """
     steps = GRID_STEPS

@@ -7,9 +7,8 @@ of an experiment replays exactly.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -63,6 +62,10 @@ class TopologyConfig:
     min_distance_km: float = 0.01
     shadow_sigma_db: float = 8.0
     rng_seed: int = 0
+    # the gain at min_distance_km under a -10 sigma shadow draw, and at
+    # cell_radius_km under a +10 sigma one, as __post_init__ checks them
+    strongest_gain: float = field(init=False, repr=False, compare=False)
+    weakest_gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.user_count != 2 * self.channel_count:
@@ -98,14 +101,8 @@ class TopologyConfig:
                 "cell_radius_km takes the channel gain out of the float range",
                 "shadow_sigma_db",
             )
-
-    @functools.cached_property
-    def strongest_gain(self) -> float:  # at min_distance_km under a -10 sigma shadow draw
-        return float(channel_gain(self.min_distance_km, -10.0 * self.shadow_sigma_db))
-
-    @functools.cached_property
-    def weakest_gain(self) -> float:  # at cell_radius_km under a +10 sigma shadow draw
-        return float(channel_gain(self.cell_radius_km, 10.0 * self.shadow_sigma_db))
+        object.__setattr__(self, "strongest_gain", float(extremes[0]))
+        object.__setattr__(self, "weakest_gain", float(extremes[1]))
 
 
 def channel_gain(distance_km, shadow_db_sample):

@@ -381,9 +381,9 @@ class TestGreedyBaseline:
         calls = []
         kernel = allocator._grid_reduce
 
-        def counted(reduce, pairs, terms, buffers):
-            calls.append((reduce, pairs))
-            return kernel(reduce, pairs, terms, buffers)
+        def counted(pairs, terms, buffers):
+            calls.append(pairs)
+            return kernel(pairs, terms, buffers)
 
         monkeypatch.setattr(allocator, "_grid_reduce", counted)
         power, cpu = reference_greedy_choice(params, topo)
@@ -392,11 +392,11 @@ class TestGreedyBaseline:
         assert np.array_equal(report.allocation.cpu_hz, cpu)
         # per chunk: the incumbents, then the split bound's survivors
         chunks = -(-topo.n_channels // allocator.GREEDY_CHUNK)
-        assert [reduce for reduce, _ in calls] == [allocator._min_first] * (2 * chunks)
+        assert len(calls) == 2 * chunks
         # the pairs the power bound keeps, the incumbents left out
         bound, _ = allocator._pair_terms(params, topo, 0, topo.n_channels)
         kept = 0
-        for (_, incumbents), (_, survivors) in zip(*[iter(calls)] * 2):
+        for incumbents, survivors in zip(*[iter(calls)] * 2):
             # each pair's grid is evaluated at most once, an incumbent's in
             # the incumbent pass
             assert len(np.unique(survivors)) == len(survivors)
@@ -427,17 +427,42 @@ class TestGreedyBaseline:
         calls = []
         kernel = allocator._grid_reduce
 
-        def counted(reduce, pairs, terms, buffers):
-            calls.append((reduce, pairs))
-            return kernel(reduce, pairs, terms, buffers)
+        def counted(pairs, terms, buffers):
+            calls.append(pairs)
+            return kernel(pairs, terms, buffers)
 
         monkeypatch.setattr(allocator, "_grid_reduce", counted)
         with pytest.raises(UnreachableDeviceError, match=rf"^device {2 * dead} has zero uplink rate"):
             greedy_baseline(params, topo)
         # one chunk: the incumbents, then the split bound's survivors
-        assert [reduce for reduce, _ in calls] == [allocator._min_first] * 2
-        survivors = calls[1][1]
+        assert len(calls) == 2
+        survivors = calls[1]
         assert np.count_nonzero(survivors // 121 == dead) == 120
+
+    def test_dead_channel_on_the_frequency_path_keeps_every_point(self, monkeypatch):
+        # the frequency-path twin of the test above: on 500 kHz subchannels
+        # the chunk takes the frequency path, the dead channel's ceiling is
+        # +inf, so its frequency bound keeps all 121 points, which tie with
+        # the incumbent at +inf in the shared pick
+        channels, dead = 40, 7
+        params, topo = small_instance(
+            seed=4, users=2 * channels, total_bandwidth_hz=500e3 * channels
+        )
+        gains = topo.gains.copy()
+        gains[2 * dead : 2 * dead + 2] = 1e-40
+        topo = topology_from_gains(gains, cycles=topo.cycles_per_std_sample)
+        calls = []
+        kernel = allocator._frequency_reduce
+
+        def counted(points, terms, buffers):
+            calls.append(points)
+            return kernel(points, terms, buffers)
+
+        monkeypatch.setattr(allocator, "_frequency_reduce", counted)
+        with pytest.raises(UnreachableDeviceError, match=rf"^device {2 * dead} has zero uplink rate"):
+            greedy_baseline(params, topo)
+        [points] = calls
+        assert np.array_equal(points[points // 121 == dead], dead * 121 + np.arange(121))
 
     @pytest.mark.parametrize("channel_khz", [10.0, 500.0])
     def test_chunks_with_and_without_zero_rates_match_reference(self, monkeypatch, channel_khz):

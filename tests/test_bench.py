@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -760,6 +761,42 @@ def test_upload_below_computation_roundoff_gives_unflagged_row():
         ("proposed", ""), ("random", ""), ("greedy", "")
     ]
     assert all(np.isfinite(r.objective) for r in rows)
+
+
+def _rejected_naming_a_key_or_rows_without_warning(text):
+    try:
+        spec = spec_from_values(parse_config_text(text))
+    except ConfigError as exc:
+        assert "key" in str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_experiment(spec)
+    assert rows and all(r.flag or np.isfinite(r.objective) for r in rows)
+
+
+@pytest.mark.xfail(
+    raises=RuntimeWarning,
+    strict=True,
+    reason="accepted at load; a long slack underflows sp2.required_power's 2**x - 1 to 0 "
+    "and sp2.solve_ratio_stage divides by it",
+)
+def test_zero_power_floor_with_long_rounds_is_rejected_or_runs_warning_free():
+    _rejected_naming_a_key_or_rows_without_warning(
+        "p_min_dbm = -inf\nlocal_iterations = 1e40\nsweep_values = 12\n"
+    )
+
+
+@pytest.mark.xfail(
+    raises=ValueError,
+    strict=True,
+    reason="accepted at load; sp2 then refuses a minimum rate that is not positive and finite",
+)
+def test_tiny_upload_with_long_rounds_is_rejected_or_runs_warning_free():
+    _rejected_naming_a_key_or_rows_without_warning(
+        "users = 6\nchannels = 3\np_min_dbm = -inf\nupload_kbits = 2e-294\n"
+        "local_iterations = 5.9e57\nseeds = 29\nsweep_values = 12\n"
+    )
 
 
 def _log_uniform(low_exp, high_exp):

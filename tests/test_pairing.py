@@ -59,6 +59,14 @@ class TestGenerateTopology:
         assert info.value.fields == ("min_distance_km", "cell_radius_km")
         assert "sigma" not in str(info.value)
 
+    @pytest.mark.parametrize("sigma", [0.0, 3.3, 8.0, 17.0])
+    def test_extreme_gains_are_the_scalar_gains(self, sigma):
+        # the values the range check computed, bit for bit the scalar formula's
+        config = TopologyConfig(min_distance_km=0.02, cell_radius_km=0.7, shadow_sigma_db=sigma)
+        assert config.strongest_gain == float(channel_gain(0.02, -10.0 * sigma))
+        assert config.weakest_gain == float(channel_gain(0.7, 10.0 * sigma))
+        assert type(config.strongest_gain) is float and type(config.weakest_gain) is float
+
     @pytest.mark.parametrize(
         "kw",
         [

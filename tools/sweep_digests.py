@@ -35,6 +35,7 @@ SWEEPS = {
     "users-4000": "users = 4000\nchannels = 2000\n",
     "users-10000": "users = 10000\nchannels = 5000\npairing = nearest\n",
     "users-4000-p_min-inf": "users = 4000\nchannels = 2000\np_min_dbm = -inf\npairing = nearest\n",
+    "users-2000-p_min-inf": "users = 2000\nchannels = 1000\np_min_dbm = -inf\n",
 }
 
 def spec_of(text: str) -> bench.ExperimentSpec:
