@@ -23,13 +23,7 @@ import numpy as np
 from . import allocator, model, sp1
 from .allocator import SolveReport
 from .model import ParamsError, SystemParams, UnreachableDeviceError
-from .pairing import (
-    DeviceParamRanges,
-    PairingScheme,
-    TopologyConfig,
-    pair_users,
-    sample_topology,
-)
+from .pairing import PairingScheme, TopologyConfig, pair_users, sample_topology
 
 JSON_SCHEMA = "fedmar-results/1"
 SWEEP_VARIABLES = ("p_max_dbm", "f_max_ghz", "gamma")
@@ -78,7 +72,6 @@ CSV_HEADER = ",".join(_CSV_FIELDS)
 class ExperimentSpec:
     params: SystemParams = SystemParams()
     topology: TopologyConfig = TopologyConfig()
-    ranges: DeviceParamRanges = DeviceParamRanges()
     sweep_variable: str = "p_max_dbm"
     sweep_values: tuple[float, ...] = (6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
     weights: tuple[tuple[float, float, float], ...] = ((0.5, 0.5, 1.0),)
@@ -143,7 +136,7 @@ class ExperimentSpec:
                     triple = ",".join(f"{w:g}" for w in weights)
                     raise ParamsError(f"triple {triple}: {exc}", "weights") from exc
                 try:
-                    _check_float_range(params, self.topology, self.ranges)
+                    _check_float_range(params, self.topology)
                 except ParamsError as exc:
                     # the field the sweep sets takes its value from the sweep values
                     swept = _swept(self.sweep_variable, value)
@@ -161,17 +154,15 @@ def _require(quantity, bounds: tuple[float, float], message: str, *fields: str) 
 
 
 @np.errstate(all="ignore")
-def _check_float_range(
-    params: SystemParams, topology: TopologyConfig, ranges: DeviceParamRanges
-) -> None:
+def _check_float_range(params: SystemParams, topology: TopologyConfig) -> None:
     """A cell's costs must stay in the float range where the solvers form
     them: one ordered table of rows, each a quantity read from the kernel
     that forms it on the lightest or the heaviest device, its bounds, its
     message and the fields it reads. The first row out of bounds raises; a
     kernel runs once, when a row first reads it; an overflow gives inf."""
     (s1, _, s3), users = params.resolution_set_px, topology.user_count
-    cycles = np.array([ranges.cycles_low, ranges.cycles_high])  # the lightest and the heaviest
-    devices = SimpleNamespace(cycles_per_std_sample=cycles, sample_count=ranges.sample_count)
+    cycles = np.array([topology.cycles_low, topology.cycles_high])  # the lightest and the heaviest
+    devices = SimpleNamespace(cycles_per_std_sample=cycles, sample_count=topology.sample_count)
     load = model.load(params, devices)
     shared = ("sample_count", "local_iterations", "std_resolution_px", "resolution_set_px")
     _require(load[0] * s1 * s1, (1.0, math.inf),
@@ -184,7 +175,7 @@ def _check_float_range(
     # sp1 prices the f_max bound by f_max cubed
     _require(np.float64(params.f_max_hz) ** 3, _FINITE,
              "f_max cubed is more than a float holds", "f_max_hz")
-    heaviest = SimpleNamespace(cycles_per_std_sample=cycles[1], sample_count=ranges.sample_count)
+    heaviest = SimpleNamespace(cycles_per_std_sample=cycles[1], sample_count=topology.sample_count)
     frequencies = np.array([params.f_min_hz, params.f_max_hz])
     seconds, joules = model.computation_cost(params, heaviest, s3, frequencies)
     _require(users * joules[1], _FINITE,
@@ -216,7 +207,7 @@ def _check_float_range(
     rate = model._pair_rates(params, gain, gain, params.p_max_w, params.p_min_w)[1]
     if rate > 0.0:
         # finite only where the upload time is too
-        _require(users * params.p_max_w * (ranges.upload_bits / rate), _FINITE,
+        _require(users * params.p_max_w * (topology.upload_bits / rate), _FINITE,
                  "every user's upload over the least rate takes more joules than a float holds",
                  "upload_bits", "total_bandwidth_hz")
 
@@ -236,10 +227,6 @@ _INT, _FLOAT = _number(int), _number(float)
 
 def _numbers(parse):
     return lambda key, text: tuple(parse(key, token) for token in text.split())
-
-
-def _words(key: str, text: str) -> tuple[str, ...]:
-    return tuple(text.split())
 
 
 def _string(key: str, text: str) -> str:
@@ -289,10 +276,10 @@ _KEYS = {
     "local_iterations": (_FLOAT, (SystemParams, "local_iterations", _same)),
     "std_resolution_px": (_FLOAT, (SystemParams, "std_resolution_px", _same)),
     "resolutions_px": (_numbers(_FLOAT), (SystemParams, "resolution_set_px", _same)),
-    "upload_kbits": (_FLOAT, (DeviceParamRanges, "upload_bits", _si(1e3))),
-    "samples": (_FLOAT, (DeviceParamRanges, "sample_count", _same)),
-    "cycles_low": (_FLOAT, (DeviceParamRanges, "cycles_low", _same)),
-    "cycles_high": (_FLOAT, (DeviceParamRanges, "cycles_high", _same)),
+    "upload_kbits": (_FLOAT, (TopologyConfig, "upload_bits", _si(1e3))),
+    "samples": (_FLOAT, (TopologyConfig, "sample_count", _same)),
+    "cycles_low": (_FLOAT, (TopologyConfig, "cycles_low", _same)),
+    "cycles_high": (_FLOAT, (TopologyConfig, "cycles_high", _same)),
     "cell_radius_km": (_FLOAT, (TopologyConfig, "cell_radius_km", _same)),
     "min_distance_km": (_FLOAT, (TopologyConfig, "min_distance_km", _same)),
     "shadow_sigma_db": (_FLOAT, (TopologyConfig, "shadow_sigma_db", _same)),
@@ -300,7 +287,7 @@ _KEYS = {
     "sweep": (_string, (ExperimentSpec, "sweep_variable", _same)),
     "sweep_values": (_numbers(_FLOAT), (ExperimentSpec, "sweep_values", _same)),
     "seeds": (_numbers(_INT), (ExperimentSpec, "seeds", _same)),
-    "algorithms": (_words, (ExperimentSpec, "algorithms", _same)),
+    "algorithms": (_numbers(_string), (ExperimentSpec, "algorithms", _same)),
     "pairing": (_string, (ExperimentSpec, "pairing", _same)),
     "jobs": (_one,),  # accepted for older configs; sets nothing
 }
@@ -310,11 +297,7 @@ _FIELD_KEYS = {field: key for key, (_, *sets) in _KEYS.items() for _, field, _ i
 # a cell's accuracy weight comes from its `weights` triple
 _FIELD_KEYS["weight_accuracy"] = "weights"
 # the ExperimentSpec field that holds each section
-_SECTIONS = {
-    SystemParams: "params",
-    TopologyConfig: "topology",
-    DeviceParamRanges: "ranges",
-}
+_SECTIONS = {SystemParams: "params", TopologyConfig: "topology"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -440,15 +423,15 @@ def _result_row(
 # run_cell(spec, sweep value, weights, seed), so no topology can be handed to
 # it; a sweep runs seed by seed, so one seed's entries serve all its cells.
 @functools.lru_cache(maxsize=1)
-def _sampled(topology: TopologyConfig, ranges: DeviceParamRanges, seed: int):
-    return sample_topology(replace(topology, rng_seed=seed), ranges)
+def _sampled(topology: TopologyConfig, seed: int):
+    return sample_topology(replace(topology, rng_seed=seed))
 
 
 @functools.lru_cache(maxsize=len(PairingScheme))
-def _paired(topology, ranges, params: SystemParams, seed: int, scheme: PairingScheme):
+def _paired(topology, params: SystemParams, seed: int, scheme: PairingScheme):
     # params are the spec's base parameters: pairing reads only their channel
     # count, which no sweep variable sets
-    devices, gains = _sampled(topology, ranges, seed)
+    devices, gains = _sampled(topology, seed)
     return pair_users(params, devices, gains, scheme, rng_seed=seed)
 
 
@@ -468,7 +451,7 @@ def proposed_row(
     scheme, keeping the best, for ``best``; the named scheme otherwise. A
     failed solve chose no scheme, so its row names the configured pairing."""
     schemes = PairingScheme if spec.pairing == "best" else (PairingScheme(spec.pairing),)
-    cell = spec.topology, spec.ranges, spec.params, seed
+    cell = spec.topology, spec.params, seed
     topologies = {scheme: _paired(*cell, scheme) for scheme in schemes}
     outcome = _solved(allocator.allocate_best_pairing, params, topologies)
     failed = isinstance(outcome, UnreachableDeviceError)
@@ -493,7 +476,7 @@ def run_cell(
     else:
         best = spec.pairing == "best"
         scheme = PairingScheme.NEAREST_USER if best else PairingScheme(spec.pairing)
-        topology = _paired(spec.topology, spec.ranges, spec.params, seed, scheme)
+        topology = _paired(spec.topology, spec.params, seed, scheme)
     # looked up at call time, so callers can wrap them in the allocator module
     for algo, solve, *args in (
         ("random", allocator.random_baseline, topology, seed),

@@ -33,35 +33,21 @@ class PairingScheme(Enum):
 
 
 @dataclass(frozen=True)
-class DeviceParamRanges:
-    """Sampling ranges / constants for per-device workload parameters."""
-
-    cycles_low: float = 1e4
-    cycles_high: float = 3e4
-    sample_count: float = 500.0
-    upload_bits: float = 28.1e3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_count < math.inf:
-            raise ParamsError("sample count must be positive and finite", "sample_count")
-        if not 0.0 < self.upload_bits < math.inf:
-            raise ParamsError("upload size must be positive and finite", "upload_bits")
-        if not self.cycles_low > 0.0:
-            raise ParamsError("cycles per sample must be positive", "cycles_low")
-        if not self.cycles_low <= self.cycles_high < math.inf:
-            raise ParamsError(
-                "need cycles_low <= cycles_high, finite", "cycles_low", "cycles_high"
-            )
-
-
-@dataclass(frozen=True)
 class TopologyConfig:
+    """One cell's draw: its placement, its shadowing and its devices' workload."""
+
     user_count: int = 50
     channel_count: int = 25
     cell_radius_km: float = 0.5
     min_distance_km: float = 0.01
     shadow_sigma_db: float = 8.0
     rng_seed: int = 0
+    # each device's cycles per sample are drawn uniformly from
+    # [cycles_low, cycles_high]; every device has the same samples and upload
+    cycles_low: float = 1e4
+    cycles_high: float = 3e4
+    sample_count: float = 500.0
+    upload_bits: float = 28.1e3
     # the gain at min_distance_km under a -10 sigma shadow draw, and at
     # cell_radius_km under a +10 sigma one, as __post_init__ checks them
     strongest_gain: float = field(init=False, repr=False, compare=False)
@@ -103,6 +89,14 @@ class TopologyConfig:
             )
         object.__setattr__(self, "strongest_gain", float(extremes[0]))
         object.__setattr__(self, "weakest_gain", float(extremes[1]))
+        if not 0.0 < self.sample_count < math.inf:
+            raise ParamsError("sample count must be positive and finite", "sample_count")
+        if not 0.0 < self.upload_bits < math.inf:
+            raise ParamsError("upload size must be positive and finite", "upload_bits")
+        if not self.cycles_low > 0.0:
+            raise ParamsError("cycles per sample must be positive", "cycles_low")
+        if not self.cycles_low <= self.cycles_high < math.inf:
+            raise ParamsError("need cycles_low <= cycles_high, finite", "cycles_low", "cycles_high")
 
 
 def channel_gain(distance_km, shadow_db_sample):
@@ -119,9 +113,7 @@ def channel_gain(distance_km, shadow_db_sample):
     return np.float_power(10.0, -(loss_db + shadow_db_sample) / 10.0)
 
 
-def sample_topology(
-    config: TopologyConfig, ranges: DeviceParamRanges = DeviceParamRanges()
-) -> tuple[Device, np.ndarray]:
+def sample_topology(config: TopologyConfig) -> tuple[Device, np.ndarray]:
     """Place devices uniformly in distance over the cell annulus and draw
     their workload parameters, as one ``Device`` of arrays over ids 0..n-1,
     then one shadow draw per device (block fading over the studied round)
@@ -129,13 +121,13 @@ def sample_topology(
     rng = np.random.default_rng([STREAM_PLACEMENT, config.rng_seed])
     n = config.user_count
     distances = rng.uniform(config.min_distance_km, config.cell_radius_km, n)
-    cycles = rng.uniform(ranges.cycles_low, ranges.cycles_high, n)
+    cycles = rng.uniform(config.cycles_low, config.cycles_high, n)
     devices = Device(
         id=np.arange(n),
         distance_km=distances,
         cycles_per_std_sample=cycles,
-        sample_count=np.full(n, ranges.sample_count),
-        upload_bits=np.full(n, ranges.upload_bits),
+        sample_count=np.full(n, config.sample_count),
+        upload_bits=np.full(n, config.upload_bits),
     )
     rng = np.random.default_rng([STREAM_SHADOW, config.rng_seed])
     return devices, channel_gain(distances, rng.normal(0.0, config.shadow_sigma_db, n))

@@ -29,7 +29,7 @@ from fedmar.bench import (
     summarize,
 )
 from fedmar.model import dbm_to_watts
-from fedmar.pairing import DeviceParamRanges, PairingScheme, TopologyConfig
+from fedmar.pairing import PairingScheme, TopologyConfig
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -62,8 +62,8 @@ class TestConfigParsing:
         assert p.local_iterations == 10.0
         assert p.resolution_set_px == (160.0, 320.0, 640.0)
         assert p.std_resolution_px == 100.0
-        assert spec.ranges.upload_bits == pytest.approx(28.1e3)
-        assert spec.ranges.sample_count == 500.0
+        assert spec.topology.upload_bits == pytest.approx(28.1e3)
+        assert spec.topology.sample_count == 500.0
         assert spec.sweep_values == (6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
 
     def test_overrides_are_honored(self):
@@ -255,9 +255,9 @@ class TestSeedReuse:
         sample, pair = bench.sample_topology, bench.pair_users
         sampled, paired = [], []
 
-        def recording_sample(config, ranges):
+        def recording_sample(config):
             sampled.append(config.rng_seed)
-            return sample(config, ranges)
+            return sample(config)
 
         def recording_pair(params, devices, gains, scheme, rng_seed):
             paired.append((rng_seed, scheme))
@@ -308,11 +308,13 @@ class TestSeedReuse:
         fresh = self.cells_match_cold_runs(order)
         assert fresh[0] != fresh[1] and fresh[0] != fresh[3]
 
-    def test_the_caches_key_on_the_device_ranges(self):
-        # same topology config and seed: only the sampled workloads differ
+    def test_the_caches_key_on_the_workload_fields(self):
+        # same placement, shadowing and seed: only the sampled workloads differ
         light = tiny_spec(algorithms=bench.ALGORITHMS, pairing="best")
         heavy = tiny_spec(
-            algorithms=bench.ALGORITHMS, pairing="best", ranges=DeviceParamRanges(cycles_high=6e4)
+            topology=TopologyConfig(user_count=4, channel_count=2, cycles_high=6e4),
+            algorithms=bench.ALGORITHMS,
+            pairing="best",
         )
         fresh = self.cells_match_cold_runs([(light, 1), (heavy, 1), (light, 1), (heavy, 1)])
         assert fresh[0] != fresh[1]
@@ -540,6 +542,8 @@ class TestCli:
         [
             ("p_max_dbm = -5\n", ("p_max_dbm",)),
             ("users = 10\nchannels = 4\n", ("users", "channels")),
+            # the topology's own checks come before its workload's
+            ("users = 10\nchannels = 4\nsamples = 0\n", ("users", "channels")),
             ("outer_tolerance = 1e-4\n", ("outer_tolerance",)),
             ("max_outer_iterations = 50\n", ("max_outer_iterations",)),
             ("cycles_low = 5e4\n", ("cycles_low", "cycles_high")),
@@ -576,6 +580,7 @@ class TestCli:
         ids=[
             "p_max-below-base-p_min",
             "users-not-twice-channels",
+            "users-not-twice-channels-and-zero-samples",
             "unknown-key-outer_tolerance",
             "unknown-key-max_outer_iterations",
             "cycles-low-above-high",

@@ -3,7 +3,6 @@ import pytest
 
 from fedmar.model import ParamsError, SystemParams
 from fedmar.pairing import (
-    DeviceParamRanges,
     PairingScheme,
     TopologyConfig,
     channel_gain,
@@ -80,7 +79,7 @@ class TestGenerateTopology:
     )
     def test_ranges_validation(self, kw):
         with pytest.raises(ValueError):
-            DeviceParamRanges(**kw)
+            TopologyConfig(**kw)
 
 
 class TestChannelGain:
@@ -171,14 +170,23 @@ class TestReferenceParity:
     """Array sampling and pairing reproduce the object-based reference in
     ``util`` bit for bit."""
 
+    @pytest.mark.parametrize(
+        "workload",
+        [{}, {"cycles_low": 2e4, "cycles_high": 6e4, "sample_count": 300.0, "upload_bits": 56.2e3}],
+        ids=["default-workload", "heavy-workload"],
+    )
     @pytest.mark.parametrize("scheme", list(PairingScheme))
     @pytest.mark.parametrize("sigma", [0.0, 8.0, 20.0])
     @pytest.mark.parametrize("users", [2, 4, 50, 2000])
-    def test_sampled_topology_matches_reference(self, users, sigma, scheme):
+    def test_sampled_topology_matches_reference(self, users, sigma, scheme, workload):
         params = SystemParams(channel_count=users // 2)
         for seed in (1, 2):
             config = TopologyConfig(
-                user_count=users, channel_count=users // 2, shadow_sigma_db=sigma, rng_seed=seed
+                user_count=users,
+                channel_count=users // 2,
+                shadow_sigma_db=sigma,
+                rng_seed=seed,
+                **workload,
             )
             devices, gains = sample_topology(config)
             ref_devices = reference_generate_topology(config)

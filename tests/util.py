@@ -86,20 +86,18 @@ def small_instance(seed: int, users: int = 4, **params_kw) -> tuple[SystemParams
 # one scalar Device per user, one scalar gain per device, pairs as tuples.
 
 
-def reference_generate_topology(
-    config: pairing.TopologyConfig, ranges: pairing.DeviceParamRanges = pairing.DeviceParamRanges()
-) -> list[Device]:
+def reference_generate_topology(config: pairing.TopologyConfig) -> list[Device]:
     rng = np.random.default_rng([pairing.STREAM_PLACEMENT, config.rng_seed])
     n = config.user_count
     distances = rng.uniform(config.min_distance_km, config.cell_radius_km, n)
-    cycles = rng.uniform(ranges.cycles_low, ranges.cycles_high, n)
+    cycles = rng.uniform(config.cycles_low, config.cycles_high, n)
     return [
         Device(
             id=i,
             distance_km=float(distances[i]),
             cycles_per_std_sample=float(cycles[i]),
-            sample_count=ranges.sample_count,
-            upload_bits=ranges.upload_bits,
+            sample_count=config.sample_count,
+            upload_bits=config.upload_bits,
         )
         for i in range(n)
     ]

@@ -36,6 +36,9 @@ SWEEPS = {
     "users-10000": "users = 10000\nchannels = 5000\npairing = nearest\n",
     "users-4000-p_min-inf": "users = 4000\nchannels = 2000\np_min_dbm = -inf\npairing = nearest\n",
     "users-2000-p_min-inf": "users = 2000\nchannels = 1000\np_min_dbm = -inf\n",
+    "workload-keys": (
+        "cycles_low = 2e4\ncycles_high = 6e4\nsamples = 300\nupload_kbits = 56.2\nseeds = 1 2 3\n"
+    ),
 }
 
 def spec_of(text: str) -> bench.ExperimentSpec:
