@@ -3,12 +3,18 @@
 The main solver alternates the two blocks: given powers, the frequency /
 resolution / deadline block is solved in closed form through its dual;
 given the resulting deadline, the power block is solved per channel. The
-frequency block reads nothing but the powers, so the powers are the loop's
-only state: it stops when the power block hands back powers within a
-tolerance of the power box of those the frequency block was just solved
-at, since another frequency solve would then reproduce its own output.
-The resolution stays continuous while iterating and is rounded to the
-discrete set once, at exit.
+frequency block reads nothing but the powers, so the loop stops when the
+power block hands back powers within a tolerance of the power box of those
+the frequency block was just solved at, since another frequency solve would
+then reproduce its own output. The resolution stays continuous while
+iterating and is rounded to the discrete set once, at exit.
+
+The report keeps one ``Pass`` record per pass, and nothing else of the
+loop: the frequency block's solution (multipliers, frequencies, continuous
+resolutions, deadline, upload and compute times), the power block's powers
+and rate-infeasibility flags, how far the powers moved, and the relaxed
+objective. The first pass starts at the midpoint power, each later one at
+the powers of the pass before.
 
 A pass costs each term once where it can. The frequency block takes the
 upload rates at its powers and the computation time and energy of its
@@ -27,7 +33,7 @@ more passes, over which the relaxed objective can rise.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -61,28 +67,55 @@ OUTER_TOLERANCE = 1e-4
 MAX_OUTER_ITERATIONS = 50
 
 
+@dataclass(frozen=True)
+class Pass:
+    """One pass of the alternation (module docstring); ``moved`` is the
+    largest power change as a fraction of the power box."""
+
+    frequency_block: sp1.Sp1Solution
+    power_w: np.ndarray
+    rate_infeasible: np.ndarray
+    moved: float
+    relaxed_objective: float
+
+    @property
+    def settled(self) -> bool:
+        return self.moved <= OUTER_TOLERANCE
+
+
 @dataclass
 class SolveReport:
     """Final allocation and costs plus solve diagnostics.
 
-    ``objective_trace`` holds the relaxed objective (continuous resolution,
-    linearized accuracy) after each outer iteration; it is non-increasing
-    unless some device is held at f_min. ``converged`` is True when the
-    last power solve moved no power by more than ``OUTER_TOLERANCE`` of the
-    power box; with a positive time weight and no device at f_min the
-    first one already does, as every deadline binds. ``feasible`` is False
-    when the last power solve could not meet some minimum rate within the
-    power box.
+    ``passes`` holds the proposed solve's passes in order; a baseline has
+    none. Three views derive from them. ``objective_trace`` is each pass's
+    relaxed objective (continuous resolution, linearized accuracy); it is
+    non-increasing unless some device is held at f_min. ``converged`` is
+    True unless the last pass moved some power by more than
+    ``OUTER_TOLERANCE`` of the power box; with a positive time weight and
+    no device at f_min the first pass already settles, as every deadline
+    binds. ``feasible`` is False when the last pass's power solve could not
+    meet some minimum rate within the power box.
     """
 
     allocation: Allocation
     costs: CostBreakdown
     topology: PairedTopology
     scheme: PairingScheme | None
-    objective_trace: list[float]
-    converged: bool
-    feasible: bool
+    passes: list[Pass] = field(default_factory=list)
     scheme_objectives: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def objective_trace(self) -> list[float]:
+        return [p.relaxed_objective for p in self.passes]
+
+    @property
+    def converged(self) -> bool:
+        return not self.passes or self.passes[-1].settled
+
+    @property
+    def feasible(self) -> bool:
+        return not self.passes or not self.passes[-1].rate_infeasible.any()
 
 
 def relaxed_objective(
@@ -111,26 +144,20 @@ def allocate(params: SystemParams, topology: PairedTopology) -> SolveReport:
     """Alternate the two block solves from the midpoint power until the
     powers settle; frequency and resolution are the last frequency solve's."""
     power = np.full(topology.n_devices, 0.5 * (params.p_min_w + params.p_max_w))
-    p_width = params.p_max_w - params.p_min_w
-
-    trace: list[float] = []
-    converged = False
+    passes: list[Pass] = []
     for _ in range(MAX_OUTER_ITERATIONS):
         block1 = sp1.solve_sp1(params, topology, power)
-        cpu, s_cont, deadline = block1.cpu_hz, block1.resolution_cont, block1.deadline_s
-        power_new, infeasible_flags, _ = sp2.solve_sp2(params, topology, cpu, s_cont, deadline)
-        delta = float(np.abs(power_new - power).max()) / p_width
+        cpu, s_cont = block1.cpu_hz, block1.resolution_cont
+        power_new, flags, _ = sp2.solve_sp2(params, topology, cpu, s_cont, block1.deadline_s)
+        moved = float(np.abs(power_new - power).max()) / (params.p_max_w - params.p_min_w)
         power = power_new
-        trace.append(
-            relaxed_objective(params, topology, power, s_cont, block1.t_cmp_s, block1.e_cmp_j)
-        )
-        if delta <= OUTER_TOLERANCE:
-            converged = True
+        obj = relaxed_objective(params, topology, power, s_cont, block1.t_cmp_s, block1.e_cmp_j)
+        passes.append(Pass(block1, power, flags, moved, obj))
+        if passes[-1].settled:
             break
 
     resolution = sp1.round_resolutions(params, s_cont)
-    feasible = not infeasible_flags.any()
-    return _report(params, topology, power, cpu, resolution, trace, converged, feasible)
+    return _report(params, topology, power, cpu, resolution, passes)
 
 
 def _report(
@@ -139,22 +166,12 @@ def _report(
     power: np.ndarray,
     cpu: np.ndarray,
     resolution: np.ndarray,
-    trace: list[float] | None = None,
-    converged: bool = True,
-    feasible: bool = True,
+    passes: Sequence[Pass] = (),
 ) -> SolveReport:
     """The report of a final allocation, costed by ``model.evaluate``."""
     allocation = Allocation(power_w=power, cpu_hz=cpu, resolution_px=resolution)
     costs = model.evaluate(params, topology, allocation)
-    return SolveReport(
-        allocation=allocation,
-        costs=costs,
-        topology=topology,
-        scheme=None,
-        objective_trace=[] if trace is None else trace,
-        converged=converged,
-        feasible=feasible,
-    )
+    return SolveReport(allocation, costs, topology, scheme=None, passes=list(passes))
 
 
 def allocate_best_pairing(

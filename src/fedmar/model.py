@@ -72,8 +72,10 @@ class SystemParams:
             raise ParamsError("channel count must be positive", "channel_count")
         if not 0.0 < self.noise_psd_w_per_hz < math.inf:
             raise ParamsError("noise PSD must be positive and finite", "noise_psd_w_per_hz")
-        if self.switched_capacitance <= 0:
-            raise ParamsError("switched capacitance must be positive", "switched_capacitance")
+        if not 0.0 < self.switched_capacitance < math.inf:
+            raise ParamsError(
+                "switched capacitance must be positive and finite", "switched_capacitance"
+            )
         if self.local_iterations <= 0:
             raise ParamsError("local iterations must be positive", "local_iterations")
         if not self.std_resolution_px * self.std_resolution_px > 0:

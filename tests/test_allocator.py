@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from fedmar.allocator import (
 from fedmar.model import SystemParams, UnreachableDeviceError
 from fedmar.pairing import PairingScheme, channel_gain
 from util import (
+    flag_device_zero,
     make_devices,
     reference_greedy_choice,
     reference_pair_minima,
@@ -125,6 +128,79 @@ class TestAllocate:
             )
         best = min(finals)
         assert default.objective_trace[-1] <= best + 1e-3 * abs(best)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPasses:
+    """``allocate`` keeps one record per pass, and the report's trace,
+    convergence and feasibility are read from them."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "params_kw,fewest,most",
+        [
+            ({}, 1, 1),
+            ({"weight_energy": 1.0, "weight_time": 0.0}, 2, 2),
+            ({"f_min_hz": 0.5e9}, 2, 4),
+        ],
+        ids=["beta-positive", "beta-zero", "f_min-binds"],
+    )
+    def test_records_replay_the_loop(self, params_kw, fewest, most, seed):
+        params, topo = table_instance(seed, **params_kw)
+        report = allocate(params, topo)
+        passes = report.passes
+        assert fewest <= len(passes) <= most
+        start = np.full(topo.n_devices, 0.5 * (params.p_min_w + params.p_max_w))
+        width = params.p_max_w - params.p_min_w
+        for record in passes:
+            block = record.frequency_block
+            replayed = sp1.solve_sp1(params, topo, start)
+            for f in fields(replayed):
+                assert _same_bits(getattr(block, f.name), getattr(replayed, f.name)), f.name
+            power, flags, _ = sp2.solve_sp2(
+                params, topo, block.cpu_hz, block.resolution_cont, block.deadline_s
+            )
+            assert _same_bits(record.power_w, power)
+            assert _same_bits(record.rate_infeasible, flags)
+            assert record.moved == float(np.abs(power - start).max()) / width
+            start = record.power_w
+        assert [r.settled for r in passes] == [False] * (len(passes) - 1) + [True]
+        assert report.converged and report.feasible
+
+        last = passes[-1].frequency_block
+        assert last.deadline_s == sp1.deadline_of(last.t_trans_s, last.t_cmp_s)
+        assert report.objective_trace == [
+            relaxed_objective(
+                params, topo, r.power_w, r.frequency_block.resolution_cont,
+                r.frequency_block.t_cmp_s, r.frequency_block.e_cmp_j,
+            )
+            for r in passes
+        ]
+        alloc = report.allocation
+        assert _same_bits(alloc.power_w, passes[-1].power_w)
+        assert _same_bits(alloc.cpu_hz, last.cpu_hz)
+        assert _same_bits(alloc.resolution_px, sp1.round_resolutions(params, last.resolution_cont))
+
+    def test_baselines_carry_no_passes(self):
+        params, topo = small_instance(seed=3)
+        for report in (random_baseline(params, topo, 3), greedy_baseline(params, topo)):
+            assert report.passes == []
+            assert (report.objective_trace, report.converged, report.feasible) == ([], True, True)
+
+    def test_a_flag_on_an_earlier_pass_leaves_the_report_feasible(self, monkeypatch):
+        # feasibility is the last pass's: a device flagged by the first power
+        # solve only is not flagged in the report
+        params, topo = table_instance(1, f_min_hz=0.5e9)
+        flag_device_zero(monkeypatch, first_call_only=True)
+        report = allocate(params, topo)
+        assert len(report.passes) >= 2
+        assert report.passes[0].rate_infeasible.any()
+        assert not report.passes[-1].rate_infeasible.any()
+        assert report.feasible
 
 
 def every_pairing(params, devices, gains):

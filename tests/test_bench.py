@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from util import flag_device_zero
 
 from fedmar import allocator, bench, cli
 from fedmar.bench import (
@@ -620,6 +621,17 @@ class TestCli:
         assert all(f"'{key}'" in err for key in keys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+    def test_non_finite_kappa_exits_naming_kappa_alone(self, tmp_path, capsys, kappa):
+        # the float-range checks on alpha * kappa name the weights as well;
+        # a non-finite kappa is rejected before them, naming kappa only
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"kappa = {kappa}\n")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "key 'kappa': switched capacitance must be positive and finite" in err
+        assert "'weights'" not in err
+
     def test_negative_seed_flag_exits_naming_the_key(self, capsys):
         assert cli.main(["solve", "--seed", "-5"]) == 1
         assert "key 'seeds'" in capsys.readouterr().err
@@ -941,3 +953,34 @@ def test_summarize_counts_flagged_rows():
     summary = summarize(detail)
     flagged = [s for s in summary if s.flag]
     assert flagged and flagged[0].flag == "flagged=1"
+
+
+def test_rate_infeasible_flag_reaches_the_row_and_the_exit_code(tmp_path, monkeypatch):
+    # every power solve flags device 0; the cell takes one pass, so its last
+    # pass carries the flag into the report, the row, the summary and the exit
+    flag_device_zero(monkeypatch)
+    reports = []
+    allocate = allocator.allocate
+
+    def kept(*args):
+        reports.append(allocate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(allocator, "allocate", kept)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "users = 4\nchannels = 2\nseeds = 1\nsweep_values = 12\nweights = 0.5,0.5,1\n"
+        "algorithms = proposed random\npairing = nearest\n"
+    )
+    spec = load_config(cfg)
+    rows = bench.run_cell(spec, spec.sweep_values[0], spec.weights[0], 1)
+    assert [len(r.passes) for r in reports] == [1]
+    assert not reports[0].feasible
+    assert [(r.algorithm, r.converged, r.flag) for r in rows] == [
+        ("proposed", "yes", "rate-infeasible"),
+        ("random", "yes", ""),
+    ]
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    summary = [line.split(",") for line in out.read_text().splitlines() if line.startswith("mean,")]
+    assert [(s[3], s[-1]) for s in summary] == [("proposed", "flagged=1"), ("random", "")]

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from fedmar import model, pairing, sp1
+from fedmar import model, pairing, sp1, sp2
 from fedmar.model import Device, PairedTopology, SystemParams
 
 # Hand-computed reference values (independent of the package code).
@@ -79,6 +79,22 @@ def small_instance(seed: int, users: int = 4, **params_kw) -> tuple[SystemParams
     devices, gains = pairing.sample_topology(config)
     topo = pairing.pair_users(params, devices, gains, pairing.PairingScheme.NEAREST_USER)
     return params, topo
+
+
+def flag_device_zero(monkeypatch, first_call_only: bool = False) -> None:
+    """Make ``sp2.solve_sp2`` flag device 0 rate-infeasible, on every call
+    or on its first call only; its powers stay as they are."""
+    solve_sp2, calls = sp2.solve_sp2, []
+
+    def flagging(*args, **kwargs):
+        power, flags, stages = solve_sp2(*args, **kwargs)
+        calls.append(None)
+        if not first_call_only or len(calls) == 1:
+            flags = flags.copy()
+            flags[0] = True
+        return power, flags, stages
+
+    monkeypatch.setattr(sp2, "solve_sp2", flagging)
 
 
 # Object-based sampling and pairing as the package did it before both became

@@ -31,6 +31,7 @@ SWEEPS = {
     "gamma": "sweep = gamma\nsweep_values = 0 0.5 1 2 3 4 5\nseeds = 1 2\n",
     "p_min-inf-nearest": "p_min_dbm = -inf\npairing = nearest\nweights = 1,0,1 0.5,0.5,1\n",
     "f_min-0.5": "f_min_ghz = 0.5\nseeds = 1 2 3\n",
+    "beta-0": "weights = 1,0,1 1,0,0.05\nseeds = 1 2 3\n",
     "users-1000": "users = 1000\nchannels = 500\n",
     "users-4000": "users = 4000\nchannels = 2000\n",
     "users-10000": "users = 10000\nchannels = 5000\npairing = nearest\n",
